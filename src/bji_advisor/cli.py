@@ -100,9 +100,8 @@ def _motif_doc(m: selection.ScoredMotif) -> dict:
             "support": round(m.support, 12), "selected": m.selected}
 
 
-def _config_doc(schema: StarSchema, matrix: ContextMatrix,
-                cfg: selection.Configuration) -> dict:
-    report = costmodel.cost_report(schema, matrix.queries, cfg.attrs)
+def _config_doc(schema: StarSchema, cfg: selection.Configuration,
+                report: costmodel.CostReport) -> dict:
     return {
         "engine": cfg.engine,
         "configuration": list(cfg.attrs),
@@ -138,17 +137,15 @@ def _write_metadata(out_dir: str, argv) -> None:
     }))
 
 
-def _engine_rows(schema, matrix, configs) -> list[dict]:
-    baseline = costmodel.workload_cost(schema, matrix.queries, ())
-    rows = [{"engine": "baseline", "total_cost": baseline,
+def _engine_rows(schema, configs, reports) -> list[dict]:
+    rows = [{"engine": "baseline", "total_cost": reports[0].baseline_total,
              "storage_bytes": 0, "reduction_rate": 0.0}]
-    for cfg in configs:
-        total = costmodel.workload_cost(schema, matrix.queries, cfg.attrs)
+    for cfg, report in zip(configs, reports):
         rows.append({
             "engine": cfg.engine,
-            "total_cost": total,
+            "total_cost": report.total,
             "storage_bytes": costmodel.config_storage(schema, cfg.attrs),
-            "reduction_rate": costmodel.reduction_rate(baseline, total),
+            "reduction_rate": report.reduction,
         })
     return rows
 
@@ -175,10 +172,12 @@ def cmd_advise(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget)
                for e in engines]
+    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs)
+               for c in configs]
 
     trace = {"matrix": _matrix_doc(matrix),
-             "engines": {c.engine: _config_doc(schema, matrix, c)
-                         for c in configs}}
+             "engines": {c.engine: _config_doc(schema, c, r)
+                         for c, r in zip(configs, reports)}}
     _write(os.path.join(args.out, "trace.json"), _json_text(trace))
 
     lines = []
@@ -198,7 +197,7 @@ def cmd_advise(args, argv) -> int:
                _json_text({c.engine: list(c.attrs) for c in configs}))
     elif args.format == "csv":
         _write(os.path.join(args.out, "report.csv"),
-               _rows_csv(_engine_rows(schema, matrix, configs)))
+               _rows_csv(_engine_rows(schema, configs, reports)))
     else:
         _write(os.path.join(args.out, "report.txt"), "\n".join(lines) + "\n")
     _write_metadata(args.out, argv)
@@ -214,14 +213,16 @@ def cmd_compare(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget)
                for e in engines]
-    rows = _engine_rows(schema, matrix, configs)
+    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs)
+               for c in configs]
+    rows = _engine_rows(schema, configs, reports)
     _write(os.path.join(args.out, "compare.csv"), _rows_csv(rows))
     _write(os.path.join(args.out, "compare.json"), _json_text(
         {"rows": [{**r, "total_cost": round(r["total_cost"], 6),
                    "reduction_rate": round(r["reduction_rate"], 9)}
                   for r in rows],
-         "engines": {c.engine: _config_doc(schema, matrix, c)
-                     for c in configs}}))
+         "engines": {c.engine: _config_doc(schema, c, r)
+                     for c, r in zip(configs, reports)}}))
     _write_metadata(args.out, argv)
     best = min(rows[1:], key=lambda r: (r["total_cost"], r["engine"]))
     for r in rows:
@@ -320,9 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 description="Bitmap join index advisor for star schemas")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def inputs(sp):
         sp.add_argument("--catalog", required=True)
         sp.add_argument("--workload", required=True)
+
+    def common(sp):
+        inputs(sp)
         sp.add_argument("--minsup", type=float, default=0.1)
         sp.add_argument("--storage-budget", type=int, default=None)
         sp.add_argument("--out", default=".")
@@ -341,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("enumerate", help="list minimal transversals")
-    common(sp)
+    inputs(sp)
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true")
     group.add_argument("--smallest", action="store_true", default=True)

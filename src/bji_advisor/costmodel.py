@@ -19,13 +19,12 @@ fact-dimension join; there is none to use).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .schema import StarSchema
-from .workload import ContextMatrix, ParsedQuery
+from .workload import ParsedQuery
 
 # selectivity of a range or LIKE predicate when nothing better is known
 RANGE_SELECTIVITY = 1.0 / 3.0

@@ -3,14 +3,16 @@
 Vertices are small nonnegative integers; a hyperedge is a nonempty frozenset of
 vertices.  Two independent enumerators are provided (incremental cross-product
 and a depth-first search with critical-edge pruning) plus a greedy upper bound
-on the transversality number.
+on the transversality number.  The search and the bound work on int bitmasks:
+bit ``v`` of a vertex mask is vertex ``v``, bit ``i`` of an edge mask is
+``edges[i]``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Iterator, Optional
 
 log = logging.getLogger(__name__)
 
@@ -64,10 +66,6 @@ class Hypergraph:
             raise ValueError(f"vertices {sorted(extra)} not in hypergraph")
         return ts
 
-    def dump(self) -> str:
-        """Debug text form: one edge per line, space-separated vertex ids."""
-        return "\n".join(" ".join(str(v) for v in sorted(e)) for e in self.edges)
-
 
 def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     """True iff ``t`` intersects every edge of ``h``."""
@@ -109,72 +107,56 @@ def _prune_minimal(sets: Iterable[VertexSet]) -> list[VertexSet]:
     return kept
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks(h: Hypergraph) -> tuple[list[int], dict[int, int]]:
+    """Per edge index its vertex mask; per vertex the mask of edge indexes
+    containing it."""
+    edge_verts = [sum(1 << v for v in e) for e in h.edges]
+    vert_edges = dict.fromkeys(h.vertices, 0)
+    for i, e in enumerate(h.edges):
+        for v in e:
+            vert_edges[v] |= 1 << i
+    return edge_verts, vert_edges
+
+
 def mmcs(h: Hypergraph, size_cap: Optional[int] = None) -> list[VertexSet]:
     """Depth-first minimal-transversal enumeration with uncov/crit bookkeeping.
 
-    ``uncov`` holds the currently uncovered edges, ``crit[x]`` the edges whose
-    only chosen vertex is ``x``; a branch dies when some chosen vertex loses its
-    last critical edge.  With ``size_cap`` only transversals of that size or
-    smaller are produced.
+    ``uncov`` is the mask of uncovered edges and ``crit[k]`` the mask of edges
+    whose only chosen vertex is ``chosen[k]``; a branch dies when some chosen
+    vertex loses its last critical edge.  With ``size_cap`` only transversals
+    of that size or smaller are produced.
     """
     if size_cap is not None and size_cap < 1:
         raise ValueError("size_cap must be >= 1")
+    edge_verts, vert_edges = _masks(h)
     out: list[VertexSet] = []
-    n_edges = len(h.edges)
-    uncov = list(range(n_edges))
-    crit: dict[int, set[int]] = {}
-    cand = set(h.vertices)
-    chosen: list[int] = []
 
-    def choose_edge() -> int:
-        # fail-first: uncovered edge with fewest remaining candidates,
-        # ties by lowest edge index
-        best, best_n = -1, None
-        for ei in uncov:
-            n = len(h.edges[ei] & cand)
-            if best_n is None or n < best_n or (n == best_n and ei < best):
-                best, best_n = ei, n
-        return best
-
-    def recurse() -> None:
+    def recurse(chosen: tuple[int, ...], cand: int, uncov: int,
+                crit: list[int]) -> None:
         if not uncov:
             out.append(frozenset(chosen))
             return
         if size_cap is not None and len(chosen) >= size_cap:
             return
-        ei = choose_edge()
-        branch_verts = sorted(h.edges[ei] & cand)
-        removed_from_cand: list[int] = []
-        for v in branch_verts:
-            cand.discard(v)
-            removed_from_cand.append(v)
-            # update state for choosing v
-            newly_covered = [ej for ej in uncov if v in h.edges[ej]]
-            crit[v] = set(newly_covered)
-            stolen: list[tuple[int, int]] = []
-            for x in chosen:
-                for ej in list(crit[x]):
-                    if v in h.edges[ej]:
-                        crit[x].discard(ej)
-                        stolen.append((x, ej))
-            ok = all(crit[x] for x in chosen)
-            if ok:
-                chosen.append(v)
-                for ej in newly_covered:
-                    uncov.remove(ej)
-                recurse()
-                for ej in newly_covered:
-                    uncov.append(ej)
-                uncov.sort()
-                chosen.pop()
-            # restore crit
-            for x, ej in stolen:
-                crit[x].add(ej)
-            del crit[v]
-        for v in removed_from_cand:
-            cand.add(v)
+        # fail-first: uncovered edge with fewest remaining candidates,
+        # ties by lowest edge index
+        ei = min(_bits(uncov), key=lambda i: (edge_verts[i] & cand).bit_count())
+        for v in _bits(edge_verts[ei] & cand):
+            cand &= ~(1 << v)
+            hit = vert_edges[v]
+            kept = [c & ~hit for c in crit]
+            if all(kept):
+                recurse(chosen + (v,), cand, uncov & ~hit, kept + [uncov & hit])
 
-    recurse()
+    recurse((), sum(1 << v for v in h.vertices), (1 << len(h.edges)) - 1, [])
     res = _canon(out)
     # the branch-death test prunes non-minimal supersets already, but keep the
     # guarantee explicit
@@ -189,18 +171,16 @@ def get_min_transversality(h: Hypergraph) -> tuple[int, VertexSet]:
     hitting most remaining edges (ties by lowest id).  Returns the smallest
     cover found; the count is an upper bound on the true tau(H).
     """
+    _, vert_edges = _masks(h)
     best: Optional[VertexSet] = None
     for start in h.vertices:
         picked = [start]
-        remaining = [e for e in h.edges if start not in e]
+        remaining = ((1 << len(h.edges)) - 1) & ~vert_edges[start]
         while remaining:
-            support: dict[int, int] = {}
-            for e in remaining:
-                for v in e:
-                    support[v] = support.get(v, 0) + 1
-            v = min(support, key=lambda x: (-support[x], x))
+            v = min(h.vertices,
+                    key=lambda x: (-(vert_edges[x] & remaining).bit_count(), x))
             picked.append(v)
-            remaining = [e for e in remaining if v not in e]
+            remaining &= ~vert_edges[v]
         t = frozenset(picked)
         if best is None or len(t) < len(best) or (len(t) == len(best)
                                                   and sorted(t) < sorted(best)):
@@ -212,10 +192,10 @@ def get_min_transversality(h: Hypergraph) -> tuple[int, VertexSet]:
 def smallest_transversals(h: Hypergraph) -> list[VertexSet]:
     """All minimal transversals of minimum cardinality (exact)."""
     k0, _ = get_min_transversality(h)
+    # the greedy cover contains a minimal transversal of at most k0 vertices,
+    # so the capped search finds one; _canon order puts the smallest first
     found = mmcs(h, size_cap=k0)
-    if not found:  # greedy bound can never undershoot, but stay safe
-        found = mmcs(h)
-    k_star = min(len(t) for t in found)
+    k_star = len(found[0])
     if k_star < k0:
         log.warning("greedy transversality bound %d overshoots exact %d", k0, k_star)
     return [t for t in found if len(t) == k_star]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 log = logging.getLogger(__name__)
@@ -141,19 +141,12 @@ class StarSchema:
                 f"ambiguous attribute {name}: " + ", ".join(a.qualified for a in hits))
         return hits[0]
 
-    def has_attribute(self, name: str) -> bool:
-        return any(a.name.lower() == name.lower() for a in self.attributes)
-
     def table_pages(self, name: str) -> int:
         return pages_of(self.tables[name], self.page_size)
 
     def is_indexable(self, a: AttributeStats) -> bool:
         """Non-key attribute of a dimension table."""
         return (not a.is_key) and self.tables[a.table].role == "dimension"
-
-    def dim_joins(self, dim: str) -> list[Join]:
-        """Join links whose key side lives on ``dim``."""
-        return [j for j in self.joins if self.attribute(j.dim_attr).table == dim]
 
     def join_path(self, dim: str) -> Optional[list[Join]]:
         """Chain of join links from the fact table to ``dim`` (BFS), if any."""

@@ -17,7 +17,7 @@ mono-attribute bitmap join index:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import costmodel
@@ -139,18 +139,12 @@ def mine_closed_frequent_itemsets(
     """
     if not 0.0 < minsup <= 1.0:
         raise ValueError("minsup must be in (0, 1]")
-    rows = [set(r) for r in matrix.rows]
-    closed: set[frozenset[int]] = {frozenset(r) for r in rows}
-    frontier = set(closed)
+    rows = set(matrix.rows)
+    closed = set(rows)
+    frontier = rows
     while frontier:
-        new: set[frozenset[int]] = set()
-        for c in frontier:
-            for r in rows:
-                inter = c & frozenset(r)
-                if inter and inter not in closed:
-                    new.add(inter)
-        closed |= new
-        frontier = new
+        frontier = {c & r for c in frontier for r in rows} - closed - {frozenset()}
+        closed |= frontier
     out = []
     for c in closed:
         sup = matrix.support(c)

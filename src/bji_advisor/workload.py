@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph
-from .schema import AttributeStats, CatalogError, StarSchema
+from .schema import CatalogError, StarSchema
 
 log = logging.getLogger(__name__)
 
@@ -390,14 +390,14 @@ def parse_query(sql: str, schema: StarSchema, qid: int = 0,
                        predicates=tuple(ex.predicates), weight=weight)
 
 
-_HEADER_RE = re.compile(r"^\s*Q(\d+)\s*-\s*", re.MULTILINE)
+_HEADER_RE = re.compile(r"^\s*Q(\d+)\s*[-:]\s*", re.MULTILINE)
 
 
 def split_workload(text: str) -> list[tuple[int, str]]:
     """Split a workload file into (id, sql) blocks.
 
-    Two styles are accepted: ``Qn -`` headers, or queries separated by a line
-    containing only ``;``.
+    Two styles are accepted: ``Qn -`` or ``Qn :`` headers, or queries
+    separated by a line containing only ``;``.
     """
     headers = list(_HEADER_RE.finditer(text))
     if headers:
@@ -432,10 +432,6 @@ class ContextMatrix:
     queries: tuple[ParsedQuery, ...]
     columns: tuple[str, ...]              # qualified names, index = id - 1
     rows: tuple[frozenset[int], ...]      # per query, referenced column ids
-
-    @property
-    def column_ids(self) -> dict[str, int]:
-        return {q: i + 1 for i, q in enumerate(self.columns)}
 
     def id_of(self, qualified: str) -> int:
         return self.columns.index(qualified) + 1

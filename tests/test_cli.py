@@ -133,6 +133,13 @@ def test_enumerate_all(tmp_path, capsys):
     assert "all minimal transversals: 9" in printed
 
 
+def test_enumerate_rejects_advise_options():
+    cat = str(data_path("example_star.json"))
+    wl = str(data_path("example_star.sql"))
+    assert run(["enumerate", "--catalog", cat, "--workload", wl,
+                "--minsup", "0.5"]) == 1
+
+
 def test_demo_exit_zero(capsys, monkeypatch):
     monkeypatch.delenv("ADVISOR_SEED", raising=False)
     assert run(["demo"]) == 0

@@ -94,8 +94,9 @@ def test_oracle_equivalence_random():
     for _ in range(120):
         h = random_hypergraph(rng)
         brute = brute_minimal_transversals(h)
-        assert set(berge_enumerate(h)) == brute
-        assert set(mmcs(h)) == brute
+        berge = berge_enumerate(h)
+        assert set(berge) == brute
+        assert mmcs(h) == berge
         for t in brute:
             assert is_minimal_transversal(h, t)
         if brute:
@@ -103,18 +104,17 @@ def test_oracle_equivalence_random():
             k_greedy, tg = get_min_transversality(h)
             assert k_greedy >= k_exact
             assert is_transversal(h, tg)
-            smallest = set(smallest_transversals(h))
-            assert smallest == {t for t in brute if len(t) == k_exact}
+            assert smallest_transversals(h) == [t for t in berge
+                                                if len(t) == k_exact]
 
 
 def test_mmcs_size_cap_filters():
     rng = random.Random(7)
     for _ in range(30):
         h = random_hypergraph(rng)
-        full = set(mmcs(h))
+        full = berge_enumerate(h)
         for cap in (1, 2, 3):
-            assert set(mmcs(h, size_cap=cap)) == {t for t in full
-                                                  if len(t) <= cap}
+            assert mmcs(h, size_cap=cap) == [t for t in full if len(t) <= cap]
 
 
 def test_from_edges_validation():

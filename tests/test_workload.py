@@ -34,6 +34,12 @@ def test_split_headers():
     assert blocks == [(1, "select 1"), (2, "select 2\nmore")]
 
 
+def test_split_colon_headers():
+    text = "Q1 : select 1\n\nQ2: select 2\nmore\nQ10 :select 3\n"
+    blocks = split_workload(text)
+    assert blocks == [(1, "select 1"), (2, "select 2\nmore"), (10, "select 3")]
+
+
 def test_split_semicolon_lines():
     text = "select a from t\n;\nselect b from t\n;\n"
     blocks = split_workload(text)
