@@ -20,9 +20,9 @@ import sys
 from datetime import datetime, timezone
 
 from . import costmodel, selection
-from .engine import (build_bji, demo_tables, evaluate, naive_join_oracle,
-                     selected_rows, EngineError, MiniTable)
-from .hypergraph import berge_enumerate, smallest_transversals
+from .engine import (bit_string, build_bji, demo_tables, evaluate,
+                     naive_join_oracle, selected_rows, EngineError, MiniTable)
+from .hypergraph import berge_enumerate, bits, smallest_transversals
 from .schema import CatalogError, StarSchema, load_catalog_file
 from .workload import (ContextMatrix, ParseError, build_context_matrix,
                        parse_workload)
@@ -116,7 +116,7 @@ def _matrix_doc(matrix: ContextMatrix) -> dict:
     return {
         "columns": [{"id": i + 1, "attr": q}
                     for i, q in enumerate(matrix.columns)],
-        "rows": [{"query": q.id, "attrs": sorted(row)}
+        "rows": [{"query": q.id, "attrs": list(bits(row))}
                  for q, row in zip(matrix.queries, matrix.rows)],
     }
 
@@ -172,7 +172,8 @@ def cmd_advise(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget)
                for e in engines]
-    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs)
+    baseline = costmodel.workload_cost(schema, matrix.queries, ())
+    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
                for c in configs]
 
     trace = {"matrix": _matrix_doc(matrix),
@@ -213,7 +214,8 @@ def cmd_compare(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget)
                for e in engines]
-    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs)
+    baseline = costmodel.workload_cost(schema, matrix.queries, ())
+    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
                for c in configs]
     rows = _engine_rows(schema, configs, reports)
     _write(os.path.join(args.out, "compare.csv"), _rows_csv(rows))
@@ -242,8 +244,7 @@ def cmd_enumerate(args, argv) -> int:
         print(f"  {v}: {matrix.name_of(v)}")
     print(f"{'all' if args.all else 'smallest'} minimal transversals: "
           f"{len(tms)}")
-    for tm in tms:
-        ids = tuple(sorted(tm))
+    for ids in tms:
         fit = selection.fitness_tm(schema, matrix, ids)
         afc = selection.afc_sum(schema, matrix, ids)
         names = ", ".join(matrix.name_of(i) for i in ids)
@@ -263,6 +264,8 @@ def _random_demo(rng: random.Random, n_rows: int):
 
 
 def cmd_demo(args, argv) -> int:
+    if args.rows < 0:
+        raise UsageError("--rows must be >= 0")
     seed = os.environ.get("ADVISOR_SEED")
     if seed is not None:
         rng = random.Random(int(seed))
@@ -273,8 +276,9 @@ def cmd_demo(args, argv) -> int:
         dims = {"Ville": (client, "CID", "CID")}
     else:
         fact, client, produit, temps = demo_tables()
-        if args.rows != len(fact.rows):
-            fact = MiniTable(fact.name, fact.columns, fact.rows[:args.rows])
+        if args.rows > len(fact.rows):
+            raise UsageError(f"--rows above {len(fact.rows)} needs ADVISOR_SEED")
+        fact = MiniTable(fact.name, fact.columns, fact.rows[:args.rows])
         indexes = {
             "Ville": build_bji(fact, client, "CID", "CID", "Ville"),
             "Type": build_bji(fact, produit, "PID", "PID", "Type"),
@@ -286,22 +290,19 @@ def cmd_demo(args, argv) -> int:
         conds = {"Ville": ["Poitiers", "Nantes"], "Mois": ["Mars"],
                  "Type": ["Jouet", "Beaute"]}
 
-    print(f"fact rows: {len(fact.rows)}")
+    n = len(fact.rows)
+    print(f"fact rows: {n}")
     for attr, idx in sorted(indexes.items()):
         for value in sorted(idx.bitmaps):
-            bits = "".join(str(b) for b in idx.bitmaps[value])
-            print(f"  {attr}={value}: {bits}")
-    vectors = []
+            print(f"  {attr}={value}: {bit_string(idx.bitmaps[value], n)}")
     for attr in sorted(conds):
         vb = indexes[attr].bitmap_for(conds[attr])
-        vectors.append(vb)
-        print(f"VB {attr} IN {conds[attr]}: "
-              + "".join(str(b) for b in vb))
-    vbf = evaluate(indexes, conds) if len(fact.rows) else tuple()
-    print("VBF: " + "".join(str(b) for b in vbf))
+        print(f"VB {attr} IN {conds[attr]}: {bit_string(vb, n)}")
+    vbf = evaluate(indexes, conds)
+    print(f"VBF: {bit_string(vbf, n)}")
     rows = selected_rows(vbf)
     print(f"selected fact rows: {rows}")
-    oracle = naive_join_oracle(fact, dims, conds) if len(fact.rows) else tuple()
+    oracle = naive_join_oracle(fact, dims, conds)
     agrees = selected_rows(oracle) == rows
     print(f"naive join oracle agrees: {agrees}")
     return EXIT_OK if agrees else EXIT_INTERNAL

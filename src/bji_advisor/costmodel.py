@@ -114,28 +114,20 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     return order
 
 
-def usable_indexes(schema: StarSchema, query: ParsedQuery,
-                   config: Iterable[str]) -> dict[str, list[str]]:
-    """Per joined dimension, the configured indexes the query can use:
-    indexed attributes of that dimension referenced by the query."""
-    dims = joined_dimensions(schema, query)
-    out: dict[str, list[str]] = {}
-    for a in sorted(config):
-        stat = schema.attribute(a)
-        if stat.table in dims and a in query.referenced:
-            out.setdefault(stat.table, []).append(a)
-    return out
-
-
 def query_cost(schema: StarSchema, query: ParsedQuery,
                config: Iterable[str] = ()) -> float:
-    config = set(config)
     dims = joined_dimensions(schema, query)
     if not dims:
         tables = {schema.attribute(a).table for a in query.referenced}
         return float(sum(schema.table_pages(t) for t in tables))
     fact_pages = schema.table_pages(schema.fact.name)
-    used = usable_indexes(schema, query, config)
+    # per joined dimension, the configured indexes the query can use: indexed
+    # attributes of that dimension referenced by the query
+    used: dict[str, list[str]] = {}
+    for a in sorted(set(config)):
+        table = schema.attribute(a).table
+        if table in dims and a in query.referenced:
+            used.setdefault(table, []).append(a)
     if not used:
         return float(sum(hash_join_cost(fact_pages, schema.table_pages(d))
                          for d in dims))
@@ -181,13 +173,15 @@ def workload_cost(schema: StarSchema, queries: Sequence[ParsedQuery],
 
 
 def cost_report(schema: StarSchema, queries: Sequence[ParsedQuery],
-                config: Iterable[str]) -> CostReport:
+                config: Iterable[str], baseline_total: float) -> CostReport:
+    """Per-query and total cost of ``config``; ``baseline_total`` is the
+    workload's cost without indexes, computed once by the caller."""
     config_t = tuple(sorted(set(config)))
     per = tuple((q.id, q.weight * query_cost(schema, q, config_t))
                 for q in queries)
     return CostReport(config=config_t, per_query=per,
                       total=sum(c for _, c in per),
-                      baseline_total=workload_cost(schema, queries, ()))
+                      baseline_total=baseline_total)
 
 
 def config_storage(schema: StarSchema, config: Iterable[str]) -> int:

@@ -1,7 +1,7 @@
 """Reference execution engine for bitmap join indexes on tiny tables.
 
 This is a correctness oracle and demo, not a storage engine: tables are
-in-memory lists of tuples, bitmaps are tuples of 0/1 over fact row positions.
+in-memory lists of tuples, a bitmap is an int whose bit ``i`` is fact row ``i``.
 A bitmap join index on a dimension attribute keeps, per attribute value, the
 bitmap of fact rows whose foreign key joins a dimension row carrying that
 value.  Evaluation ORs bitmaps within one attribute (any of these values) and
@@ -14,6 +14,8 @@ import csv
 import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+from .hypergraph import bits
 
 
 class EngineError(ValueError):
@@ -54,7 +56,7 @@ class MiniTable:
         return [r[i] for r in self.rows]
 
 
-Bitmap = tuple[int, ...]
+Bitmap = int
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,10 @@ class BitmapJoinIndex:
 
     def bitmap_for(self, values: Iterable[object]) -> Bitmap:
         """OR of the bitmaps of the given values (absent value = all zeros)."""
-        acc = [0] * self.n_rows
+        acc = 0
         for v in values:
-            bm = self.bitmaps.get(v)
-            if bm:
-                acc = [a | b for a, b in zip(acc, bm)]
-        return tuple(acc)
+            acc |= self.bitmaps.get(v, 0)
+        return acc
 
 
 def build_bji(fact: MiniTable, dim: MiniTable, fact_fk: str, dim_key: str,
@@ -88,17 +88,14 @@ def build_bji(fact: MiniTable, dim: MiniTable, fact_fk: str, dim_key: str,
         raise EngineError(f"dimension {dim.name}: duplicate keys {dupes!r}")
     attr_of_key = dict(zip(keys, dim.values(dim_attr)))
     fk = fact.values(fact_fk)
-    n = len(fact.rows)
-    bitmaps: dict[object, list[int]] = {v: [0] * n
-                                        for v in set(attr_of_key.values())}
+    bitmaps = dict.fromkeys(attr_of_key.values(), 0)
     for pos, k in enumerate(fk):
         v = attr_of_key.get(k)
         if v is not None:
-            bitmaps[v][pos] = 1
+            bitmaps[v] |= 1 << pos
     return BitmapJoinIndex(fact=fact.name, dimension=dim.name,
-                           attribute=dim_attr,
-                           bitmaps={v: tuple(bm) for v, bm in bitmaps.items()},
-                           n_rows=n)
+                           attribute=dim_attr, bitmaps=bitmaps,
+                           n_rows=len(fact.rows))
 
 
 def evaluate(indexes: Mapping[str, BitmapJoinIndex],
@@ -110,24 +107,25 @@ def evaluate(indexes: Mapping[str, BitmapJoinIndex],
     """
     if not conditions:
         raise EngineError("no conditions to evaluate")
-    acc: list[int] | None = None
+    acc, n_rows = -1, None
     for attr, values in sorted(conditions.items()):
         idx = indexes.get(attr)
         if idx is None:
             raise EngineError(f"no bitmap join index for attribute {attr!r}")
-        bm = idx.bitmap_for(values)
-        if acc is None:
-            acc = list(bm)
-        elif len(bm) != len(acc):
+        if n_rows not in (None, idx.n_rows):
             raise EngineError("bitmap length mismatch across indexes")
-        else:
-            acc = [a & b for a, b in zip(acc, bm)]
-    assert acc is not None
-    return tuple(acc)
+        n_rows = idx.n_rows
+        acc &= idx.bitmap_for(values)
+    return acc
 
 
 def selected_rows(bitmap: Bitmap) -> list[int]:
-    return [i for i, b in enumerate(bitmap) if b]
+    return list(bits(bitmap))
+
+
+def bit_string(bitmap: Bitmap, n_rows: int) -> str:
+    """The bitmap as 0/1 characters, fact row 0 first."""
+    return "".join(str(bitmap >> i & 1) for i in range(n_rows))
 
 
 def naive_join_oracle(fact: MiniTable, dims: Mapping[str, tuple[MiniTable, str, str]],
@@ -137,19 +135,17 @@ def naive_join_oracle(fact: MiniTable, dims: Mapping[str, tuple[MiniTable, str, 
     ``dims`` maps an attribute name to (dimension table, fact FK column,
     dimension key column).
     """
-    n = len(fact.rows)
-    acc = [1] * n
+    acc = (1 << len(fact.rows)) - 1
     for attr, values in conditions.items():
         if attr not in dims:
             raise EngineError(f"no join route for attribute {attr!r}")
         dim, fact_fk, dim_key = dims[attr]
         keymap = dict(zip(dim.values(dim_key), dim.values(attr)))
-        fk = fact.values(fact_fk)
         accepted = set(values)
-        for pos in range(n):
-            if keymap.get(fk[pos]) not in accepted:
-                acc[pos] = 0
-    return tuple(acc)
+        for pos, k in enumerate(fact.values(fact_fk)):
+            if keymap.get(k) not in accepted:
+                acc &= ~(1 << pos)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,43 @@
 """Hypergraphs, minimal transversals and transversality numbers.
 
-Vertices are small nonnegative integers; a hyperedge is a nonempty frozenset of
-vertices.  Two independent enumerators are provided (incremental cross-product
-and a depth-first search with critical-edge pruning) plus a greedy upper bound
-on the transversality number.  The search and the bound work on int bitmasks:
-bit ``v`` of a vertex mask is vertex ``v``, bit ``i`` of an edge mask is
-``edges[i]``.
+Vertices are small nonnegative integers.  A vertex set is an int mask: bit
+``v`` is vertex ``v``; bit ``i`` of an edge mask is ``edges[i]``.  Results
+leave as sorted vertex tuples, smallest sets first.  Two independent
+enumerators are provided (incremental cross-product and a depth-first search
+with critical-edge pruning) plus a greedy upper bound on the transversality
+number.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 log = logging.getLogger(__name__)
 
-VertexSet = FrozenSet[int]
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Set bit positions of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _canon(sets: Iterable[Iterable[int]]) -> list[VertexSet]:
-    """Deduplicate and sort a family of vertex sets (sorted-vector order)."""
-    uniq = {frozenset(s) for s in sets}
-    return sorted(uniq, key=lambda s: (len(s), sorted(s)))
+def mask(ids: Iterable[int]) -> int:
+    """The int mask with bit ``i`` set for every ``i`` in ``ids``."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
+
+
+def _canon(masks: Iterable[int]) -> list[tuple[int, ...]]:
+    """Vertex sets as sorted tuples, by size then ids."""
+    return sorted(map(bits, masks), key=lambda t: (len(t), t))
 
 
 @dataclass(frozen=True)
@@ -30,170 +45,148 @@ class Hypergraph:
     """A vertex set with a family of nonempty hyperedges covering it."""
 
     vertices: tuple[int, ...]
-    edges: tuple[VertexSet, ...]
+    edges: tuple[int, ...]              # distinct vertex masks, first seen first
 
     @classmethod
-    def from_edges(cls, edges: Iterable[Iterable[int]],
+    def from_edges(cls, edges: Iterable[int],
                    vertices: Optional[Iterable[int]] = None) -> "Hypergraph":
-        canon: list[VertexSet] = []
-        seen: set[VertexSet] = set()
-        for e in edges:
-            fs = frozenset(e)
-            if not fs:
-                raise ValueError("hyperedge must be nonempty")
-            if fs not in seen:
-                seen.add(fs)
-                canon.append(fs)
-        covered: set[int] = set()
+        canon = tuple(dict.fromkeys(edges))
+        if 0 in canon:
+            raise ValueError("hyperedge must be nonempty")
+        covered = 0
         for e in canon:
             covered |= e
         if vertices is None:
-            verts = sorted(covered)
-        else:
-            verts = sorted(set(vertices))
-            if covered - set(verts):
-                raise ValueError(
-                    f"edge vertices {sorted(covered - set(verts))} not in vertex set")
-            if set(verts) - covered:
-                raise ValueError(
-                    f"vertices {sorted(set(verts) - covered)} belong to no edge")
-        return cls(tuple(verts), tuple(canon))
+            return cls(bits(covered), canon)
+        verts = mask(vertices)
+        if covered & ~verts:
+            raise ValueError(
+                f"edge vertices {list(bits(covered & ~verts))} not in vertex set")
+        if verts & ~covered:
+            raise ValueError(
+                f"vertices {list(bits(verts & ~covered))} belong to no edge")
+        return cls(bits(verts), canon)
 
-    def _check_subset(self, t: Iterable[int]) -> VertexSet:
-        ts = frozenset(t)
-        extra = ts - set(self.vertices)
+    def _check_subset(self, t: int) -> None:
+        extra = t & ~mask(self.vertices)
         if extra:
-            raise ValueError(f"vertices {sorted(extra)} not in hypergraph")
-        return ts
+            raise ValueError(f"vertices {list(bits(extra))} not in hypergraph")
 
 
-def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
-    """True iff ``t`` intersects every edge of ``h``."""
-    ts = h._check_subset(t)
-    return all(ts & e for e in h.edges)
+def is_transversal(h: Hypergraph, t: int) -> bool:
+    """True iff the vertex mask ``t`` intersects every edge of ``h``."""
+    h._check_subset(t)
+    return all(t & e for e in h.edges)
 
 
-def is_minimal_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
-    """A transversal is minimal iff every member has a critical edge."""
-    ts = h._check_subset(t)
-    if not all(ts & e for e in h.edges):
-        return False
-    for v in ts:
-        if not any(e & ts == {v} for e in h.edges):
+def is_minimal_transversal(h: Hypergraph, t: int) -> bool:
+    """A transversal is minimal iff every member has a critical edge, one
+    that it alone of ``t`` hits."""
+    h._check_subset(t)
+    crit = 0
+    for e in h.edges:
+        hit = t & e
+        if not hit:
             return False
-    return True
+        if not hit & (hit - 1):
+            crit |= hit
+    return crit == t
 
 
-def berge_enumerate(h: Hypergraph) -> list[VertexSet]:
+def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
     """All minimal transversals, built edge by edge.
 
     The running family is crossed with each new edge, then pruned back to
     inclusion-minimal sets.  Fine at desk scale; quadratic pruning.
     """
-    family: list[VertexSet] = [frozenset()]
+    family = [0]
     for e in h.edges:
-        crossed = {t | {v} for t in family for v in e if not (t & e)}
+        crossed = {t | 1 << v for t in family if not t & e for v in bits(e)}
         crossed |= {t for t in family if t & e}
         family = _prune_minimal(crossed)
     return _canon(t for t in family if t)
 
 
-def _prune_minimal(sets: Iterable[VertexSet]) -> list[VertexSet]:
-    by_size = sorted(set(sets), key=len)
-    kept: list[VertexSet] = []
-    for s in by_size:
-        if not any(k <= s for k in kept):
+def _prune_minimal(sets: Iterable[int]) -> list[int]:
+    kept: list[int] = []
+    for s in sorted(sets, key=int.bit_count):
+        if not any(k & s == k for k in kept):
             kept.append(s)
     return kept
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Set bit positions of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _incidence(h: Hypergraph) -> dict[int, int]:
+    """Per vertex, the mask of the edge indexes containing it."""
+    return {v: mask(i for i, e in enumerate(h.edges) if e >> v & 1)
+            for v in h.vertices}
 
 
-def _masks(h: Hypergraph) -> tuple[list[int], dict[int, int]]:
-    """Per edge index its vertex mask; per vertex the mask of edge indexes
-    containing it."""
-    edge_verts = [sum(1 << v for v in e) for e in h.edges]
-    vert_edges = dict.fromkeys(h.vertices, 0)
-    for i, e in enumerate(h.edges):
-        for v in e:
-            vert_edges[v] |= 1 << i
-    return edge_verts, vert_edges
-
-
-def mmcs(h: Hypergraph, size_cap: Optional[int] = None) -> list[VertexSet]:
+def mmcs(h: Hypergraph, size_cap: Optional[int] = None) -> list[tuple[int, ...]]:
     """Depth-first minimal-transversal enumeration with uncov/crit bookkeeping.
 
     ``uncov`` is the mask of uncovered edges and ``crit[k]`` the mask of edges
-    whose only chosen vertex is ``chosen[k]``; a branch dies when some chosen
-    vertex loses its last critical edge.  With ``size_cap`` only transversals
-    of that size or smaller are produced.
+    whose only chosen vertex is the k-th chosen one; a branch dies when some
+    chosen vertex loses its last critical edge.  With ``size_cap`` only
+    transversals of that size or smaller are produced.
     """
     if size_cap is not None and size_cap < 1:
         raise ValueError("size_cap must be >= 1")
-    edge_verts, vert_edges = _masks(h)
-    out: list[VertexSet] = []
+    edges, vert_edges = h.edges, _incidence(h)
+    out: list[int] = []
 
-    def recurse(chosen: tuple[int, ...], cand: int, uncov: int,
-                crit: list[int]) -> None:
+    def recurse(chosen: int, cand: int, uncov: int, crit: list[int]) -> None:
         if not uncov:
-            out.append(frozenset(chosen))
+            out.append(chosen)
             return
-        if size_cap is not None and len(chosen) >= size_cap:
+        if size_cap is not None and len(crit) >= size_cap:
             return
         # fail-first: uncovered edge with fewest remaining candidates,
         # ties by lowest edge index
-        ei = min(_bits(uncov), key=lambda i: (edge_verts[i] & cand).bit_count())
-        for v in _bits(edge_verts[ei] & cand):
+        ei = min(bits(uncov), key=lambda i: (edges[i] & cand).bit_count())
+        for v in bits(edges[ei] & cand):
             cand &= ~(1 << v)
             hit = vert_edges[v]
             kept = [c & ~hit for c in crit]
             if all(kept):
-                recurse(chosen + (v,), cand, uncov & ~hit, kept + [uncov & hit])
+                recurse(chosen | 1 << v, cand, uncov & ~hit,
+                        kept + [uncov & hit])
 
-    recurse((), sum(1 << v for v in h.vertices), (1 << len(h.edges)) - 1, [])
-    res = _canon(out)
+    recurse(0, mask(h.vertices), (1 << len(edges)) - 1, [])
     # the branch-death test prunes non-minimal supersets already, but keep the
     # guarantee explicit
-    assert all(is_minimal_transversal(h, t) for t in res)
-    return res
+    assert all(is_minimal_transversal(h, t) for t in out)
+    return _canon(out)
 
 
-def get_min_transversality(h: Hypergraph) -> tuple[int, VertexSet]:
+def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """Greedy upper bound on the transversality number.
 
     For every start vertex: repeatedly drop covered edges and add the vertex
     hitting most remaining edges (ties by lowest id).  Returns the smallest
     cover found; the count is an upper bound on the true tau(H).
     """
-    _, vert_edges = _masks(h)
-    best: Optional[VertexSet] = None
+    vert_edges = _incidence(h)
+    best: Optional[tuple[int, ...]] = None
     for start in h.vertices:
-        picked = [start]
+        picked = 1 << start
         remaining = ((1 << len(h.edges)) - 1) & ~vert_edges[start]
         while remaining:
             v = min(h.vertices,
                     key=lambda x: (-(vert_edges[x] & remaining).bit_count(), x))
-            picked.append(v)
+            picked |= 1 << v
             remaining &= ~vert_edges[v]
-        t = frozenset(picked)
-        if best is None or len(t) < len(best) or (len(t) == len(best)
-                                                  and sorted(t) < sorted(best)):
+        t = bits(picked)
+        if best is None or (len(t), t) < (len(best), best):
             best = t
     assert best is not None
     return len(best), best
 
 
-def smallest_transversals(h: Hypergraph) -> list[VertexSet]:
+def smallest_transversals(h: Hypergraph) -> list[tuple[int, ...]]:
     """All minimal transversals of minimum cardinality (exact)."""
     k0, _ = get_min_transversality(h)
     # the greedy cover contains a minimal transversal of at most k0 vertices,
-    # so the capped search finds one; _canon order puts the smallest first
+    # so the capped search finds one; size order puts the smallest first
     found = mmcs(h, size_cap=k0)
     k_star = len(found[0])
     if k_star < k0:

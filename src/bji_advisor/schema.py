@@ -195,8 +195,24 @@ def load_catalog(text: str) -> StarSchema:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CatalogError("catalog must be a JSON object")
     if "page_size" not in doc:
         raise CatalogError("missing page_size")
+    for key in ("tables", "attributes", "joins"):
+        entries = doc.get(key, [])
+        if not (isinstance(entries, list)
+                and all(isinstance(e, dict) for e in entries)):
+            raise CatalogError(f"catalog {key} must be a list of objects")
+    try:
+        return _catalog_from(doc)
+    except KeyError as exc:
+        raise CatalogError(f"catalog entry missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise CatalogError(f"malformed catalog entry: {exc}") from exc
+
+
+def _catalog_from(doc: dict) -> StarSchema:
     tables: dict[str, TableStats] = {}
     for t in doc.get("tables", []):
         ts = TableStats(name=t["name"], role=t["role"], rows=int(t["rows"]),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import costmodel
-from .hypergraph import VertexSet, smallest_transversals
+from .hypergraph import bits, mask, smallest_transversals
 from .schema import StarSchema
 from .workload import ContextMatrix
 
@@ -65,7 +65,7 @@ def fitness_tm(schema: StarSchema, matrix: ContextMatrix,
     for i in ids:
         q = matrix.name_of(i)
         if schema.is_indexable(schema.attribute(q)):
-            total += matrix.support([i]) * alpha(schema, q)
+            total += matrix.support(1 << i) * alpha(schema, q)
     return total
 
 
@@ -76,7 +76,7 @@ def fitness_dynaclose(schema: StarSchema, matrix: ContextMatrix,
     for i in ids:
         q = matrix.name_of(i)
         if schema.is_indexable(schema.attribute(q)):
-            terms.append(matrix.support([i]) * alpha(schema, q))
+            terms.append(matrix.support(1 << i) * alpha(schema, q))
     if not terms:
         return 0.0
     return sum(terms) / len(terms)
@@ -90,7 +90,7 @@ def afc_sum(schema: StarSchema, matrix: ContextMatrix,
 
 def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
                   ids: Iterable[int]) -> tuple[str, ...]:
-    names = [matrix.name_of(i) for i in sorted(ids)]
+    names = [matrix.name_of(i) for i in ids]
     return tuple(sorted(q for q in names
                         if schema.is_indexable(schema.attribute(q))))
 
@@ -101,20 +101,16 @@ def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
 
 def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
-    h = matrix.hypergraph()
-    candidates = smallest_transversals(h)
-    scored: list[tuple[float, int, tuple[int, ...], VertexSet]] = []
-    for tm in candidates:
-        ids = tuple(sorted(tm))
-        scored.append((fitness_tm(schema, matrix, ids),
-                       afc_sum(schema, matrix, ids), ids, tm))
+    # candidates arrive as sorted id tuples of one size, in id order
+    scored = [(fitness_tm(schema, matrix, ids), afc_sum(schema, matrix, ids),
+               ids) for ids in smallest_transversals(matrix.hypergraph())]
     # max fitness, then min cardinality sum, then lexicographic
     winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))
     trace = tuple(
         ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=fit, afc=afc, support=matrix.support(ids),
+                    fitness=fit, afc=afc, support=matrix.support(mask(ids)),
                     selected=(ids == winner[2]))
-        for fit, afc, ids, _ in sorted(scored, key=lambda s: s[2]))
+        for fit, afc, ids in scored)
     attrs = _indexable_of(schema, matrix, winner[2])
     notes = []
     dropped = [matrix.name_of(i) for i in winner[2]
@@ -130,12 +126,14 @@ def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
 # ---------------------------------------------------------------------------
 
 def mine_closed_frequent_itemsets(
-        matrix: ContextMatrix, minsup: float) -> list[tuple[frozenset[int], float]]:
-    """Closed itemsets with support >= minsup.
+        matrix: ContextMatrix, minsup: float) -> list[tuple[tuple[int, ...], float]]:
+    """Closed itemsets with support >= minsup, as (sorted ids, support),
+    most frequent first, then by size and ids.
 
     A closed itemset is the intersection of all rows containing it; the family
     of closed sets is exactly the intersections of nonempty row subsets,
-    computed to a fixpoint.  Desk-scale rows (tens) keep this cheap.
+    computed to a fixpoint over row masks.  Desk-scale rows (tens) keep this
+    cheap.
     """
     if not 0.0 < minsup <= 1.0:
         raise ValueError("minsup must be in (0, 1]")
@@ -143,14 +141,14 @@ def mine_closed_frequent_itemsets(
     closed = set(rows)
     frontier = rows
     while frontier:
-        frontier = {c & r for c in frontier for r in rows} - closed - {frozenset()}
+        frontier = {c & r for c in frontier for r in rows} - closed - {0}
         closed |= frontier
     out = []
     for c in closed:
         sup = matrix.support(c)
         if sup >= minsup:
-            out.append((c, sup))
-    out.sort(key=lambda cs: (-cs[1], len(cs[0]), sorted(cs[0])))
+            out.append((bits(c), sup))
+    out.sort(key=lambda cs: (-cs[1], len(cs[0]), cs[0]))
     return out
 
 
@@ -164,13 +162,10 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
     workload cost strictly decreases; non-improving candidates are skipped.
     """
     motifs = mine_closed_frequent_itemsets(matrix, minsup)
-    candidate_ids: set[int] = set()
-    for ids, _ in motifs:
-        for i in ids:
-            if schema.is_indexable(schema.attribute(matrix.name_of(i))):
-                candidate_ids.add(i)
-    ranked = sorted(candidate_ids,
-                    key=lambda i: (-matrix.support([i]), matrix.name_of(i)))
+    in_motifs = mask(i for ids, _ in motifs for i in ids)
+    ranked = sorted((i for i in bits(in_motifs)
+                     if schema.is_indexable(schema.attribute(matrix.name_of(i)))),
+                    key=lambda i: (-matrix.support(1 << i), matrix.name_of(i)))
     chosen: list[str] = []
     notes: list[str] = []
     current = costmodel.workload_cost(schema, matrix.queries, ())
@@ -188,8 +183,7 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
         else:
             notes.append(f"{attr} skipped: no cost improvement")
     trace = tuple(
-        ScoredMotif(ids=tuple(sorted(ids)),
-                    attrs=tuple(matrix.name_of(i) for i in sorted(ids)),
+        ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
                     fitness=0.0, afc=afc_sum(schema, matrix, ids), support=sup,
                     selected=any(matrix.name_of(i) in chosen for i in ids))
         for ids, sup in motifs)
@@ -205,8 +199,8 @@ def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
     if not motifs:
         return Configuration(engine="dynaclose", attrs=(), trace=(),
                              notes=("no frequent closed itemset",))
-    scored = [(fitness_dynaclose(schema, matrix, sorted(ids)),
-               tuple(sorted(ids)), sup) for ids, sup in motifs]
+    scored = [(fitness_dynaclose(schema, matrix, ids), ids, sup)
+              for ids, sup in motifs]
     winner = max(scored, key=lambda s: (s[0], [-i for i in s[1]]))
     trace = tuple(
         ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),

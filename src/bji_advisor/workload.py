@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, bits, mask
 from .schema import CatalogError, StarSchema
 
 log = logging.getLogger(__name__)
@@ -431,7 +431,7 @@ class ContextMatrix:
     schema: StarSchema
     queries: tuple[ParsedQuery, ...]
     columns: tuple[str, ...]              # qualified names, index = id - 1
-    rows: tuple[frozenset[int], ...]      # per query, referenced column ids
+    rows: tuple[int, ...]                 # per query, mask of referenced ids
 
     def id_of(self, qualified: str) -> int:
         return self.columns.index(qualified) + 1
@@ -446,14 +446,15 @@ class ContextMatrix:
     def hypergraph(self) -> Hypergraph:
         return Hypergraph.from_edges(self.rows)
 
-    def support(self, attrs: Iterable[int]) -> float:
-        want = set(attrs)
-        unknown = want - set(range(1, len(self.columns) + 1))
+    def support(self, attrs: int) -> float:
+        """Weighted share of the queries whose row holds every id in the
+        mask ``attrs``."""
+        unknown = attrs & ~((1 << len(self.columns) + 1) - 2)
         if unknown:
-            raise ValueError(f"unknown columns {sorted(unknown)}")
+            raise ValueError(f"unknown columns {list(bits(unknown))}")
         total = sum(q.weight for q in self.queries)
         hit = sum(q.weight for q, row in zip(self.queries, self.rows)
-                  if want <= row)
+                  if attrs & row == attrs)
         return hit / total if total else 0.0
 
 
@@ -462,13 +463,13 @@ def build_context_matrix(schema: StarSchema,
     columns = tuple(a.qualified for a in schema.attributes)
     ids = {q: i + 1 for i, q in enumerate(columns)}
     kept: list[ParsedQuery] = []
-    rows: list[frozenset[int]] = []
+    rows: list[int] = []
     for q in queries:
         if not q.referenced:
             log.warning("query %d references no attributes; dropped", q.id)
             continue
         kept.append(q)
-        rows.append(frozenset(ids[a] for a in q.referenced))
+        rows.append(mask(ids[a] for a in q.referenced))
     if not rows:
         raise ParseError("workload is empty after dropping attribute-free queries")
     return ContextMatrix(schema=schema, queries=tuple(kept), columns=columns,

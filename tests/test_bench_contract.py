@@ -1,8 +1,11 @@
-"""The benchmark tracer patches advisor names by module attribute; every name
-it targets must still be defined where it looks for it."""
+"""The benchmark tracer patches advisor names by module attribute and computes
+counters from their results; every name it targets must still be defined
+where it looks for it, and a traced run must finish."""
 
 import importlib.util
 from pathlib import Path
+
+from bji_advisor import cli, data_path
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -19,3 +22,21 @@ def test_tracer_targets_resolve():
     missing = [(path, attr) for path, attr, _, _ in tracing.TARGETS
                if attr not in tracing._resolve(path).__dict__]
     assert missing == []
+
+
+def test_traced_runs_complete(tmp_path):
+    inputs = ["--catalog", str(data_path("example_star.json")),
+              "--workload", str(data_path("example_star.sql"))]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        advise = tracer.invoke(cli.main, ["advise", *inputs, "--engine",
+                                          "tm-ijb,close,dynaclose",
+                                          "--out", str(tmp_path)])
+        enumerate_all = tracer.invoke(cli.main, ["enumerate", "--all", *inputs])
+    finally:
+        tracer.uninstall()
+    assert (advise, enumerate_all) == (0, 0)
+    names = {span[3] for span in tracer.spans}
+    assert {"hypergraph.smallest_transversals",
+            "hypergraph.berge_enumerate"} <= names

@@ -155,6 +155,22 @@ def test_demo_zero_rows(capsys, monkeypatch):
     assert "selected fact rows: []" in printed
 
 
+@pytest.mark.parametrize("rows, seed", [("-1", None), ("-1", "7"),
+                                        ("13", None)])
+def test_demo_rows_out_of_range_usage_error(rows, seed, capsys, monkeypatch):
+    monkeypatch.delenv("ADVISOR_SEED", raising=False)
+    if seed is not None:
+        monkeypatch.setenv("ADVISOR_SEED", seed)
+    assert run(["demo", "--rows", rows]) == 1
+    assert "usage error: --rows" in capsys.readouterr().err
+
+
+def test_demo_seeded_rows_above_twelve(capsys, monkeypatch):
+    monkeypatch.setenv("ADVISOR_SEED", "7")
+    assert run(["demo", "--rows", "20"]) == 0
+    assert "fact rows: 20" in capsys.readouterr().out
+
+
 def test_demo_seeded_deterministic(capsys, monkeypatch):
     monkeypatch.setenv("ADVISOR_SEED", "7")
     assert run(["demo"]) == 0

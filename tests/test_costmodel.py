@@ -158,7 +158,8 @@ def test_workload_cost_monotone_under_more_indexes_ssb():
 
 def test_cost_report_document():
     schema, m = load("ssb.json", "ssb.sql")
-    rep = costmodel.cost_report(schema, m.queries, ["dates.d_year"])
+    rep = costmodel.cost_report(schema, m.queries, ["dates.d_year"],
+                                costmodel.workload_cost(schema, m.queries, ()))
     doc = rep.to_document()
     assert doc["config"] == ["dates.d_year"]
     assert len(doc["per_query"]) == 30

@@ -4,16 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bji_advisor.hypergraph import (Hypergraph, berge_enumerate,
+from bji_advisor.hypergraph import (Hypergraph, berge_enumerate, bits,
                                     get_min_transversality,
                                     is_minimal_transversal, is_transversal,
-                                    mmcs, smallest_transversals,
+                                    mask, mmcs, smallest_transversals,
                                     transversality)
 
 # small instance with a known minimum-size transversal pair
 H8 = Hypergraph.from_edges(
-    [{1, 2}, {2, 3, 7}, {3, 4, 5}, {4, 6}, {6, 7, 8}, {7}],
+    [mask(e) for e in ({1, 2}, {2, 3, 7}, {3, 4, 5}, {4, 6}, {6, 7, 8}, {7})],
     vertices=range(1, 9))
 
 
@@ -23,7 +24,7 @@ def brute_minimal_transversals(h: Hypergraph):
     verts = list(h.vertices)
     for r in range(len(verts) + 1):
         for combo in itertools.combinations(verts, r):
-            if is_minimal_transversal(h, combo):
+            if is_minimal_transversal(h, mask(combo)):
                 out.add(frozenset(combo))
     return out
 
@@ -35,58 +36,56 @@ def random_hypergraph(rng: random.Random) -> Hypergraph:
     edges = []
     for _ in range(m):
         k = rng.randint(1, n)
-        edges.append(rng.sample(verts, k))
+        edges.append(mask(rng.sample(verts, k)))
     return Hypergraph.from_edges(edges)
 
 
 def test_is_transversal_basics():
-    assert is_transversal(H8, {1, 4, 7})
-    assert not is_transversal(H8, set())
-    assert is_transversal(H8, set(range(1, 9)))
+    assert is_transversal(H8, mask({1, 4, 7}))
+    assert not is_transversal(H8, mask(set()))
+    assert is_transversal(H8, mask(range(1, 9)))
 
 
 def test_is_transversal_unknown_vertex():
     with pytest.raises(ValueError):
-        is_transversal(H8, {42})
+        is_transversal(H8, mask({42}))
 
 
 def test_is_minimal_transversal_basics():
-    assert is_minimal_transversal(H8, {2, 4, 7})
-    assert not is_minimal_transversal(H8, {1, 2, 4, 7})
-    single = Hypergraph.from_edges([{5}])
-    assert is_minimal_transversal(single, {5})
+    assert is_minimal_transversal(H8, mask({2, 4, 7}))
+    assert not is_minimal_transversal(H8, mask({1, 2, 4, 7}))
+    single = Hypergraph.from_edges([mask({5})])
+    assert is_minimal_transversal(single, mask({5}))
 
 
 def test_berge_single_edge():
-    h = Hypergraph.from_edges([{1, 2, 3}])
-    assert set(berge_enumerate(h)) == {frozenset({1}), frozenset({2}),
-                                       frozenset({3})}
+    h = Hypergraph.from_edges([mask({1, 2, 3})])
+    assert set(map(frozenset, berge_enumerate(h))) == {
+        frozenset({1}), frozenset({2}), frozenset({3})}
 
 
 def test_berge_two_disjoint_edge_kinds():
-    h = Hypergraph.from_edges(
-        [{4, 5, 6}, {4, 5, 6}, {4, 5, 6}, {1, 2, 3}, {1, 2, 3}])
-    got = set(berge_enumerate(h))
+    h = Hypergraph.from_edges([mask(e) for e in (
+        {4, 5, 6}, {4, 5, 6}, {4, 5, 6}, {1, 2, 3}, {1, 2, 3})])
+    got = set(map(frozenset, berge_enumerate(h)))
     want = {frozenset({a, b}) for a in (1, 2, 3) for b in (4, 5, 6)}
     assert got == want
-    assert set(mmcs(h, size_cap=2)) == want
-    assert set(smallest_transversals(h)) == want
+    assert set(map(frozenset, mmcs(h, size_cap=2))) == want
+    assert set(map(frozenset, smallest_transversals(h))) == want
 
 
 def test_h8_size3_members():
-    assert set(mmcs(H8, size_cap=3)) == {frozenset({1, 4, 7}),
-                                         frozenset({2, 4, 7})}
-    assert set(smallest_transversals(H8)) == {frozenset({1, 4, 7}),
-                                              frozenset({2, 4, 7})}
+    assert set(mmcs(H8, size_cap=3)) == {(1, 4, 7), (2, 4, 7)}
+    assert set(smallest_transversals(H8)) == {(1, 4, 7), (2, 4, 7)}
     assert transversality(H8) == 3
     k, t = get_min_transversality(H8)
-    assert k == 3 and is_transversal(H8, t)
+    assert k == 3 and is_transversal(H8, mask(t))
 
 
 def test_h8_brute_equivalence():
     brute = brute_minimal_transversals(H8)
-    assert set(berge_enumerate(H8)) == brute
-    assert set(mmcs(H8)) == brute
+    assert set(map(frozenset, berge_enumerate(H8))) == brute
+    assert set(map(frozenset, mmcs(H8))) == brute
 
 
 def test_oracle_equivalence_random():
@@ -95,15 +94,15 @@ def test_oracle_equivalence_random():
         h = random_hypergraph(rng)
         brute = brute_minimal_transversals(h)
         berge = berge_enumerate(h)
-        assert set(berge) == brute
+        assert set(map(frozenset, berge)) == brute
         assert mmcs(h) == berge
         for t in brute:
-            assert is_minimal_transversal(h, t)
+            assert is_minimal_transversal(h, mask(t))
         if brute:
             k_exact = min(len(t) for t in brute)
             k_greedy, tg = get_min_transversality(h)
             assert k_greedy >= k_exact
-            assert is_transversal(h, tg)
+            assert is_transversal(h, mask(tg))
             assert smallest_transversals(h) == [t for t in berge
                                                 if len(t) == k_exact]
 
@@ -119,15 +118,20 @@ def test_mmcs_size_cap_filters():
 
 def test_from_edges_validation():
     with pytest.raises(ValueError):
-        Hypergraph.from_edges([set()])
+        Hypergraph.from_edges([mask(set())])
     with pytest.raises(ValueError):
-        Hypergraph.from_edges([{1, 2}], vertices=[1])  # 2 missing
+        Hypergraph.from_edges([mask({1, 2})], vertices=[1])  # 2 missing
     with pytest.raises(ValueError):
-        Hypergraph.from_edges([{1}], vertices=[1, 2])  # 2 isolated
+        Hypergraph.from_edges([mask({1})], vertices=[1, 2])  # 2 isolated
 
 
 def test_single_edge_trivia():
-    h = Hypergraph.from_edges([{7}])
-    assert get_min_transversality(h) == (1, frozenset({7}))
-    h2 = Hypergraph.from_edges([{1, 2}])
-    assert set(smallest_transversals(h2)) == {frozenset({1}), frozenset({2})}
+    h = Hypergraph.from_edges([mask({7})])
+    assert get_min_transversality(h) == (1, (7,))
+    h2 = Hypergraph.from_edges([mask({1, 2})])
+    assert set(smallest_transversals(h2)) == {(1,), (2,)}
+
+
+@given(st.sets(st.integers(0, 200)))
+def test_bits_inverts_mask(s):
+    assert bits(mask(s)) == tuple(sorted(s))

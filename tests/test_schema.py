@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from bji_advisor import data_path
+from bji_advisor import cli, data_path
 from bji_advisor.schema import (AttributeStats, CatalogError, Join, StarSchema,
                                 TableStats, load_catalog, load_catalog_file,
                                 pages_of)
@@ -68,6 +68,31 @@ def test_missing_page_size():
     del doc["page_size"]
     with pytest.raises(CatalogError):
         load_catalog(json.dumps(doc))
+
+
+def _drop(section, key):
+    doc = small_catalog()
+    del doc[section][-1][key]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _drop("tables", "rows"),
+    small_catalog(tables="x"),
+    _drop("joins", "dim_attr"),
+    ["page_size"],
+], ids=["table-without-rows", "tables-not-a-list", "join-without-dim_attr",
+        "not-an-object"])
+def test_malformed_catalog_is_input_error(doc, tmp_path, capsys):
+    text = json.dumps(doc)
+    with pytest.raises(CatalogError):
+        load_catalog(text)
+    cat = tmp_path / "catalog.json"
+    cat.write_text(text)
+    assert cli.main(["advise", "--catalog", str(cat),
+                     "--workload", str(data_path("ssb.sql")),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_duplicate_attribute():

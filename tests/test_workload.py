@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bji_advisor import data_path
+from bji_advisor.hypergraph import mask
 from bji_advisor.schema import load_catalog_file
 from bji_advisor.workload import (ContextMatrix, ParseError,
                                   build_context_matrix, indexable_attributes,
@@ -159,17 +160,17 @@ def example_matrix():
 def test_example_matrix_shape():
     m = example_matrix()
     assert len(m.columns) == 6
-    assert list(m.rows) == [frozenset({4, 5, 6})] * 3 + \
-        [frozenset({1, 2, 3})] * 2
+    assert list(m.rows) == [mask({4, 5, 6})] * 3 + \
+        [mask({1, 2, 3})] * 2
 
 
 def test_support_values():
     m = example_matrix()
-    assert m.support({3}) == pytest.approx(0.4)
-    assert m.support(set()) == 1.0
-    assert m.support({3, 6}) == 0.0
+    assert m.support(mask({3})) == pytest.approx(0.4)
+    assert m.support(mask(set())) == 1.0
+    assert m.support(mask({3, 6})) == 0.0
     with pytest.raises(ValueError):
-        m.support({99})
+        m.support(mask({99}))
 
 
 @given(st.data())
@@ -178,7 +179,7 @@ def test_support_antitone(data):
     ids = list(range(1, len(m.columns) + 1))
     a = data.draw(st.sets(st.sampled_from(ids), max_size=4))
     extra = data.draw(st.sets(st.sampled_from(ids), max_size=4))
-    assert m.support(a) >= m.support(a | extra)
+    assert m.support(mask(a)) >= m.support(mask(a | extra))
 
 
 def test_indexable_attributes_rule():
