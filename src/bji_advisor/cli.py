@@ -59,11 +59,11 @@ def _parse_engines(arg: str) -> list[str]:
 
 
 def _run_engine(name: str, schema: StarSchema, matrix: ContextMatrix,
-                minsup: float, budget) -> selection.Configuration:
+                minsup: float, budget, baseline: float) -> selection.Configuration:
     if name == "tm-ijb":
         return selection.tm_ijb(schema, matrix)
     if name == "close":
-        return selection.close_select(schema, matrix, minsup=minsup,
+        return selection.close_select(schema, matrix, baseline, minsup=minsup,
                                       storage_budget=budget)
     return selection.dynaclose_select(schema, matrix, minsup=minsup)
 
@@ -170,9 +170,9 @@ def cmd_advise(args, argv) -> int:
     engines = _parse_engines(args.engine)
     schema, matrix = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
-    configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget)
-               for e in engines]
     baseline = costmodel.workload_cost(schema, matrix.queries, ())
+    configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget,
+                           baseline) for e in engines]
     reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
                for c in configs]
 
@@ -212,9 +212,9 @@ def cmd_compare(args, argv) -> int:
         raise UsageError("compare needs at least two engines")
     schema, matrix = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
-    configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget)
-               for e in engines]
     baseline = costmodel.workload_cost(schema, matrix.queries, ())
+    configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget,
+                           baseline) for e in engines]
     reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
                for c in configs]
     rows = _engine_rows(schema, configs, reports)

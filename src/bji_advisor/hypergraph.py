@@ -4,8 +4,8 @@ Vertices are small nonnegative integers.  A vertex set is an int mask: bit
 ``v`` is vertex ``v``; bit ``i`` of an edge mask is ``edges[i]``.  Results
 leave as sorted vertex tuples, smallest sets first.  Two independent
 enumerators are provided (incremental cross-product and a depth-first search
-with critical-edge pruning) plus a greedy upper bound on the transversality
-number.
+with critical-edge pruning, which also runs as a branch and bound for the
+smallest sets) plus a greedy upper bound on the transversality number.
 """
 
 from __future__ import annotations
@@ -121,29 +121,45 @@ def _incidence(h: Hypergraph) -> dict[int, int]:
             for v in h.vertices}
 
 
-def mmcs(h: Hypergraph, size_cap: Optional[int] = None) -> list[tuple[int, ...]]:
+def mmcs(h: Hypergraph, size_cap: Optional[int] = None, *,
+         smallest: bool = False) -> list[tuple[int, ...]]:
     """Depth-first minimal-transversal enumeration with uncov/crit bookkeeping.
 
     ``uncov`` is the mask of uncovered edges and ``crit[k]`` the mask of edges
     whose only chosen vertex is the k-th chosen one; a branch dies when some
     chosen vertex loses its last critical edge.  With ``size_cap`` only
-    transversals of that size or smaller are produced.
+    transversals of that size or smaller are produced: a node is cut when its
+    chosen vertices plus a greedy packing of uncovered edges pairwise disjoint
+    on the remaining candidates (each needs a vertex of its own) exceed the
+    cap.  With ``smallest`` the cap shrinks to the best size found so far and
+    only the transversals of minimum size are returned.
     """
     if size_cap is not None and size_cap < 1:
         raise ValueError("size_cap must be >= 1")
     edges, vert_edges = h.edges, _incidence(h)
     out: list[int] = []
+    cap = size_cap
 
     def recurse(chosen: int, cand: int, uncov: int, crit: list[int]) -> None:
+        nonlocal cap
         if not uncov:
+            if smallest and (cap is None or len(crit) < cap):
+                out.clear()
+                cap = len(crit)
             out.append(chosen)
             return
-        if size_cap is not None and len(crit) >= size_cap:
-            return
-        # fail-first: uncovered edge with fewest remaining candidates,
-        # ties by lowest edge index
-        ei = min(bits(uncov), key=lambda i: (edges[i] & cand).bit_count())
-        for v in bits(edges[ei] & cand):
+        # uncovered edges on the remaining candidates, fewest first, ties by
+        # lowest edge index; the first is the fail-first branching edge
+        live = sorted((edges[i] & cand for i in bits(uncov)), key=int.bit_count)
+        if cap is not None:
+            room, used = cap - len(crit), 0
+            for e in live:
+                if not e & used:
+                    used |= e
+                    room -= 1
+                    if room < 0:
+                        return
+        for v in bits(live[0]):
             cand &= ~(1 << v)
             hit = vert_edges[v]
             kept = [c & ~hit for c in crit]
@@ -163,19 +179,27 @@ def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
 
     For every start vertex: repeatedly drop covered edges and add the vertex
     hitting most remaining edges (ties by lowest id).  Returns the smallest
-    cover found; the count is an upper bound on the true tau(H).
+    cover found; the count is an upper bound on the true tau(H).  After the
+    start vertex the picks depend only on the remaining edges, so each
+    continuation is memoised on that mask and shared between starts.
     """
     vert_edges = _incidence(h)
+    picks_from = {0: 0}     # remaining-edge mask -> vertex mask greedy adds
     best: Optional[tuple[int, ...]] = None
     for start in h.vertices:
-        picked = 1 << start
         remaining = ((1 << len(h.edges)) - 1) & ~vert_edges[start]
-        while remaining:
-            v = min(h.vertices,
-                    key=lambda x: (-(vert_edges[x] & remaining).bit_count(), x))
-            picked |= 1 << v
+        path: list[tuple[int, int]] = []
+        while remaining not in picks_from:
+            # max keeps the first, lowest-id vertex among ties
+            v = max(h.vertices,
+                    key=lambda x: (vert_edges[x] & remaining).bit_count())
+            path.append((remaining, v))
             remaining &= ~vert_edges[v]
-        t = bits(picked)
+        picked = picks_from[remaining]
+        for r, v in reversed(path):
+            picked |= 1 << v
+            picks_from[r] = picked
+        t = bits(picked | 1 << start)
         if best is None or (len(t), t) < (len(best), best):
             best = t
     assert best is not None
@@ -186,12 +210,12 @@ def smallest_transversals(h: Hypergraph) -> list[tuple[int, ...]]:
     """All minimal transversals of minimum cardinality (exact)."""
     k0, _ = get_min_transversality(h)
     # the greedy cover contains a minimal transversal of at most k0 vertices,
-    # so the capped search finds one; size order puts the smallest first
-    found = mmcs(h, size_cap=k0)
-    k_star = len(found[0])
-    if k_star < k0:
-        log.warning("greedy transversality bound %d overshoots exact %d", k0, k_star)
-    return [t for t in found if len(t) == k_star]
+    # so the search started at that cap finds every smallest one
+    found = mmcs(h, size_cap=k0, smallest=True)
+    if len(found[0]) < k0:
+        log.warning("greedy transversality bound %d overshoots exact %d",
+                    k0, len(found[0]))
+    return found
 
 
 def transversality(h: Hypergraph) -> int:

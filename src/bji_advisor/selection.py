@@ -65,7 +65,7 @@ def fitness_tm(schema: StarSchema, matrix: ContextMatrix,
     for i in ids:
         q = matrix.name_of(i)
         if schema.is_indexable(schema.attribute(q)):
-            total += matrix.support(1 << i) * alpha(schema, q)
+            total += matrix.marginal_support[i] * alpha(schema, q)
     return total
 
 
@@ -76,7 +76,7 @@ def fitness_dynaclose(schema: StarSchema, matrix: ContextMatrix,
     for i in ids:
         q = matrix.name_of(i)
         if schema.is_indexable(schema.attribute(q)):
-            terms.append(matrix.support(1 << i) * alpha(schema, q))
+            terms.append(matrix.marginal_support[i] * alpha(schema, q))
     if not terms:
         return 0.0
     return sum(terms) / len(terms)
@@ -153,22 +153,24 @@ def mine_closed_frequent_itemsets(
 
 
 def close_select(schema: StarSchema, matrix: ContextMatrix,
-                 minsup: float = 0.1,
+                 baseline_total: float, minsup: float = 0.1,
                  storage_budget: Optional[int] = None) -> Configuration:
     """Greedy cost-driven pick over closed-itemset candidates.
 
     Indexable attributes of the frequent closed itemsets are ranked by
     marginal support (ties by name) and added one by one while the modeled
-    workload cost strictly decreases; non-improving candidates are skipped.
+    workload cost strictly decreases, starting from ``baseline_total``, the
+    workload's cost without indexes computed once by the caller;
+    non-improving candidates are skipped.
     """
     motifs = mine_closed_frequent_itemsets(matrix, minsup)
     in_motifs = mask(i for ids, _ in motifs for i in ids)
     ranked = sorted((i for i in bits(in_motifs)
                      if schema.is_indexable(schema.attribute(matrix.name_of(i)))),
-                    key=lambda i: (-matrix.support(1 << i), matrix.name_of(i)))
+                    key=lambda i: (-matrix.marginal_support[i], matrix.name_of(i)))
     chosen: list[str] = []
     notes: list[str] = []
-    current = costmodel.workload_cost(schema, matrix.queries, ())
+    current = baseline_total
     for i in ranked:
         attr = matrix.name_of(i)
         trial = chosen + [attr]

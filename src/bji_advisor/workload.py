@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, bits, mask
@@ -456,6 +457,17 @@ class ContextMatrix:
         hit = sum(q.weight for q, row in zip(self.queries, self.rows)
                   if attrs & row == attrs)
         return hit / total if total else 0.0
+
+    @cached_property
+    def marginal_support(self) -> tuple[float, ...]:
+        """Per column id, ``support(1 << id)`` (index 0 unused): the same
+        weights summed in the same order, so the floats are identical."""
+        weights: list[list[float]] = [[] for _ in range(len(self.columns) + 1)]
+        for q, row in zip(self.queries, self.rows):
+            for i in bits(row):
+                weights[i].append(q.weight)
+        total = sum(q.weight for q in self.queries)
+        return tuple(sum(w) / total if total else 0.0 for w in weights)
 
 
 def build_context_matrix(schema: StarSchema,

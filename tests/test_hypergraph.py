@@ -1,6 +1,7 @@
 """Combinatorial core: oracle equivalence and pinned small instances."""
 
 import itertools
+import logging
 import random
 
 import pytest
@@ -27,6 +28,39 @@ def brute_minimal_transversals(h: Hypergraph):
             if is_minimal_transversal(h, mask(combo)):
                 out.add(frozenset(combo))
     return out
+
+
+# greedy picks 4 vertices from every start; the exact minimum is 3
+OVERSHOOT = Hypergraph.from_edges([mask(e) for e in (
+    {7}, {1, 6, 7}, {2, 3, 5}, {1, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 6}, {0, 4},
+    {2, 4, 6, 7})])
+
+
+def greedy_per_start(h: Hypergraph):
+    """The greedy bound run afresh from every start vertex, without sharing
+    continuations: after the start, repeatedly add the vertex hitting most
+    uncovered edges (ties by lowest id); keep the smallest cover, ties by ids."""
+    best = None
+    for start in h.vertices:
+        picked = {start}
+        remaining = [e for e in h.edges if not e >> start & 1]
+        while remaining:
+            v = min(h.vertices,
+                    key=lambda x: (-sum(e >> x & 1 for e in remaining), x))
+            picked.add(v)
+            remaining = [e for e in remaining if not e >> v & 1]
+        t = tuple(sorted(picked))
+        if best is None or (len(t), t) < (len(best), best):
+            best = t
+    return len(best), best
+
+
+@st.composite
+def small_hypergraphs(draw) -> Hypergraph:
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.sets(st.integers(1, n), min_size=1),
+                          min_size=1, max_size=9))
+    return Hypergraph.from_edges([mask(e) for e in edges])
 
 
 def random_hypergraph(rng: random.Random) -> Hypergraph:
@@ -114,6 +148,27 @@ def test_mmcs_size_cap_filters():
         full = berge_enumerate(h)
         for cap in (1, 2, 3):
             assert mmcs(h, size_cap=cap) == [t for t in full if len(t) <= cap]
+
+
+def test_greedy_overshoot_shrinks_cap(caplog):
+    berge = berge_enumerate(OVERSHOOT)
+    assert get_min_transversality(OVERSHOOT) == greedy_per_start(OVERSHOOT) \
+        == (4, (0, 1, 2, 7))
+    assert min(len(t) for t in berge) == 3
+    with caplog.at_level(logging.WARNING, logger="bji_advisor.hypergraph"):
+        assert smallest_transversals(OVERSHOOT) == [
+            t for t in berge if len(t) == 3]
+    assert "greedy transversality bound 4 overshoots exact 3" in caplog.text
+
+
+@given(small_hypergraphs())
+def test_branch_and_bound_matches_berge(h):
+    berge = berge_enumerate(h)
+    k_exact = min(len(t) for t in berge)
+    assert smallest_transversals(h) == [t for t in berge if len(t) == k_exact]
+    for cap in (1, 2, 3, 4):
+        assert mmcs(h, size_cap=cap) == [t for t in berge if len(t) <= cap]
+    assert get_min_transversality(h) == greedy_per_start(h)
 
 
 def test_from_edges_validation():

@@ -173,8 +173,8 @@ def test_dynaclose_worked_example():
 
 def test_close_greedy_improves_cost():
     schema, m = example()
-    cfg = selection.close_select(schema, m, 0.1)
     base = costmodel.workload_cost(schema, m.queries, ())
+    cfg = selection.close_select(schema, m, base, 0.1)
     cost = costmodel.workload_cost(schema, m.queries, cfg.attrs)
     assert cost < base
     # every chosen attribute is indexable
@@ -184,8 +184,9 @@ def test_close_greedy_improves_cost():
 
 def test_close_storage_budget_skips():
     schema, m = example()
-    free = selection.close_select(schema, m, 0.1)
-    capped = selection.close_select(schema, m, 0.1, storage_budget=1)
+    base = costmodel.workload_cost(schema, m.queries, ())
+    free = selection.close_select(schema, m, base, 0.1)
+    capped = selection.close_select(schema, m, base, 0.1, storage_budget=1)
     assert capped.attrs == ()
     assert len(capped.notes) >= len(free.attrs)
 

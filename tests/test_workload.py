@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from bji_advisor import data_path
 from bji_advisor.hypergraph import mask
 from bji_advisor.schema import load_catalog_file
-from bji_advisor.workload import (ContextMatrix, ParseError,
+from bji_advisor.workload import (ContextMatrix, ParseError, ParsedQuery,
                                   build_context_matrix, indexable_attributes,
                                   parse_query, parse_workload, split_workload,
                                   tokenize)
@@ -180,6 +180,19 @@ def test_support_antitone(data):
     a = data.draw(st.sets(st.sampled_from(ids), max_size=4))
     extra = data.draw(st.sets(st.sampled_from(ids), max_size=4))
     assert m.support(mask(a)) >= m.support(mask(a | extra))
+
+
+@given(st.lists(st.tuples(st.sets(st.integers(1, 6), min_size=1),
+                          st.floats(0.01, 10.0)), min_size=1, max_size=12))
+def test_marginal_support_is_single_column_support(rows):
+    m = example_matrix()
+    weighted = ContextMatrix(
+        schema=m.schema, columns=m.columns, rows=tuple(mask(r) for r, _ in rows),
+        queries=tuple(ParsedQuery(id=k, raw_text="", referenced=frozenset(),
+                                  predicates=(), weight=w)
+                      for k, (_, w) in enumerate(rows, 1)))
+    assert weighted.marginal_support[1:] == tuple(
+        weighted.support(1 << i) for i in range(1, len(m.columns) + 1))
 
 
 def test_indexable_attributes_rule():
