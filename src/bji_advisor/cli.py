@@ -58,14 +58,22 @@ def _parse_engines(arg: str) -> list[str]:
     return names
 
 
-def _run_engine(name: str, schema: StarSchema, matrix: ContextMatrix,
-                minsup: float, budget, baseline: float) -> selection.Configuration:
-    if name == "tm-ijb":
-        return selection.tm_ijb(schema, matrix)
-    if name == "close":
-        return selection.close_select(schema, matrix, baseline, minsup=minsup,
-                                      storage_budget=budget)
-    return selection.dynaclose_select(schema, matrix, minsup=minsup)
+def _select(args, engines: list[str]):
+    """Load the inputs, create the output directory, run ``engines`` and cost
+    each configuration against the no-index baseline, computed once."""
+    schema, matrix = _load_inputs(args)
+    os.makedirs(args.out, exist_ok=True)
+    baseline = costmodel.workload_cost(schema, matrix.queries, ())
+    run = {"tm-ijb": lambda: selection.tm_ijb(schema, matrix),
+           "close": lambda: selection.close_select(
+               schema, matrix, baseline, minsup=args.minsup,
+               storage_budget=args.storage_budget),
+           "dynaclose": lambda: selection.dynaclose_select(
+               schema, matrix, minsup=args.minsup)}
+    configs = [run[e]() for e in engines]
+    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
+               for c in configs]
+    return schema, matrix, configs, reports
 
 
 def ddl_statements(schema: StarSchema, attrs) -> list[str]:
@@ -167,15 +175,7 @@ def _rows_csv(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_advise(args, argv) -> int:
-    engines = _parse_engines(args.engine)
-    schema, matrix = _load_inputs(args)
-    os.makedirs(args.out, exist_ok=True)
-    baseline = costmodel.workload_cost(schema, matrix.queries, ())
-    configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget,
-                           baseline) for e in engines]
-    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
-               for c in configs]
-
+    schema, matrix, configs, reports = _select(args, _parse_engines(args.engine))
     trace = {"matrix": _matrix_doc(matrix),
              "engines": {c.engine: _config_doc(schema, c, r)
                          for c, r in zip(configs, reports)}}
@@ -210,13 +210,7 @@ def cmd_compare(args, argv) -> int:
     engines = _parse_engines(args.engine)
     if len(engines) < 2:
         raise UsageError("compare needs at least two engines")
-    schema, matrix = _load_inputs(args)
-    os.makedirs(args.out, exist_ok=True)
-    baseline = costmodel.workload_cost(schema, matrix.queries, ())
-    configs = [_run_engine(e, schema, matrix, args.minsup, args.storage_budget,
-                           baseline) for e in engines]
-    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
-               for c in configs]
+    schema, matrix, configs, reports = _select(args, engines)
     rows = _engine_rows(schema, configs, reports)
     _write(os.path.join(args.out, "compare.csv"), _rows_csv(rows))
     _write(os.path.join(args.out, "compare.json"), _json_text(

@@ -45,6 +45,11 @@ def index_storage_size(cardinality: int, fact_rows: int,
     return math.ceil((rowid_bits + cardinality) * fact_rows / 8)
 
 
+def _index_size(schema: StarSchema, qualified: str) -> int:
+    return index_storage_size(schema.attribute(qualified).cardinality,
+                              schema.fact.rows, schema.rowid_bits)
+
+
 def index_load_cost(size_bytes: int, page_size: int) -> int:
     """Pages read to scan an index of the given size."""
     if page_size <= 0:
@@ -102,9 +107,7 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     changed = True
     while changed:
         changed = False
-        for j in schema.joins:
-            src = schema.attribute(j.fact_attr).table
-            dst = schema.attribute(j.dim_attr).table
+        for src, dst, j in schema.links:
             if src in joined and dst not in joined \
                     and j.fact_attr in query.referenced \
                     and j.dim_attr in query.referenced:
@@ -136,9 +139,7 @@ def query_cost(schema: StarSchema, query: ParsedQuery,
     cl = tuple_access_cost(nt, fact_pages)
     cost = cl
     for a in index_attrs:
-        size = index_storage_size(schema.attribute(a).cardinality,
-                                  schema.fact.rows, schema.rowid_bits)
-        cost += index_load_cost(size, schema.page_size)
+        cost += index_load_cost(_index_size(schema, a), schema.page_size)
     for d in dims:
         if d not in used:
             cost += hash_join_cost(math.ceil(cl), schema.table_pages(d))
@@ -186,9 +187,7 @@ def cost_report(schema: StarSchema, queries: Sequence[ParsedQuery],
 
 def config_storage(schema: StarSchema, config: Iterable[str]) -> int:
     """Total bytes of the mono-attribute indexes in a configuration."""
-    return sum(index_storage_size(schema.attribute(a).cardinality,
-                                  schema.fact.rows, schema.rowid_bits)
-               for a in set(config))
+    return sum(_index_size(schema, a) for a in set(config))
 
 
 def reduction_rate(baseline: float, improved: float) -> float:

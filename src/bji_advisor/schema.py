@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 log = logging.getLogger(__name__)
@@ -83,6 +83,12 @@ class StarSchema:
     page_size: int
     rowid_bits: int = DEFAULT_ROWID_BITS
 
+    # resolved once by __post_init__ from the fields above
+    fact: TableStats = field(init=False, repr=False, compare=False)
+    # (from table, to table, join with the declared qualified names)
+    links: tuple[tuple[str, str, Join], ...] = field(
+        init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.page_size <= 0:
             raise CatalogError("missing or invalid page_size")
@@ -92,20 +98,25 @@ class StarSchema:
         if len(facts) != 1:
             raise CatalogError(
                 f"exactly one fact table required, found {[t.name for t in facts]}")
-        index = {}
+        table_names: dict[str, str] = {}
+        for t in self.tables:
+            if table_names.setdefault(t.lower(), t) != t:
+                raise CatalogError(f"duplicate table {t}")
+        index: dict[str, AttributeStats] = {}
+        by_name: dict[str, list[AttributeStats]] = {}
         for a in self.attributes:
             if a.table not in self.tables:
                 raise CatalogError(f"attribute {a.qualified}: unknown table {a.table}")
             if a.qualified.lower() in index:
                 raise CatalogError(f"duplicate attribute {a.qualified}")
             index[a.qualified.lower()] = a
+            by_name.setdefault(a.name.lower(), []).append(a)
             owner = self.tables[a.table]
             if owner.rows > 0 and a.cardinality > owner.rows:
                 # the worked-example catalog legitimately exceeds this bound
                 log.warning("attribute %s: cardinality %d exceeds table rows %d",
                             a.qualified, a.cardinality, owner.rows)
-        object.__setattr__(self, "_by_qualified", index)
-        fact = facts[0]
+        links = []
         for j in self.joins:
             fa = index.get(j.fact_attr.lower())
             da = index.get(j.dim_attr.lower())
@@ -117,12 +128,16 @@ class StarSchema:
                 raise CatalogError(f"join dim side {j.dim_attr} is not on a dimension")
             if not da.is_key:
                 raise CatalogError(f"join dim side {j.dim_attr} must be a key")
+            links.append((fa.table, da.table, Join(fa.qualified, da.qualified)))
+        for name, value in (
+                ("fact", facts[0]), ("links", tuple(links)),
+                ("_by_qualified", index), ("_by_name", by_name),
+                ("_table_names", table_names),
+                ("_pages", {key: pages_of(t, self.page_size)
+                            for key, t in self.tables.items()})):
+            object.__setattr__(self, name, value)
 
     # -- lookups -----------------------------------------------------------
-    @property
-    def fact(self) -> TableStats:
-        return next(t for t in self.tables.values() if t.role == "fact")
-
     def attribute(self, qualified: str) -> AttributeStats:
         a = self._by_qualified.get(qualified.lower())
         if a is None:
@@ -133,7 +148,7 @@ class StarSchema:
         """Resolve a (possibly unqualified) column name, case-insensitively."""
         if table is not None:
             return self.attribute(f"{table}.{name}")
-        hits = [a for a in self.attributes if a.name.lower() == name.lower()]
+        hits = self._by_name.get(name.lower())
         if not hits:
             raise CatalogError(f"unknown attribute {name}")
         if len(hits) > 1:
@@ -141,8 +156,12 @@ class StarSchema:
                 f"ambiguous attribute {name}: " + ", ".join(a.qualified for a in hits))
         return hits[0]
 
+    def find_table(self, name: str) -> Optional[str]:
+        """The declared name of a table, matched case-insensitively."""
+        return self._table_names.get(name.lower())
+
     def table_pages(self, name: str) -> int:
-        return pages_of(self.tables[name], self.page_size)
+        return self._pages[name]
 
     def is_indexable(self, a: AttributeStats) -> bool:
         """Non-key attribute of a dimension table."""
@@ -150,21 +169,14 @@ class StarSchema:
 
     def join_path(self, dim: str) -> Optional[list[Join]]:
         """Chain of join links from the fact table to ``dim`` (BFS), if any."""
-        target = dim
-        # edges: source table -> (join, dest table)
-        adj: dict[str, list[tuple[Join, str]]] = {}
-        for j in self.joins:
-            src = self.attribute(j.fact_attr).table
-            dst = self.attribute(j.dim_attr).table
-            adj.setdefault(src, []).append((j, dst))
         frontier = [(self.fact.name, [])]
         seen = {self.fact.name}
         while frontier:
             table, path = frontier.pop(0)
-            if table == target:
+            if table == dim:
                 return path
-            for j, dst in adj.get(table, []):
-                if dst not in seen:
+            for src, dst, j in self.links:
+                if src == table and dst not in seen:
                     seen.add(dst)
                     frontier.append((dst, path + [j]))
         return None
@@ -221,9 +233,10 @@ def _catalog_from(doc: dict) -> StarSchema:
         if ts.name in tables:
             raise CatalogError(f"duplicate table {ts.name}")
         tables[ts.name] = ts
+    declared = {name.lower(): name for name in tables}
     attrs: list[AttributeStats] = []
     for a in doc.get("attributes", []):
-        table = a["table"]
+        table = declared.get(a["table"].lower(), a["table"])
         if table not in tables:
             raise CatalogError(f"attribute {table}.{a['name']}: unknown table {table}")
         card = a.get("cardinality")

@@ -49,7 +49,10 @@ class Configuration:
 def alpha(schema: StarSchema, qualified: str) -> float:
     """Dimension-to-fact page ratio of the attribute's table; the fact's own
     attributes weigh 1."""
-    table = schema.attribute(qualified).table
+    return _page_ratio(schema, schema.attribute(qualified).table)
+
+
+def _page_ratio(schema: StarSchema, table: str) -> float:
     fact_pages = schema.table_pages(schema.fact.name)
     if fact_pages == 0:
         return 0.0
@@ -58,41 +61,45 @@ def alpha(schema: StarSchema, qualified: str) -> float:
     return schema.table_pages(table) / fact_pages
 
 
+# Matrix column ``i`` is ``schema.attributes[i - 1]`` (build_context_matrix
+# takes the columns in declaration order), so the helpers below read a
+# column's statistics by id.
+
+def _indexable(schema: StarSchema, ids: Iterable[int]) -> list[int]:
+    """The ids whose column is indexable, in the given order."""
+    return [i for i in ids if schema.is_indexable(schema.attributes[i - 1])]
+
+
+def _terms(schema: StarSchema, matrix: ContextMatrix,
+           ids: Iterable[int]) -> list[float]:
+    """Marginal support x page ratio of each indexable member."""
+    return [matrix.marginal_support[i]
+            * _page_ratio(schema, schema.attributes[i - 1].table)
+            for i in _indexable(schema, ids)]
+
+
 def fitness_tm(schema: StarSchema, matrix: ContextMatrix,
                ids: Iterable[int]) -> float:
     """Sum of marginal support x page ratio over the indexable members."""
-    total = 0.0
-    for i in ids:
-        q = matrix.name_of(i)
-        if schema.is_indexable(schema.attribute(q)):
-            total += matrix.marginal_support[i] * alpha(schema, q)
-    return total
+    return sum(_terms(schema, matrix, ids), 0.0)
 
 
 def fitness_dynaclose(schema: StarSchema, matrix: ContextMatrix,
                       ids: Sequence[int]) -> float:
     """Mean of marginal support x page ratio over the indexable members."""
-    terms = []
-    for i in ids:
-        q = matrix.name_of(i)
-        if schema.is_indexable(schema.attribute(q)):
-            terms.append(matrix.marginal_support[i] * alpha(schema, q))
-    if not terms:
-        return 0.0
-    return sum(terms) / len(terms)
+    terms = _terms(schema, matrix, ids)
+    return sum(terms) / len(terms) if terms else 0.0
 
 
 def afc_sum(schema: StarSchema, matrix: ContextMatrix,
             ids: Iterable[int]) -> int:
     """Summed cardinality of all attributes in the motif."""
-    return sum(schema.attribute(matrix.name_of(i)).cardinality for i in ids)
+    return sum(schema.attributes[i - 1].cardinality for i in ids)
 
 
 def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
                   ids: Iterable[int]) -> tuple[str, ...]:
-    names = [matrix.name_of(i) for i in ids]
-    return tuple(sorted(q for q in names
-                        if schema.is_indexable(schema.attribute(q))))
+    return tuple(sorted(matrix.name_of(i) for i in _indexable(schema, ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +119,11 @@ def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
                     selected=(ids == winner[2]))
         for fit, afc, ids in scored)
     attrs = _indexable_of(schema, matrix, winner[2])
-    notes = []
-    dropped = [matrix.name_of(i) for i in winner[2]
-               if not schema.is_indexable(schema.attribute(matrix.name_of(i)))]
-    if dropped:
-        notes.append("non-indexable members dropped: " + ", ".join(sorted(dropped)))
+    dropped = sorted({matrix.name_of(i) for i in winner[2]} - set(attrs))
+    notes = ("non-indexable members dropped: " + ", ".join(dropped),) \
+        if dropped else ()
     return Configuration(engine="tm-ijb", attrs=attrs, trace=trace,
-                         notes=tuple(notes))
+                         notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +170,7 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
     """
     motifs = mine_closed_frequent_itemsets(matrix, minsup)
     in_motifs = mask(i for ids, _ in motifs for i in ids)
-    ranked = sorted((i for i in bits(in_motifs)
-                     if schema.is_indexable(schema.attribute(matrix.name_of(i)))),
+    ranked = sorted(_indexable(schema, bits(in_motifs)),
                     key=lambda i: (-matrix.marginal_support[i], matrix.name_of(i)))
     chosen: list[str] = []
     notes: list[str] = []

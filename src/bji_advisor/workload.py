@@ -17,7 +17,7 @@ import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, bits, mask
 from .schema import CatalogError, StarSchema
@@ -252,12 +252,10 @@ class _Extractor:
         return i
 
     def _lookup_table(self, name: str) -> Optional[str]:
-        for t in self.schema.tables:
-            if t.lower() == name.lower():
-                return t
-        if name.lower() in self.derived:
+        table = self.schema.find_table(name)
+        if table is None and name.lower() in self.derived:
             return name  # derived relation/view: columns resolve to nothing
-        return None
+        return table
 
     # ------------------------------------------------------------------
     def _where_token(self, tokens: list[str], i: int) -> int:
@@ -415,11 +413,6 @@ def parse_workload(text: str, schema: StarSchema) -> list[ParsedQuery]:
     return [parse_query(sql, schema, qid) for qid, sql in split_workload(text)]
 
 
-def indexable_attributes(schema: StarSchema, attrs: Iterable[str]) -> set[str]:
-    """Keep only non-key attributes of dimension tables."""
-    return {q for q in attrs if schema.is_indexable(schema.attribute(q))}
-
-
 @dataclass(frozen=True)
 class ContextMatrix:
     """Binary query x attribute usage matrix.
@@ -439,10 +432,6 @@ class ContextMatrix:
 
     def name_of(self, col_id: int) -> str:
         return self.columns[col_id - 1]
-
-    def indexable_ids(self) -> list[int]:
-        return [i + 1 for i, q in enumerate(self.columns)
-                if self.schema.is_indexable(self.schema.attribute(q))]
 
     def hypergraph(self) -> Hypergraph:
         return Hypergraph.from_edges(self.rows)

@@ -1,12 +1,13 @@
 """I/O cost model: storage/load formulas, CL properties, query costing."""
 
+import json
 import math
 import random
 
 import pytest
 
-from bji_advisor import costmodel, data_path
-from bji_advisor.schema import load_catalog_file
+from bji_advisor import cli, costmodel, data_path
+from bji_advisor.schema import load_catalog, load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
 
 
@@ -165,3 +166,21 @@ def test_cost_report_document():
     assert len(doc["per_query"]) == 30
     assert doc["total"] == pytest.approx(sum(c for _, c in rep.per_query))
     assert 0 < doc["reduction"] < 1
+
+
+def test_join_endpoints_match_case_insensitively():
+    """A catalog may spell join endpoints in any case: the links resolve to
+    the declared attributes, so costs and DDL equal the canonical catalog's."""
+    doc = json.loads(data_path("ssb.json").read_text())
+    for j in doc["joins"]:
+        j["fact_attr"], j["dim_attr"] = j["fact_attr"].upper(), j["dim_attr"].upper()
+    upper = load_catalog(json.dumps(doc))
+    canonical = load_catalog_file(data_path("ssb.json"))
+    sql = data_path("ssb.sql").read_text()
+    qs_upper, qs = parse_workload(sql, upper), parse_workload(sql, canonical)
+    for config, pinned in (((), 24_895_497), (("dates.d_year",), 20_840_276.052)):
+        cost = costmodel.workload_cost(upper, qs_upper, config)
+        assert cost == costmodel.workload_cost(canonical, qs, config)
+        assert cost == pytest.approx(pinned, abs=1e-3)
+    assert cli.ddl_statements(upper, ["dates.d_year"])[0].endswith(
+        "WHERE lineorder.lo_orderdate = dates.d_datekey;")

