@@ -60,19 +60,19 @@ def _parse_engines(arg: str) -> list[str]:
 
 def _select(args, engines: list[str]):
     """Load the inputs, create the output directory, run ``engines`` and cost
-    each configuration against the no-index baseline, computed once."""
+    each configuration against the no-index baseline.  Each query's cost
+    plan is built once, here, and serves every configuration."""
     schema, matrix = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
-    baseline = costmodel.workload_cost(schema, matrix.queries, ())
+    plans = costmodel.WorkloadPlan(schema, matrix.queries)
     run = {"tm-ijb": lambda: selection.tm_ijb(schema, matrix),
            "close": lambda: selection.close_select(
-               schema, matrix, baseline, minsup=args.minsup,
+               schema, matrix, plans, minsup=args.minsup,
                storage_budget=args.storage_budget),
            "dynaclose": lambda: selection.dynaclose_select(
                schema, matrix, minsup=args.minsup)}
     configs = [run[e]() for e in engines]
-    reports = [costmodel.cost_report(schema, matrix.queries, c.attrs, baseline)
-               for c in configs]
+    reports = [costmodel.cost_report(plans, c.attrs) for c in configs]
     return schema, matrix, configs, reports
 
 

@@ -83,18 +83,6 @@ def _selectivity(schema: StarSchema, attr: str, opclass: str, k: int) -> float:
     return 1.0
 
 
-def estimate_fact_tuples(schema: StarSchema, query: ParsedQuery,
-                         filter_attrs: Iterable[str]) -> float:
-    """Fact rows surviving the predicates on ``filter_attrs``."""
-    rows = schema.fact.rows
-    usable = set(filter_attrs)
-    sel = 1.0
-    for p in query.predicates:
-        if p.attr in usable and p.opclass in _SELECTIVE_CLASSES:
-            sel *= _selectivity(schema, p.attr, p.opclass, p.in_count)
-    return min(float(rows), max(0.0, rows * sel))
-
-
 def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     """Dimensions the query joins to the fact table.
 
@@ -117,33 +105,114 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     return order
 
 
+@dataclass(frozen=True)
+class QueryPlan:
+    """The facts of one query that costing it under any configuration
+    needs, worked out once."""
+
+    query_id: int
+    weight: float
+    dims: tuple[tuple[str, int], ...]    # joined dimensions in order, pages
+    no_index: float                      # cost when no index is usable
+    # referenced attribute on a joined dimension -> (table, index load pages)
+    usable: dict[str, tuple[str, int]]
+    # (attribute, selectivity) per selective predicate, in predicate order
+    selectivity: tuple[tuple[str, float], ...]
+    fact_rows: int
+    fact_pages: int
+
+    def fact_tuples(self, filter_attrs: Iterable[str]) -> float:
+        """Fact rows surviving the predicates on ``filter_attrs``."""
+        usable = set(filter_attrs)
+        sel = 1.0
+        for attr, s in self.selectivity:
+            if attr in usable:
+                sel *= s
+        rows = self.fact_rows
+        return min(float(rows), max(0.0, rows * sel))
+
+    def cost(self, config: Iterable[str]) -> float:
+        """Cost under ``config``, given as sorted distinct attribute names."""
+        # per joined dimension, the configured indexes the query can use:
+        # indexed attributes of that dimension referenced by the query
+        used: dict[str, list[str]] = {}
+        for a in config:
+            hit = self.usable.get(a)
+            if hit is not None:
+                used.setdefault(hit[0], []).append(a)
+        if not used:
+            return self.no_index
+        index_attrs = [a for attrs in used.values() for a in attrs]
+        cl = tuple_access_cost(self.fact_tuples(index_attrs), self.fact_pages)
+        cost = cl
+        for a in index_attrs:
+            cost += self.usable[a][1]
+        for d, pages in self.dims:
+            if d not in used:
+                cost += hash_join_cost(math.ceil(cl), pages)
+        return cost
+
+
+def plan_query(schema: StarSchema, query: ParsedQuery) -> QueryPlan:
+    dims = joined_dimensions(schema, query)
+    fact_pages = schema.table_pages(schema.fact.name)
+    if dims:
+        no_index = float(sum(hash_join_cost(fact_pages, schema.table_pages(d))
+                             for d in dims))
+    else:
+        tables = {schema.attribute(a).table for a in query.referenced}
+        no_index = float(sum(schema.table_pages(t) for t in tables))
+    usable = {}
+    for a in query.referenced:
+        table = schema.attribute(a).table
+        if table in dims:
+            usable[a] = (table, index_load_cost(_index_size(schema, a),
+                                                schema.page_size))
+    return QueryPlan(
+        query_id=query.id, weight=query.weight,
+        dims=tuple((d, schema.table_pages(d)) for d in dims),
+        no_index=no_index, usable=usable,
+        selectivity=tuple((p.attr, _selectivity(schema, p.attr, p.opclass,
+                                                p.in_count))
+                          for p in query.predicates
+                          if p.opclass in _SELECTIVE_CLASSES),
+        fact_rows=schema.fact.rows, fact_pages=fact_pages)
+
+
 def query_cost(schema: StarSchema, query: ParsedQuery,
                config: Iterable[str] = ()) -> float:
-    dims = joined_dimensions(schema, query)
-    if not dims:
-        tables = {schema.attribute(a).table for a in query.referenced}
-        return float(sum(schema.table_pages(t) for t in tables))
-    fact_pages = schema.table_pages(schema.fact.name)
-    # per joined dimension, the configured indexes the query can use: indexed
-    # attributes of that dimension referenced by the query
-    used: dict[str, list[str]] = {}
-    for a in sorted(set(config)):
-        table = schema.attribute(a).table
-        if table in dims and a in query.referenced:
-            used.setdefault(table, []).append(a)
-    if not used:
-        return float(sum(hash_join_cost(fact_pages, schema.table_pages(d))
-                         for d in dims))
-    index_attrs = [a for attrs in used.values() for a in attrs]
-    nt = estimate_fact_tuples(schema, query, index_attrs)
-    cl = tuple_access_cost(nt, fact_pages)
-    cost = cl
-    for a in index_attrs:
-        cost += index_load_cost(_index_size(schema, a), schema.page_size)
-    for d in dims:
-        if d not in used:
-            cost += hash_join_cost(math.ceil(cl), schema.table_pages(d))
-    return cost
+    """Cost of one query under ``config``: its plan, costed."""
+    return plan_query(schema, query).cost(sorted(set(config)))
+
+
+class WorkloadPlan:
+    """The plans of a workload's queries, built once per run, and which
+    queries can use an index on each attribute (only their costs change
+    when that attribute joins a configuration)."""
+
+    def __init__(self, schema: StarSchema, queries: Sequence[ParsedQuery]):
+        self.plans = tuple(plan_query(schema, q) for q in queries)
+        self.users: dict[str, list[int]] = {}
+        for k, plan in enumerate(self.plans):
+            for a in plan.usable:
+                self.users.setdefault(a, []).append(k)
+        self.no_index = tuple(p.weight * p.no_index for p in self.plans)
+        self.baseline = sum(self.no_index)
+
+    def costs(self, config: Iterable[str]) -> list[float]:
+        """Weighted cost of each query under ``config``, in query order."""
+        config = sorted(set(config))
+        return [p.weight * p.cost(config) for p in self.plans]
+
+    def recost(self, costs: Sequence[float], config: list[str],
+               attr: str) -> list[float]:
+        """``costs``, the per-query costs of ``config`` without ``attr``,
+        updated to ``config`` (sorted, holding ``attr``)."""
+        out = list(costs)
+        for k in self.users.get(attr, ()):
+            plan = self.plans[k]
+            out[k] = plan.weight * plan.cost(config)
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,20 +238,18 @@ class CostReport:
 
 def workload_cost(schema: StarSchema, queries: Sequence[ParsedQuery],
                   config: Iterable[str] = ()) -> float:
-    config = set(config)
-    return sum(q.weight * query_cost(schema, q, config) for q in queries)
+    return sum(WorkloadPlan(schema, queries).costs(config))
 
 
-def cost_report(schema: StarSchema, queries: Sequence[ParsedQuery],
-                config: Iterable[str], baseline_total: float) -> CostReport:
-    """Per-query and total cost of ``config``; ``baseline_total`` is the
-    workload's cost without indexes, computed once by the caller."""
+def cost_report(plans: WorkloadPlan, config: Iterable[str]) -> CostReport:
+    """Per-query and total cost of ``config`` against the workload's
+    no-index baseline."""
     config_t = tuple(sorted(set(config)))
-    per = tuple((q.id, q.weight * query_cost(schema, q, config_t))
-                for q in queries)
+    per = tuple((p.query_id, c)
+                for p, c in zip(plans.plans, plans.costs(config_t)))
     return CostReport(config=config_t, per_query=per,
                       total=sum(c for _, c in per),
-                      baseline_total=baseline_total)
+                      baseline_total=plans.baseline)
 
 
 def config_storage(schema: StarSchema, config: Iterable[str]) -> int:

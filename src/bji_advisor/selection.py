@@ -158,15 +158,18 @@ def mine_closed_frequent_itemsets(
 
 
 def close_select(schema: StarSchema, matrix: ContextMatrix,
-                 baseline_total: float, minsup: float = 0.1,
+                 plans: costmodel.WorkloadPlan, minsup: float = 0.1,
                  storage_budget: Optional[int] = None) -> Configuration:
     """Greedy cost-driven pick over closed-itemset candidates.
 
     Indexable attributes of the frequent closed itemsets are ranked by
     marginal support (ties by name) and added one by one while the modeled
-    workload cost strictly decreases, starting from ``baseline_total``, the
-    workload's cost without indexes computed once by the caller;
-    non-improving candidates are skipped.
+    workload cost strictly decreases, starting from the no-index baseline;
+    non-improving candidates are skipped.  ``plans`` holds the cost plans
+    of ``matrix.queries``, built once by the caller.  A trial re-costs only
+    the queries that can use the candidate, then sums every query's cost in
+    query order, the same additions ``workload_cost`` makes, so an equal
+    cost never passes for a smaller one.
     """
     motifs = mine_closed_frequent_itemsets(matrix, minsup)
     in_motifs = mask(i for ids, _ in motifs for i in ids)
@@ -174,7 +177,8 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
                     key=lambda i: (-matrix.marginal_support[i], matrix.name_of(i)))
     chosen: list[str] = []
     notes: list[str] = []
-    current = baseline_total
+    costs = plans.no_index
+    current = plans.baseline
     for i in ranked:
         attr = matrix.name_of(i)
         trial = chosen + [attr]
@@ -182,10 +186,11 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
                 costmodel.config_storage(schema, trial) > storage_budget:
             notes.append(f"{attr} skipped: storage budget exceeded")
             continue
-        cost = costmodel.workload_cost(schema, matrix.queries, trial)
+        trial_costs = plans.recost(costs, sorted(trial), attr)
+        cost = sum(trial_costs)
         if cost < current:
             chosen.append(attr)
-            current = cost
+            costs, current = trial_costs, cost
         else:
             notes.append(f"{attr} skipped: no cost improvement")
     trace = tuple(

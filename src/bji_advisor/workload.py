@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import re
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -45,15 +46,18 @@ class ParsedQuery:
     weight: float = 1.0
 
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<str>'(?:[^']|'')*')
-      | (?P<num>\d+(?:\.\d+)?|\.\d+)
-      | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op><>|<=|>=|!=|[=<>(),.;*+\-/])
-    )""",
-    re.VERBOSE,
-)
+_TOKEN = r"""
+      '(?:[^']|'')*'
+    | \d+(?:\.\d+)?|\.\d+
+    | [A-Za-z_][A-Za-z_0-9]*
+    | <>|<=|>=|!=|[=<>(),.;*+\-/]
+"""
+_TOKEN_RE = re.compile(_TOKEN, re.VERBOSE)
+# every token; from the first character that starts none, the rest of the
+# text as one last token, so one findall both splits and finds the error
+_SCAN_RE = re.compile(_TOKEN + r"| \S[\s\S]*", re.VERBOSE)
+
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 _KEYWORDS = {
     "select", "from", "where", "and", "or", "not", "group", "by", "order",
@@ -72,260 +76,267 @@ _SCALAR_ARGS = {
     "char", "varchar", "decimal", "numeric",
 }
 
+# identifiers a WHERE/ON clause never resolves as columns
+_NOT_COLUMNS = _KEYWORDS | _SCALAR_ARGS
+
+# tokens that end, open or switch a clause inside a SELECT statement
+_SELECT_MARKERS = {
+    ")", ";", "(", "select", "where", "from", "group", "order", "having", "on",
+    "left", "right", "inner", "outer", "join", "exists",
+}
+
 
 def tokenize(sql: str) -> list[str]:
-    out: list[str] = []
-    pos = 0
-    while pos < len(sql):
-        m = _TOKEN_RE.match(sql, pos)
-        if not m:
-            if sql[pos].isspace():
-                pos += 1
-                continue
-            raise ParseError(f"unexpected character {sql[pos]!r} at offset {pos}")
-        out.append(m.group(0).strip())
-        pos = m.end()
-    return out
+    tokens = _SCAN_RE.findall(sql)
+    if tokens and not _TOKEN_RE.fullmatch(tokens[-1]):
+        pos = len(sql) - len(tokens[-1])
+        raise ParseError(f"unexpected character {sql[pos]!r} at offset {pos}")
+    return tokens
+
+
+# The predicates below read only a token's first character: they are called
+# on tokenize's output, where that character decides the token's kind.
+
+def _is_ident(tok: str) -> bool:
+    return tok[0] in _IDENT_START
+
+
+def _is_number(tok: str) -> bool:
+    return tok[0].isdecimal() or (tok[0] == "." and len(tok) > 1)
 
 
 class _Extractor:
-    """Single-statement-block scanner; shared symbol tables across subqueries."""
+    """Single-statement-block scanner; shared symbol tables across subqueries.
 
-    def __init__(self, schema: StarSchema):
+    ``toks`` holds the tokens as written (for messages and catalog lookups),
+    ``lows`` the same tokens lowercased once.
+    """
+
+    def __init__(self, schema: StarSchema, tokens: list[str]):
         self.schema = schema
+        self.toks = tokens
+        self.lows = [t.lower() for t in tokens]
         self.aliases: dict[str, str] = {}     # alias/table (lower) -> table name
         self.derived: set[str] = set()        # derived/view column + alias names
         self.referenced: set[str] = set()
         self.predicates: list[Predicate] = []
         self._pred_seen: set[str] = set()
 
+    def _name_at(self, i: int) -> bool:
+        """Whether token i exists and is an identifier but not a keyword."""
+        return i < len(self.toks) and _is_ident(self.toks[i]) \
+            and self.lows[i] not in _KEYWORDS
+
     # ------------------------------------------------------------------
-    def run(self, tokens: list[str]) -> None:
+    def run(self) -> None:
+        lows = self.lows
         i = 0
-        n = len(tokens)
+        n = len(lows)
         while i < n:
-            low = tokens[i].lower()
+            low = lows[i]
             if low == "create":
-                i = self._create_view(tokens, i)
+                i = self._create_view(i)
             elif low == "drop":
                 # DROP VIEW <name>
                 i += 3 if i + 2 < n else n
             elif low == "select":
-                i = self._select(tokens, i)
+                i = self._select(i)
             elif low == ";":
                 i += 1
             else:
-                raise ParseError(f"unsupported statement starting at {tokens[i]!r}")
+                raise ParseError(
+                    f"unsupported statement starting at {self.toks[i]!r}")
 
-    def _create_view(self, tokens: list[str], i: int) -> int:
-        if tokens[i + 1].lower() != "view":
+    def _create_view(self, i: int) -> int:
+        toks, lows = self.toks, self.lows
+        if lows[i + 1] != "view":
             raise ParseError("only CREATE VIEW is supported")
-        name = tokens[i + 2]
-        self.derived.add(name.lower())
+        self.derived.add(lows[i + 2])
         i += 3
-        if tokens[i] == "(":
+        if toks[i] == "(":
             i += 1
-            while tokens[i] != ")":
-                if tokens[i] != ",":
-                    self.derived.add(tokens[i].lower())
+            while toks[i] != ")":
+                if toks[i] != ",":
+                    self.derived.add(lows[i])
                 i += 1
             i += 1
-        if tokens[i].lower() != "as":
+        if lows[i] != "as":
             raise ParseError("CREATE VIEW requires AS")
         i += 1
-        if tokens[i].lower() != "select":
+        if lows[i] != "select":
             raise ParseError("CREATE VIEW requires a SELECT body")
-        return self._select(tokens, i)
+        return self._select(i)
 
     # ------------------------------------------------------------------
-    def _select(self, tokens: list[str], i: int) -> int:
-        """Scan one SELECT statement starting at tokens[i] == 'select'.
+    def _select(self, i: int) -> int:
+        """Scan one SELECT statement starting at token i == 'select'.
 
         Returns the index just after the statement (end of input, unbalanced
         ')' or ';').  Collects attributes from WHERE/ON clauses only.
         """
-        n = len(tokens)
+        toks, lows = self.toks, self.lows
+        n = len(lows)
         clause = "select"
         depth = 0  # non-subquery parentheses inside this statement
         i += 1
         while i < n:
-            tok = tokens[i]
-            low = tok.lower()
-            if tok == ")":
-                if depth > 0:
-                    depth -= 1
+            low = lows[i]
+            if low in _SELECT_MARKERS:
+                if low == ")":
+                    if depth > 0:
+                        depth -= 1
+                        i += 1
+                        continue
+                    return i  # caller consumes
+                if low == ";":
+                    return i
+                if low == "select":
+                    if clause != "select":
+                        # a new top-level statement in the same block
+                        # (annex Q15 style)
+                        return i
+                elif low in ("where", "from", "having", "on"):
+                    clause = low
                     i += 1
                     continue
-                return i  # caller consumes
-            if tok == ";":
-                return i
-            if low == "select" and clause != "select":
-                # a new top-level statement in the same block (annex Q15 style)
-                return i
-            if low in ("where",):
-                clause = "where"
-                i += 1
-                continue
-            if low == "from":
-                clause = "from"
-                i += 1
-                continue
-            if low in ("group", "order"):
-                clause = low
-                i += 2 if i + 1 < n and tokens[i + 1].lower() == "by" else 1
-                continue
-            if low == "having":
-                clause = "having"
-                i += 1
-                continue
-            if low == "on":
-                clause = "on"
-                i += 1
-                continue
-            if low in ("left", "right", "inner", "outer", "join") and clause in (
-                    "from", "on"):
-                if low == "join":
-                    clause = "from"
-                i += 1
-                continue
-            if tok == "(":
-                nxt = tokens[i + 1].lower() if i + 1 < n else ""
-                if nxt == "select":
-                    j = self._select(tokens, i + 1)
-                    if j < n and tokens[j] == ")":
-                        j += 1
-                    if clause == "from":
-                        j = self._derived_alias(tokens, j)
-                    i = j
+                elif low in ("group", "order"):
+                    clause = low
+                    i += 2 if i + 1 < n and lows[i + 1] == "by" else 1
                     continue
-                depth += 1
-                i += 1
-                continue
-            if low == "exists":
-                i += 1
-                continue
+                elif low == "(":
+                    if i + 1 < n and lows[i + 1] == "select":
+                        j = self._select(i + 1)
+                        if j < n and lows[j] == ")":
+                            j += 1
+                        if clause == "from":
+                            j = self._derived_alias(j)
+                        i = j
+                    else:
+                        depth += 1
+                        i += 1
+                    continue
+                elif low == "exists":
+                    i += 1
+                    continue
+                elif clause in ("from", "on"):
+                    # left, right, inner, outer, join
+                    if low == "join":
+                        clause = "from"
+                    i += 1
+                    continue
             if clause == "from":
-                i = self._from_item(tokens, i)
-                continue
-            if clause in ("where", "on"):
-                i = self._where_token(tokens, i)
-                continue
-            # select/group/order/having: skip, but still descend into the
-            # token stream naturally (subqueries handled by the '(' branch)
-            i += 1
+                i = self._from_item(i)
+            elif clause in ("where", "on") and low not in _NOT_COLUMNS \
+                    and toks[i][0] in _IDENT_START:
+                i = self._where_token(i)
+            else:
+                # select/group/order/having, and WHERE/ON tokens that name
+                # no column: skip, but still descend into the token stream
+                # naturally (subqueries handled by '(')
+                i += 1
         return i
 
     # ------------------------------------------------------------------
-    def _from_item(self, tokens: list[str], i: int) -> int:
-        tok = tokens[i]
-        if tok in (",",):
+    def _from_item(self, i: int) -> int:
+        tok = self.toks[i]
+        if tok == "," or not _is_ident(tok):
             return i + 1
-        if not _is_ident(tok):
-            return i + 1
-        table = self._lookup_table(tok)
+        table = self._lookup_table(i)
         if table is None:
             raise ParseError(f"unknown table {tok!r} in FROM")
-        self.aliases[tok.lower()] = table
+        self.aliases[self.lows[i]] = table
         j = i + 1
-        if j < len(tokens) and tokens[j].lower() == "as":
+        if j < len(self.lows) and self.lows[j] == "as":
             j += 1
-        if j < len(tokens) and _is_ident(tokens[j]) and \
-                tokens[j].lower() not in _KEYWORDS:
-            self.aliases[tokens[j].lower()] = table
+        if self._name_at(j):
+            self.aliases[self.lows[j]] = table
             j += 1
         return j
 
-    def _derived_alias(self, tokens: list[str], i: int) -> int:
-        n = len(tokens)
-        if i < n and tokens[i].lower() == "as":
+    def _derived_alias(self, i: int) -> int:
+        toks, lows = self.toks, self.lows
+        n = len(toks)
+        if i < n and lows[i] == "as":
             i += 1
-        if i < n and _is_ident(tokens[i]) and tokens[i].lower() not in _KEYWORDS:
-            self.derived.add(tokens[i].lower())
+        if self._name_at(i):
+            self.derived.add(lows[i])
             i += 1
-            if i < n and tokens[i] == "(":
+            if i < n and toks[i] == "(":
                 i += 1
-                while i < n and tokens[i] != ")":
-                    if tokens[i] != ",":
-                        self.derived.add(tokens[i].lower())
+                while i < n and toks[i] != ")":
+                    if toks[i] != ",":
+                        self.derived.add(lows[i])
                     i += 1
                 i += 1
         return i
 
-    def _lookup_table(self, name: str) -> Optional[str]:
-        table = self.schema.find_table(name)
-        if table is None and name.lower() in self.derived:
-            return name  # derived relation/view: columns resolve to nothing
+    def _lookup_table(self, i: int) -> Optional[str]:
+        table = self.schema.find_table(self.toks[i])
+        if table is None and self.lows[i] in self.derived:
+            # derived relation/view: columns resolve to nothing
+            return self.toks[i]
         return table
 
     # ------------------------------------------------------------------
-    def _where_token(self, tokens: list[str], i: int) -> int:
-        tok = tokens[i]
-        low = tok.lower()
-        n = len(tokens)
-        if low in _KEYWORDS or low in _SCALAR_ARGS \
-                or tok in (",", "*", "+", "-", "/", ".") \
-                or tok in _COMPARE_OPS or tok == "=" \
-                or tok.startswith("'") or _is_number(tok):
-            return i + 1
-        if not _is_ident(tok):
-            return i + 1
+    def _where_token(self, i: int) -> int:
+        """Scan a WHERE/ON identifier that is not a keyword."""
+        toks = self.toks
+        n = len(toks)
         # function call: skip the name, descend into its parens via main loop
-        if i + 1 < n and tokens[i + 1] == "(":
+        if i + 1 < n and toks[i + 1] == "(":
             return i + 1
-        attr = self._resolve(tokens, i)
+        attr = self._resolve(i)
         if attr is None:
             # qualified name consumes 3 tokens, bare name 1
-            return i + (3 if i + 2 < n and tokens[i + 1] == "." else 1)
+            return i + (3 if i + 2 < n and toks[i + 1] == "." else 1)
         qualified, consumed = attr
         self.referenced.add(qualified)
         j = i + consumed
-        self._classify(tokens, j, qualified)
+        self._classify(j, qualified)
         return j
 
-    def _resolve(self, tokens: list[str], i: int) -> Optional[tuple[str, int]]:
+    def _resolve(self, i: int) -> Optional[tuple[str, int]]:
         """Resolve an identifier at i; None if it is a derived/alias name."""
-        tok = tokens[i]
-        n = len(tokens)
-        if i + 2 < n and tokens[i + 1] == ".":
-            qual, col = tok, tokens[i + 2]
-            table = self.aliases.get(qual.lower())
+        toks, lows = self.toks, self.lows
+        if i + 2 < len(toks) and toks[i + 1] == ".":
+            table = self.aliases.get(lows[i])
             if table is None:
-                table = self._lookup_table(qual)
+                table = self._lookup_table(i)
             if table is None or table.lower() in self.derived:
                 return None
             try:
-                a = self.schema.find_attribute(col, table)
+                a = self.schema.find_attribute(toks[i + 2], table)
             except CatalogError as exc:
                 raise ParseError(str(exc)) from exc
             return a.qualified, 3
-        low = tok.lower()
+        low = lows[i]
         if low in self.derived or low in self.aliases:
             return None
         try:
-            a = self.schema.find_attribute(tok)
+            a = self.schema.find_attribute(toks[i])
         except CatalogError as exc:
-            raise ParseError(f"unresolvable column {tok!r}") from exc
+            raise ParseError(f"unresolvable column {toks[i]!r}") from exc
         return a.qualified, 1
 
-    def _classify(self, tokens: list[str], j: int, qualified: str) -> None:
+    def _classify(self, j: int, qualified: str) -> None:
         """Record the operator class of the predicate starting after the attr."""
-        n = len(tokens)
-        nxt = tokens[j].lower() if j < n else ""
+        toks, lows = self.toks, self.lows
+        n = len(toks)
+        nxt = lows[j] if j < n else ""
         opclass, k = "ref", 0
         if nxt == "not" and j + 1 < n:
-            nxt = tokens[j + 1].lower()
+            nxt = lows[j + 1]
             j += 1
         if nxt == "=":
             # join when the right-hand side resolves to another attribute
             rhs = j + 1
-            if rhs < n and tokens[rhs] == "(" and rhs + 1 < n \
-                    and tokens[rhs + 1].lower() == "select":
+            if rhs < n and toks[rhs] == "(" and rhs + 1 < n \
+                    and lows[rhs + 1] == "select":
                 opclass = "subquery"
-            elif rhs < n and _is_ident(tokens[rhs]) and \
-                    tokens[rhs].lower() not in _KEYWORDS and \
-                    (rhs + 1 >= n or tokens[rhs + 1] != "("):
+            elif self._name_at(rhs) and \
+                    (rhs + 1 >= n or toks[rhs + 1] != "("):
                 try:
-                    resolved = self._resolve(tokens, rhs)
+                    resolved = self._resolve(rhs)
                 except ParseError:
                     resolved = None
                 if resolved:
@@ -346,19 +357,19 @@ class _Extractor:
             opclass = "like"
         elif nxt == "in":
             rhs = j + 1
-            if rhs < n and tokens[rhs] == "(":
-                if rhs + 1 < n and tokens[rhs + 1].lower() == "select":
+            if rhs < n and toks[rhs] == "(":
+                if rhs + 1 < n and lows[rhs + 1] == "select":
                     opclass = "subquery"
                 else:
                     opclass, k = "in-list", 0
                     d, p = 1, rhs + 1
                     while p < n and d > 0:
-                        if tokens[p] == "(":
+                        if toks[p] == "(":
                             d += 1
-                        elif tokens[p] == ")":
+                        elif toks[p] == ")":
                             d -= 1
-                        elif d == 1 and (tokens[p].startswith("'")
-                                         or _is_number(tokens[p])):
+                        elif d == 1 and (toks[p].startswith("'")
+                                         or _is_number(toks[p])):
                             k += 1
                         p += 1
         if qualified in self._pred_seen:
@@ -367,24 +378,18 @@ class _Extractor:
         self.predicates.append(Predicate(qualified, opclass, k))
 
 
-def _is_ident(tok: str) -> bool:
-    return bool(re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok))
-
-
-def _is_number(tok: str) -> bool:
-    return bool(re.fullmatch(r"\d+(\.\d+)?|\.\d+", tok))
-
-
 def parse_query(sql: str, schema: StarSchema, qid: int = 0,
                 weight: float = 1.0) -> ParsedQuery:
     """Collect WHERE/ON attribute references of one query block."""
-    ex = _Extractor(schema)
     try:
-        ex.run(tokenize(sql))
+        ex = _Extractor(schema, tokenize(sql))
+        ex.run()
     except ParseError as exc:
         raise ParseError(f"query {qid}: {exc}") from exc
     except IndexError as exc:
         raise ParseError(f"query {qid}: truncated statement") from exc
+    except RecursionError as exc:
+        raise ParseError(f"query {qid}: subqueries nested too deeply") from exc
     return ParsedQuery(id=qid, raw_text=sql, referenced=frozenset(ex.referenced),
                        predicates=tuple(ex.predicates), weight=weight)
 
@@ -442,10 +447,15 @@ class ContextMatrix:
         unknown = attrs & ~((1 << len(self.columns) + 1) - 2)
         if unknown:
             raise ValueError(f"unknown columns {list(bits(unknown))}")
-        total = sum(q.weight for q in self.queries)
-        hit = sum(q.weight for q, row in zip(self.queries, self.rows)
-                  if attrs & row == attrs)
+        total = self.total_weight
+        hit = sum([q.weight for q, row in zip(self.queries, self.rows)
+                   if attrs & row == attrs])
         return hit / total if total else 0.0
+
+    @cached_property
+    def total_weight(self) -> float:
+        """Summed weight of the kept queries, the denominator of support."""
+        return sum(q.weight for q in self.queries)
 
     @cached_property
     def marginal_support(self) -> tuple[float, ...]:
@@ -455,7 +465,7 @@ class ContextMatrix:
         for q, row in zip(self.queries, self.rows):
             for i in bits(row):
                 weights[i].append(q.weight)
-        total = sum(q.weight for q in self.queries)
+        total = self.total_weight
         return tuple(sum(w) / total if total else 0.0 for w in weights)
 
 

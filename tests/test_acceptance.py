@@ -174,7 +174,7 @@ def test_criterion_3_ssb_end_to_end(ssb):
     smallest = set(smallest_transversals(h))
     cfg = selection.tm_ijb(schema, m)
     close = selection.close_select(
-        schema, m, costmodel.workload_cost(schema, m.queries, ()), 0.1)
+        schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1)
     dyna = selection.dynaclose_select(schema, m, 0.1)
     d_year = m.id_of("dates.d_year")
     frequent = frequent_indexable(schema, m, 0.1)
@@ -226,7 +226,7 @@ def test_criterion_4_tpch_end_to_end(tpch):
     smallest = smallest_transversals(h)
     cfg = selection.tm_ijb(schema, m)
     close = selection.close_select(
-        schema, m, costmodel.workload_cost(schema, m.queries, ()), 0.1)
+        schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1)
     dyna = selection.dynaclose_select(schema, m, 0.1)
     pair = [m.id_of("NATION.N_NAME"), m.id_of("ORDERS.O_ORDERDATE")]
     frequent = frequent_indexable(schema, m, 0.1)
@@ -323,7 +323,8 @@ def test_criterion_5_cost_ordering(ssb, tpch):
     for label, (schema, queries, m) in (("SSB", ssb), ("TPC-H", tpch)):
         base = costmodel.workload_cost(schema, queries, ())
         tm = selection.tm_ijb(schema, m).attrs
-        close = selection.close_select(schema, m, base, 0.1).attrs
+        close = selection.close_select(
+            schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1).attrs
         costs = {
             "tm-ijb": costmodel.workload_cost(schema, queries, tm),
             "close": costmodel.workload_cost(schema, queries, close),
@@ -444,7 +445,7 @@ def test_criterion_8_closed_itemset_miner(example):
         m = matrix_from_rows(rows, n_cols)
         got = {frozenset(ids) for ids, _ in
                selection.mine_closed_frequent_itemsets(m, 1e-9)}
-        if got == brute_closed_sets(rows, n_cols):
+        if got == brute_closed_sets(rows):
             agree += 1
     _, _, m = example
     mined = dict(selection.mine_closed_frequent_itemsets(m, 0.1))

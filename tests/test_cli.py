@@ -102,6 +102,19 @@ def test_empty_workload_input_error(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+def test_deeply_nested_subqueries_input_error(tmp_path, capsys):
+    # deeper than the interpreter's recursion limit allows the scanner
+    depth = 1200
+    bad = tmp_path / "w.sql"
+    bad.write_text(
+        "Q1 - select count(*) from lineorder where lo_quantity in "
+        + "(select lo_quantity from lineorder where lo_quantity in " * depth
+        + "(1)" + ")" * depth + "\n")
+    assert run(["advise", "--catalog", CAT, "--workload", str(bad),
+                "--out", str(tmp_path)]) == 2
+    assert "query 1: subqueries nested too deeply" in capsys.readouterr().err
+
+
 def test_byte_identical_reports(tmp_path):
     outs = []
     for name in ("a", "b"):

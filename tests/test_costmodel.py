@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bji_advisor import cli, costmodel, data_path
+from bji_advisor import cli, costmodel, data_path, selection
 from bji_advisor.schema import load_catalog, load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
 
@@ -141,10 +141,10 @@ def test_partially_covered_join_uses_shrunken_fact_side():
 def test_estimate_fact_tuples_selectivities():
     schema, m = load("ssb.json", "ssb.sql")
     by_id = {q.id: q for q in m.queries}
-    q1 = by_id[1]
+    plan = costmodel.plan_query(schema, by_id[1])
     # only predicates on the given attributes filter
-    assert costmodel.estimate_fact_tuples(schema, q1, []) == schema.fact.rows
-    nt = costmodel.estimate_fact_tuples(schema, q1, ["dates.d_year"])
+    assert plan.fact_tuples([]) == schema.fact.rows
+    nt = plan.fact_tuples(["dates.d_year"])
     assert nt == pytest.approx(schema.fact.rows / 7)
 
 
@@ -159,8 +159,8 @@ def test_workload_cost_monotone_under_more_indexes_ssb():
 
 def test_cost_report_document():
     schema, m = load("ssb.json", "ssb.sql")
-    rep = costmodel.cost_report(schema, m.queries, ["dates.d_year"],
-                                costmodel.workload_cost(schema, m.queries, ()))
+    rep = costmodel.cost_report(costmodel.WorkloadPlan(schema, m.queries),
+                                ["dates.d_year"])
     doc = rep.to_document()
     assert doc["config"] == ["dates.d_year"]
     assert len(doc["per_query"]) == 30
@@ -184,3 +184,126 @@ def test_join_endpoints_match_case_insensitively():
         assert cost == pytest.approx(pinned, abs=1e-3)
     assert cli.ddl_statements(upper, ["dates.d_year"])[0].endswith(
         "WHERE lineorder.lo_orderdate = dates.d_datekey;")
+
+
+# ---------------------------------------------------------------------------
+# cost plans vs the cost model written out per call
+# ---------------------------------------------------------------------------
+
+def oracle_query_cost(schema, query, config):
+    """The page-cost model evaluated from scratch: the joined-dimension
+    fixpoint, then the scan, hash-only or (partly) covered branch, with the
+    unit formulas inlined."""
+    joined, dims = {schema.fact.name}, []
+    changed = True
+    while changed:
+        changed = False
+        for src, dst, j in schema.links:
+            if src in joined and dst not in joined \
+                    and j.fact_attr in query.referenced \
+                    and j.dim_attr in query.referenced:
+                joined.add(dst)
+                dims.append(dst)
+                changed = True
+    if not dims:
+        tables = {schema.attribute(a).table for a in query.referenced}
+        return float(sum(schema.table_pages(t) for t in tables))
+    fact_pages = schema.table_pages(schema.fact.name)
+    used = {}
+    for a in sorted(set(config)):
+        table = schema.attribute(a).table
+        if table in dims and a in query.referenced:
+            used.setdefault(table, []).append(a)
+    if not used:
+        return float(sum(3 * (fact_pages + schema.table_pages(d))
+                         for d in dims))
+    index_attrs = [a for attrs in used.values() for a in attrs]
+    rows, sel = schema.fact.rows, 1.0
+    for p in query.predicates:
+        if p.attr in index_attrs:
+            card = schema.attribute(p.attr).cardinality
+            if p.opclass == "equality":
+                sel *= 1.0 / card
+            elif p.opclass in ("range", "like"):
+                sel *= 1.0 / 3.0
+            elif p.opclass == "in-list":
+                sel *= min(1.0, max(p.in_count, 1) / card)
+    nt = min(float(rows), max(0.0, rows * sel))
+    cl = fact_pages * (1.0 - math.exp(-nt / fact_pages)) \
+        if fact_pages > 0 and nt > 0 else 0.0
+    cost = cl
+    for a in index_attrs:
+        card = schema.attribute(a).cardinality
+        size = math.ceil((schema.rowid_bits + card) * rows / 8) if rows else 0
+        cost += math.ceil(size / schema.page_size)
+    for d in dims:
+        if d not in used:
+            cost += 3 * (math.ceil(cl) + schema.table_pages(d))
+    return cost
+
+
+def oracle_workload_cost(schema, queries, config):
+    return sum(q.weight * oracle_query_cost(schema, q, config) for q in queries)
+
+
+BUNDLED = (("example_star.json", "example_star.sql"), ("ssb.json", "ssb.sql"),
+           ("tpch.json", "tpch.sql"))
+
+
+@pytest.mark.parametrize("cat, wl", BUNDLED)
+def test_plans_equal_oracle_under_random_configs(cat, wl):
+    schema, m = load(cat, wl)
+    plans = costmodel.WorkloadPlan(schema, m.queries)
+    names = [a.qualified for a in schema.attributes]
+    rng = random.Random(7)
+    configs = [()] + [rng.sample(names, rng.randint(1, min(8, len(names))))
+                      for _ in range(60)]
+    for config in configs:
+        want = [q.weight * oracle_query_cost(schema, q, config)
+                for q in m.queries]
+        assert plans.costs(config) == want
+        assert [costmodel.query_cost(schema, q, config)
+                for q in m.queries] == [oracle_query_cost(schema, q, config)
+                                        for q in m.queries]
+        assert costmodel.workload_cost(schema, m.queries, config) == sum(want)
+        report = costmodel.cost_report(plans, config)
+        assert report.per_query == tuple(
+            (q.id, c) for q, c in zip(m.queries, want))
+        assert report.total == sum(want)
+    assert plans.baseline == oracle_workload_cost(schema, m.queries, ())
+
+
+def oracle_close(schema, m, minsup, budget):
+    """close_select's greedy loop, costing the whole workload per trial."""
+    motifs = selection.mine_closed_frequent_itemsets(m, minsup)
+    members = sorted({i for ids, _ in motifs for i in ids
+                      if schema.is_indexable(schema.attributes[i - 1])},
+                     key=lambda i: (-m.marginal_support[i], m.name_of(i)))
+    chosen, notes = [], []
+    current = oracle_workload_cost(schema, m.queries, ())
+    for i in members:
+        attr = m.name_of(i)
+        trial = chosen + [attr]
+        if budget is not None and sum(
+                math.ceil((schema.rowid_bits + schema.attribute(a).cardinality)
+                          * schema.fact.rows / 8) for a in trial) > budget:
+            notes.append(f"{attr} skipped: storage budget exceeded")
+            continue
+        cost = oracle_workload_cost(schema, m.queries, trial)
+        if cost < current:
+            chosen.append(attr)
+            current = cost
+        else:
+            notes.append(f"{attr} skipped: no cost improvement")
+    return tuple(sorted(chosen)), tuple(notes)
+
+
+@pytest.mark.parametrize("cat, wl", BUNDLED)
+def test_close_select_equals_full_recost_loop(cat, wl):
+    schema, m = load(cat, wl)
+    plans = costmodel.WorkloadPlan(schema, m.queries)
+    for minsup in (0.05, 0.1, 0.3):
+        for budget in (None, 10**4, 10**8, 5 * 10**8):
+            cfg = selection.close_select(schema, m, plans, minsup, budget)
+            assert (cfg.attrs, cfg.notes) == oracle_close(schema, m, minsup,
+                                                          budget)

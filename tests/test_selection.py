@@ -27,19 +27,24 @@ def example():
 # closed-itemset miner vs brute-force closure oracle
 # ---------------------------------------------------------------------------
 
-def brute_closed_sets(rows, n_cols):
-    """All nonempty itemsets equal to the intersection of their covering rows."""
+def brute_closed_sets(rows):
+    """All nonempty itemsets equal to the intersection of their covering rows.
+
+    An itemset that lies in no row has no covering row and is never closed,
+    so the candidates are the nonempty subsets of each row.
+    """
+    candidates = set()
+    for row in rows:
+        members = sorted(row)
+        for r in range(1, len(members) + 1):
+            candidates.update(map(frozenset,
+                                  itertools.combinations(members, r)))
     out = set()
-    cols = list(range(1, n_cols + 1))
-    for r in range(1, n_cols + 1):
-        for combo in itertools.combinations(cols, r):
-            s = set(combo)
-            covering = [row for row in rows if s <= row]
-            if not covering:
-                continue
-            closure = set.intersection(*map(set, covering))
-            if closure == s:
-                out.add(frozenset(s))
+    for s in candidates:
+        covering = [row for row in rows if s <= row]
+        closure = set.intersection(*map(set, covering))
+        if closure == s:
+            out.add(s)
     return out
 
 
@@ -77,7 +82,7 @@ def test_miner_oracle_random_matrices():
         m = matrix_from_rows(rows, n_cols)
         got = {frozenset(ids) for ids, _ in
                selection.mine_closed_frequent_itemsets(m, 1e-9)}
-        assert got == brute_closed_sets(rows, n_cols)
+        assert got == brute_closed_sets(rows)
 
 
 def test_miner_minsup_filters():
@@ -174,7 +179,8 @@ def test_dynaclose_worked_example():
 def test_close_greedy_improves_cost():
     schema, m = example()
     base = costmodel.workload_cost(schema, m.queries, ())
-    cfg = selection.close_select(schema, m, base, 0.1)
+    cfg = selection.close_select(
+        schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1)
     cost = costmodel.workload_cost(schema, m.queries, cfg.attrs)
     assert cost < base
     # every chosen attribute is indexable
@@ -184,9 +190,9 @@ def test_close_greedy_improves_cost():
 
 def test_close_storage_budget_skips():
     schema, m = example()
-    base = costmodel.workload_cost(schema, m.queries, ())
-    free = selection.close_select(schema, m, base, 0.1)
-    capped = selection.close_select(schema, m, base, 0.1, storage_budget=1)
+    plans = costmodel.WorkloadPlan(schema, m.queries)
+    free = selection.close_select(schema, m, plans, 0.1)
+    capped = selection.close_select(schema, m, plans, 0.1, storage_budget=1)
     assert capped.attrs == ()
     assert len(capped.notes) >= len(free.attrs)
 

@@ -1,9 +1,10 @@
 """SQL attribute extraction and the query-attribute matrix."""
 
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bji_advisor import data_path
 from bji_advisor.hypergraph import mask
@@ -230,6 +231,71 @@ def test_dropped_empty_query_warns(caplog):
     assert len(m.rows) == 1
 
 
+# ---------------------------------------------------------------------------
+# tokenizer vs a match-per-token oracle
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<str>'(?:[^']|'')*')
+      | (?P<num>\d+(?:\.\d+)?|\.\d+)
+      | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op><>|<=|>=|!=|[=<>(),.;*+\-/])
+    )""",
+    re.VERBOSE,
+)
+
+
+def oracle_tokenize(sql):
+    """One anchored match per token, stepping over whitespace by hand."""
+    out = []
+    pos = 0
+    while pos < len(sql):
+        m = _ORACLE_TOKEN_RE.match(sql, pos)
+        if not m:
+            if sql[pos].isspace():
+                pos += 1
+                continue
+            raise ParseError(f"unexpected character {sql[pos]!r} at offset {pos}")
+        out.append(m.group(0).strip())
+        pos = m.end()
+    return out
+
+
+def tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# SQL characters, quotes, whitespace (also non-ASCII), '@', a non-ASCII
+# digit and non-ASCII letters; any other character now and then
+_SQL_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from(list("selctfromwhrandSELCTAND_xyz0129.'=<>!(),;*+-/"
+                         " \t\n\u00a0\u2003@\u0663\u00e9\u00c4\u00df\u03a3")),
+    st.characters()), max_size=60)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_SQL_TEXT)
+def test_tokenize_matches_oracle(text):
+    assert tokens_or_error(tokenize, text) == tokens_or_error(oracle_tokenize, text)
+
+
+def test_tokenize_matches_oracle_on_bundled_workloads():
+    for name in ("example_star.sql", "ssb.sql", "tpch.sql"):
+        text = data_path(name).read_text()
+        assert tokenize(text) == oracle_tokenize(text)
+
+
 def test_tokenize_rejects_garbage():
-    with pytest.raises(ParseError):
-        tokenize("select @ from t")
+    for sql, message in (
+            ("select @ from t", "unexpected character '@' at offset 7"),
+            ("select a from t where b = 'abc",
+             "unexpected character \"'\" at offset 26"),
+            ("select \u00e9 from t", "unexpected character '\u00e9' at offset 7")):
+        with pytest.raises(ParseError) as exc:
+            tokenize(sql)
+        assert str(exc.value) == message
+        assert tokens_or_error(oracle_tokenize, sql) == f"ParseError: {message}"
