@@ -238,8 +238,9 @@ def cmd_enumerate(args, argv) -> int:
         print(f"  {v}: {matrix.name_of(v)}")
     print(f"{'all' if args.all else 'smallest'} minimal transversals: "
           f"{len(tms)}")
+    terms = selection.column_terms(schema, matrix)
     for ids in tms:
-        fit = selection.fitness_tm(schema, matrix, ids)
+        fit = selection.fitness_tm(schema, matrix, ids, terms)
         afc = selection.afc_sum(schema, matrix, ids)
         names = ", ".join(matrix.name_of(i) for i in ids)
         print(f"  {ids} fitness={fit:.6f} afc={afc} [{names}]")

@@ -70,25 +70,36 @@ def _indexable(schema: StarSchema, ids: Iterable[int]) -> list[int]:
     return [i for i in ids if schema.is_indexable(schema.attributes[i - 1])]
 
 
-def _terms(schema: StarSchema, matrix: ContextMatrix,
-           ids: Iterable[int]) -> list[float]:
-    """Marginal support x page ratio of each indexable member."""
-    return [matrix.marginal_support[i]
+def column_terms(schema: StarSchema,
+                 matrix: ContextMatrix) -> dict[int, float]:
+    """Each indexable column's fitness term, marginal support x page ratio,
+    by column id; the columns that are not indexable are absent."""
+    ids = range(1, len(matrix.columns) + 1)
+    return {i: matrix.marginal_support[i]
             * _page_ratio(schema, schema.attributes[i - 1].table)
-            for i in _indexable(schema, ids)]
+            for i in _indexable(schema, ids)}
 
+
+# A caller scoring many candidates of one matrix builds ``column_terms``
+# once and passes it as ``terms``.
 
 def fitness_tm(schema: StarSchema, matrix: ContextMatrix,
-               ids: Iterable[int]) -> float:
+               ids: Iterable[int],
+               terms: Optional[dict[int, float]] = None) -> float:
     """Sum of marginal support x page ratio over the indexable members."""
-    return sum(_terms(schema, matrix, ids), 0.0)
+    if terms is None:
+        terms = column_terms(schema, matrix)
+    return sum([terms[i] for i in ids if i in terms], 0.0)
 
 
 def fitness_dynaclose(schema: StarSchema, matrix: ContextMatrix,
-                      ids: Sequence[int]) -> float:
+                      ids: Sequence[int],
+                      terms: Optional[dict[int, float]] = None) -> float:
     """Mean of marginal support x page ratio over the indexable members."""
-    terms = _terms(schema, matrix, ids)
-    return sum(terms) / len(terms) if terms else 0.0
+    if terms is None:
+        terms = column_terms(schema, matrix)
+    own = [terms[i] for i in ids if i in terms]
+    return sum(own) / len(own) if own else 0.0
 
 
 def afc_sum(schema: StarSchema, matrix: ContextMatrix,
@@ -108,9 +119,11 @@ def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
 
 def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
+    terms = column_terms(schema, matrix)
     # candidates arrive as sorted id tuples of one size, in id order
-    scored = [(fitness_tm(schema, matrix, ids), afc_sum(schema, matrix, ids),
-               ids) for ids in smallest_transversals(matrix.hypergraph())]
+    scored = [(fitness_tm(schema, matrix, ids, terms),
+               afc_sum(schema, matrix, ids), ids)
+              for ids in smallest_transversals(matrix.hypergraph())]
     # max fitness, then min cardinality sum, then lexicographic
     winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))
     trace = tuple(
@@ -210,7 +223,8 @@ def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
     if not motifs:
         return Configuration(engine="dynaclose", attrs=(), trace=(),
                              notes=("no frequent closed itemset",))
-    scored = [(fitness_dynaclose(schema, matrix, ids), ids, sup)
+    terms = column_terms(schema, matrix)
+    scored = [(fitness_dynaclose(schema, matrix, ids, terms), ids, sup)
               for ids, sup in motifs]
     winner = max(scored, key=lambda s: (s[0], [-i for i in s[1]]))
     trace = tuple(

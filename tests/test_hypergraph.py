@@ -30,6 +30,26 @@ def brute_minimal_transversals(h: Hypergraph):
     return out
 
 
+def oracle_berge(h: Hypergraph):
+    """Berge's algorithm as cross-product and prune: the running family is
+    crossed with each edge, then pruned back to inclusion-minimal sets by a
+    pairwise subset test."""
+    family = [0]
+    for e in h.edges:
+        crossed = {t | 1 << v for t in family if not t & e for v in bits(e)}
+        crossed |= {t for t in family if t & e}
+        family = prune_minimal(crossed)
+    return sorted((bits(t) for t in family if t), key=lambda t: (len(t), t))
+
+
+def prune_minimal(sets):
+    kept = []
+    for s in sorted(sets, key=int.bit_count):
+        if not any(k & s == k for k in kept):
+            kept.append(s)
+    return kept
+
+
 # greedy picks 4 vertices from every start; the exact minimum is 3
 OVERSHOOT = Hypergraph.from_edges([mask(e) for e in (
     {7}, {1, 6, 7}, {2, 3, 5}, {1, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 6}, {0, 4},
@@ -60,6 +80,18 @@ def small_hypergraphs(draw) -> Hypergraph:
     n = draw(st.integers(1, 9))
     edges = draw(st.lists(st.sets(st.integers(1, n), min_size=1),
                           min_size=1, max_size=9))
+    return Hypergraph.from_edges([mask(e) for e in edges])
+
+
+@st.composite
+def nested_hypergraphs(draw) -> Hypergraph:
+    """Edges plus supersets and repeats of some of them, in any order."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(1, n)
+    base = draw(st.lists(st.sets(vertex, min_size=1), min_size=1, max_size=7))
+    grown = [e | draw(st.sets(vertex)) for e in draw(st.lists(
+        st.sampled_from(base), max_size=5))]
+    edges = draw(st.permutations(base + grown))
     return Hypergraph.from_edges([mask(e) for e in edges])
 
 
@@ -141,6 +173,26 @@ def test_oracle_equivalence_random():
                                                 if len(t) == k_exact]
 
 
+def test_berge_matches_cross_and_prune_oracle():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        base = [mask(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(1, 12))]
+        # supersets of some edges, and some edges repeated
+        nested = [e | mask(rng.sample(range(n), rng.randint(0, n)))
+                  for e in rng.choices(base, k=rng.randint(0, 6))]
+        edges = base + nested + rng.choices(base, k=rng.randint(0, 3))
+        rng.shuffle(edges)
+        h = Hypergraph.from_edges(edges)
+        assert berge_enumerate(h) == oracle_berge(h)
+
+
+@given(nested_hypergraphs())
+def test_berge_matches_oracle_property(h):
+    assert berge_enumerate(h) == oracle_berge(h)
+
+
 def test_mmcs_size_cap_filters():
     rng = random.Random(7)
     for _ in range(30):
@@ -178,6 +230,15 @@ def test_from_edges_validation():
         Hypergraph.from_edges([mask({1, 2})], vertices=[1])  # 2 missing
     with pytest.raises(ValueError):
         Hypergraph.from_edges([mask({1})], vertices=[1, 2])  # 2 isolated
+
+
+def test_from_edges_rejects_edgeless():
+    # with no edge, the empty set is the one transversal, which the
+    # enumerators and the greedy bound would report differently
+    with pytest.raises(ValueError, match="at least one edge"):
+        Hypergraph.from_edges([])
+    with pytest.raises(ValueError, match="at least one edge"):
+        Hypergraph.from_edges([], vertices=[])
 
 
 def test_single_edge_trivia():

@@ -197,6 +197,34 @@ def test_close_storage_budget_skips():
     assert len(capped.notes) >= len(free.attrs)
 
 
+class ScriptedPlans:
+    """Stands in for ``costmodel.WorkloadPlan``: every trial re-costs to the
+    same per-query list."""
+
+    def __init__(self, no_index, trial):
+        self.no_index = tuple(no_index)
+        self.baseline = sum(self.no_index)
+        self.trial = trial
+
+    def recost(self, costs, config, attr):
+        return list(self.trial)
+
+
+def test_close_select_sums_every_trial_in_full():
+    # 1 + 2^-53 rounds to 1.0, so dropping the second query's cost to 0
+    # leaves the summed cost at 1.0: no improvement.  A running total moved
+    # by the per-query deltas would read 1 - 2^-53 and keep the index.
+    schema, m = example()
+    tiny = 2.0 ** -53
+    plans = ScriptedPlans([1.0, tiny, 0.0, 0.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert plans.baseline == sum(plans.trial) == 1.0
+    cfg = selection.close_select(schema, m, plans, 0.1)
+    assert cfg.attrs == ()
+    assert cfg.notes and all(n.endswith("skipped: no cost improvement")
+                             for n in cfg.notes)
+
+
 def test_ssb_pipeline_goldens():
     schema, m = load("ssb.json", "ssb.sql")
     cfg = selection.tm_ijb(schema, m)
