@@ -240,8 +240,8 @@ def cmd_enumerate(args, argv) -> int:
           f"{len(tms)}")
     terms = selection.column_terms(schema, matrix)
     for ids in tms:
-        fit = selection.fitness_tm(schema, matrix, ids, terms)
-        afc = selection.afc_sum(schema, matrix, ids)
+        fit = selection.fitness_tm(terms, ids)
+        afc = selection.afc_sum(schema, ids)
         names = ", ".join(matrix.name_of(i) for i in ids)
         print(f"  {ids} fitness={fit:.6f} afc={afc} [{names}]")
     return EXIT_OK
@@ -342,9 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="list minimal transversals")
     inputs(sp)
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true")
-    group.add_argument("--smallest", action="store_true", default=True)
+    sp.add_argument("--all", action="store_true")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("demo", help="bitmap join index walkthrough")

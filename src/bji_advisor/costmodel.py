@@ -111,7 +111,6 @@ class QueryPlan:
     needs, worked out once."""
 
     query_id: int
-    weight: float
     dims: tuple[tuple[str, int], ...]    # joined dimensions in order, pages
     no_index: float                      # cost when no index is usable
     # referenced attribute on a joined dimension -> (table, index load pages)
@@ -169,7 +168,7 @@ def plan_query(schema: StarSchema, query: ParsedQuery) -> QueryPlan:
             usable[a] = (table, index_load_cost(_index_size(schema, a),
                                                 schema.page_size))
     return QueryPlan(
-        query_id=query.id, weight=query.weight,
+        query_id=query.id,
         dims=tuple((d, schema.table_pages(d)) for d in dims),
         no_index=no_index, usable=usable,
         selectivity=tuple((p.attr, _selectivity(schema, p.attr, p.opclass,
@@ -196,13 +195,13 @@ class WorkloadPlan:
         for k, plan in enumerate(self.plans):
             for a in plan.usable:
                 self.users.setdefault(a, []).append(k)
-        self.no_index = tuple(p.weight * p.no_index for p in self.plans)
+        self.no_index = tuple(p.no_index for p in self.plans)
         self.baseline = sum(self.no_index)
 
     def costs(self, config: Iterable[str]) -> list[float]:
-        """Weighted cost of each query under ``config``, in query order."""
+        """Cost of each query under ``config``, in query order."""
         config = sorted(set(config))
-        return [p.weight * p.cost(config) for p in self.plans]
+        return [p.cost(config) for p in self.plans]
 
     def recost(self, costs: Sequence[float], config: list[str],
                attr: str) -> list[float]:
@@ -210,8 +209,7 @@ class WorkloadPlan:
         updated to ``config`` (sorted, holding ``attr``)."""
         out = list(costs)
         for k in self.users.get(attr, ()):
-            plan = self.plans[k]
-            out[k] = plan.weight * plan.cost(config)
+            out[k] = self.plans[k].cost(config)
         return out
 
 

@@ -61,9 +61,6 @@ Bitmap = int
 
 @dataclass(frozen=True)
 class BitmapJoinIndex:
-    fact: str
-    dimension: str
-    attribute: str                      # dimension attribute name
     bitmaps: Mapping[object, Bitmap]    # attribute value -> fact-row bitmap
     n_rows: int
 
@@ -93,9 +90,7 @@ def build_bji(fact: MiniTable, dim: MiniTable, fact_fk: str, dim_key: str,
         v = attr_of_key.get(k)
         if v is not None:
             bitmaps[v] |= 1 << pos
-    return BitmapJoinIndex(fact=fact.name, dimension=dim.name,
-                           attribute=dim_attr, bitmaps=bitmaps,
-                           n_rows=len(fact.rows))
+    return BitmapJoinIndex(bitmaps=bitmaps, n_rows=len(fact.rows))
 
 
 def evaluate(indexes: Mapping[str, BitmapJoinIndex],

@@ -2,11 +2,11 @@
 
 Vertices are small nonnegative integers.  A vertex set is an int mask: bit
 ``v`` is vertex ``v``; bit ``i`` of an edge mask is ``edges[i]``.  Results
-leave as sorted vertex tuples, smallest sets first.  Two independent
-enumerators are provided (Berge's edge-by-edge construction with a
-private-edge minimality test, and a depth-first search with critical-edge
-pruning, which also runs as a branch and bound for the smallest sets) plus a
-greedy upper bound on the transversality number.
+leave as sorted vertex tuples, smallest sets first.  Berge's edge-by-edge
+construction with a private-edge minimality test enumerates every minimal
+transversal; a depth-first branch and bound with critical-edge pruning
+(MMCS) finds the smallest ones, starting from a greedy upper bound on the
+transversality number.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class Hypergraph:
     edges: tuple[int, ...]              # distinct vertex masks, first seen first
 
     @classmethod
-    def from_edges(cls, edges: Iterable[int],
-                   vertices: Optional[Iterable[int]] = None) -> "Hypergraph":
+    def from_edges(cls, edges: Iterable[int]) -> "Hypergraph":
+        """The distinct ``edges`` over the vertices they cover."""
         canon = tuple(dict.fromkeys(edges))
         if not canon:
             raise ValueError("hypergraph needs at least one edge")
@@ -59,16 +59,7 @@ class Hypergraph:
         covered = 0
         for e in canon:
             covered |= e
-        if vertices is None:
-            return cls(bits(covered), canon)
-        verts = mask(vertices)
-        if covered & ~verts:
-            raise ValueError(
-                f"edge vertices {list(bits(covered & ~verts))} not in vertex set")
-        if verts & ~covered:
-            raise ValueError(
-                f"vertices {list(bits(verts & ~covered))} belong to no edge")
-        return cls(bits(verts), canon)
+        return cls(bits(covered), canon)
 
     def _check_subset(self, t: int) -> None:
         extra = t & ~mask(self.vertices)
@@ -169,20 +160,20 @@ def _incidence(h: Hypergraph) -> dict[int, int]:
             for v in h.vertices}
 
 
-def mmcs(h: Hypergraph, size_cap: Optional[int] = None, *,
-         smallest: bool = False) -> list[tuple[int, ...]]:
-    """Depth-first minimal-transversal enumeration with uncov/crit bookkeeping.
+def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
+    """The minimal transversals of minimum size if that size is at most
+    ``size_cap``, else ``[]``.
 
-    ``uncov`` is the mask of uncovered edges and ``crit[k]`` the mask of edges
-    whose only chosen vertex is the k-th chosen one; a branch dies when some
-    chosen vertex loses its last critical edge.  With ``size_cap`` only
-    transversals of that size or smaller are produced: a node is cut when its
-    chosen vertices plus a greedy packing of uncovered edges pairwise disjoint
-    on the remaining candidates (each needs a vertex of its own) exceed the
-    cap.  With ``smallest`` the cap shrinks to the best size found so far and
-    only the transversals of minimum size are returned.
+    A depth-first search with uncov/crit bookkeeping (Murakami & Uno, DAM
+    2014), run as a branch and bound.  ``uncov`` is the mask of uncovered
+    edges and ``crit[k]`` the mask of edges whose only chosen vertex is the
+    k-th chosen one; a branch dies when some chosen vertex loses its last
+    critical edge.  A node is cut when its chosen vertices plus a greedy
+    packing of uncovered edges pairwise disjoint on the remaining candidates
+    (each needs a vertex of its own) exceed the cap, and the cap shrinks to
+    the best size found so far.
     """
-    if size_cap is not None and size_cap < 1:
+    if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
     edges, vert_edges = h.edges, _incidence(h)
     out: list[int] = []
@@ -191,7 +182,7 @@ def mmcs(h: Hypergraph, size_cap: Optional[int] = None, *,
     def recurse(chosen: int, cand: int, uncov: int, crit: list[int]) -> None:
         nonlocal cap
         if not uncov:
-            if smallest and (cap is None or len(crit) < cap):
+            if len(crit) < cap:
                 out.clear()
                 cap = len(crit)
             out.append(chosen)
@@ -199,14 +190,13 @@ def mmcs(h: Hypergraph, size_cap: Optional[int] = None, *,
         # uncovered edges on the remaining candidates, fewest first, ties by
         # lowest edge index; the first is the fail-first branching edge
         live = sorted((edges[i] & cand for i in bits(uncov)), key=int.bit_count)
-        if cap is not None:
-            room, used = cap - len(crit), 0
-            for e in live:
-                if not e & used:
-                    used |= e
-                    room -= 1
-                    if room < 0:
-                        return
+        room, used = cap - len(crit), 0
+        for e in live:
+            if not e & used:
+                used |= e
+                room -= 1
+                if room < 0:
+                    return
         for v in bits(live[0]):
             cand &= ~(1 << v)
             hit = vert_edges[v]
@@ -259,7 +249,7 @@ def smallest_transversals(h: Hypergraph) -> list[tuple[int, ...]]:
     k0, _ = get_min_transversality(h)
     # the greedy cover contains a minimal transversal of at most k0 vertices,
     # so the search started at that cap finds every smallest one
-    found = mmcs(h, size_cap=k0, smallest=True)
+    found = mmcs(h, k0)
     if len(found[0]) < k0:
         log.warning("greedy transversality bound %d overshoots exact %d",
                     k0, len(found[0]))

@@ -17,6 +17,9 @@ from typing import Optional
 log = logging.getLogger(__name__)
 
 DEFAULT_ROWID_BITS = 80  # 10-byte row identifier
+# Catalog numbers fit a signed 64-bit integer, as a database's statistics
+# do; far larger ones overflow the cost model's float arithmetic.
+MAX_CATALOG_INT = 2**63 - 1
 
 
 class CatalogError(ValueError):
@@ -205,8 +208,11 @@ def load_catalog(text: str) -> StarSchema:
     """Parse and fully validate a JSON catalog document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a syntax error, or a number longer than int() reads
         raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CatalogError("catalog is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise CatalogError("catalog must be a JSON object")
     if "page_size" not in doc:
@@ -218,18 +224,25 @@ def load_catalog(text: str) -> StarSchema:
             raise CatalogError(f"catalog {key} must be a list of objects")
     try:
         return _catalog_from(doc)
+    except CatalogError:
+        raise
     except KeyError as exc:
         raise CatalogError(f"catalog entry missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise CatalogError(f"malformed catalog entry: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        # int() of a non-numeric string, of NaN or of infinity (JSON reads
+        # 1e400 as infinity)
+        raise CatalogError(f"invalid catalog number: {exc}") from exc
 
 
 def _catalog_from(doc: dict) -> StarSchema:
     tables: dict[str, TableStats] = {}
     for t in doc.get("tables", []):
-        ts = TableStats(name=t["name"], role=t["role"], rows=int(t["rows"]),
-                        tuple_width=int(t["tuple_width"]),
-                        pages=int(t["pages"]) if "pages" in t else None)
+        ts = TableStats(name=t["name"], role=t["role"],
+                        rows=_int(t["rows"], "rows"),
+                        tuple_width=_int(t["tuple_width"], "tuple_width"),
+                        pages=_int(t["pages"], "pages") if "pages" in t else None)
         if ts.name in tables:
             raise CatalogError(f"duplicate table {ts.name}")
         tables[ts.name] = ts
@@ -247,12 +260,20 @@ def _catalog_from(doc: dict) -> StarSchema:
                 raise CatalogError(
                     f"attribute {table}.{a['name']}: cardinality required")
         attrs.append(AttributeStats(table=table, name=a["name"],
-                                    cardinality=int(card),
+                                    cardinality=_int(card, "cardinality"),
                                     is_key=bool(a.get("is_key", False))))
     joins = tuple(Join(j["fact_attr"], j["dim_attr"]) for j in doc.get("joins", []))
     return StarSchema(tables=tables, attributes=tuple(attrs), joins=joins,
-                      page_size=int(doc["page_size"]),
-                      rowid_bits=int(doc.get("rowid_bits", DEFAULT_ROWID_BITS)))
+                      page_size=_int(doc["page_size"], "page_size"),
+                      rowid_bits=_int(doc.get("rowid_bits", DEFAULT_ROWID_BITS),
+                                      "rowid_bits"))
+
+
+def _int(value, key: str) -> int:
+    n = int(value)
+    if abs(n) > MAX_CATALOG_INT:
+        raise CatalogError(f"{key} out of the signed 64-bit range")
+    return n
 
 
 def load_catalog_file(path) -> StarSchema:

@@ -80,30 +80,18 @@ def column_terms(schema: StarSchema,
             for i in _indexable(schema, ids)}
 
 
-# A caller scoring many candidates of one matrix builds ``column_terms``
-# once and passes it as ``terms``.
-
-def fitness_tm(schema: StarSchema, matrix: ContextMatrix,
-               ids: Iterable[int],
-               terms: Optional[dict[int, float]] = None) -> float:
-    """Sum of marginal support x page ratio over the indexable members."""
-    if terms is None:
-        terms = column_terms(schema, matrix)
+def fitness_tm(terms: dict[int, float], ids: Iterable[int]) -> float:
+    """Sum of the ``column_terms`` of the indexable members."""
     return sum([terms[i] for i in ids if i in terms], 0.0)
 
 
-def fitness_dynaclose(schema: StarSchema, matrix: ContextMatrix,
-                      ids: Sequence[int],
-                      terms: Optional[dict[int, float]] = None) -> float:
-    """Mean of marginal support x page ratio over the indexable members."""
-    if terms is None:
-        terms = column_terms(schema, matrix)
+def fitness_dynaclose(terms: dict[int, float], ids: Sequence[int]) -> float:
+    """Mean of the ``column_terms`` of the indexable members."""
     own = [terms[i] for i in ids if i in terms]
     return sum(own) / len(own) if own else 0.0
 
 
-def afc_sum(schema: StarSchema, matrix: ContextMatrix,
-            ids: Iterable[int]) -> int:
+def afc_sum(schema: StarSchema, ids: Iterable[int]) -> int:
     """Summed cardinality of all attributes in the motif."""
     return sum(schema.attributes[i - 1].cardinality for i in ids)
 
@@ -121,8 +109,7 @@ def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
     terms = column_terms(schema, matrix)
     # candidates arrive as sorted id tuples of one size, in id order
-    scored = [(fitness_tm(schema, matrix, ids, terms),
-               afc_sum(schema, matrix, ids), ids)
+    scored = [(fitness_tm(terms, ids), afc_sum(schema, ids), ids)
               for ids in smallest_transversals(matrix.hypergraph())]
     # max fitness, then min cardinality sum, then lexicographic
     winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))
@@ -208,7 +195,7 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
             notes.append(f"{attr} skipped: no cost improvement")
     trace = tuple(
         ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=0.0, afc=afc_sum(schema, matrix, ids), support=sup,
+                    fitness=0.0, afc=afc_sum(schema, ids), support=sup,
                     selected=any(matrix.name_of(i) in chosen for i in ids))
         for ids, sup in motifs)
     return Configuration(engine="close", attrs=tuple(sorted(chosen)),
@@ -224,12 +211,12 @@ def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
         return Configuration(engine="dynaclose", attrs=(), trace=(),
                              notes=("no frequent closed itemset",))
     terms = column_terms(schema, matrix)
-    scored = [(fitness_dynaclose(schema, matrix, ids, terms), ids, sup)
+    scored = [(fitness_dynaclose(terms, ids), ids, sup)
               for ids, sup in motifs]
     winner = max(scored, key=lambda s: (s[0], [-i for i in s[1]]))
     trace = tuple(
         ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=fit, afc=afc_sum(schema, matrix, ids), support=sup,
+                    fitness=fit, afc=afc_sum(schema, ids), support=sup,
                     selected=(ids == winner[1]))
         for fit, ids, sup in sorted(scored, key=lambda s: s[1]))
     attrs = _indexable_of(schema, matrix, winner[1])

@@ -40,10 +40,8 @@ class Predicate:
 @dataclass(frozen=True)
 class ParsedQuery:
     id: int
-    raw_text: str
     referenced: frozenset[str]          # qualified attribute names
     predicates: tuple[Predicate, ...]
-    weight: float = 1.0
 
 
 _TOKEN = r"""
@@ -378,8 +376,7 @@ class _Extractor:
         self.predicates.append(Predicate(qualified, opclass, k))
 
 
-def parse_query(sql: str, schema: StarSchema, qid: int = 0,
-                weight: float = 1.0) -> ParsedQuery:
+def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
     """Collect WHERE/ON attribute references of one query block."""
     try:
         ex = _Extractor(schema, tokenize(sql))
@@ -390,8 +387,8 @@ def parse_query(sql: str, schema: StarSchema, qid: int = 0,
         raise ParseError(f"query {qid}: truncated statement") from exc
     except RecursionError as exc:
         raise ParseError(f"query {qid}: subqueries nested too deeply") from exc
-    return ParsedQuery(id=qid, raw_text=sql, referenced=frozenset(ex.referenced),
-                       predicates=tuple(ex.predicates), weight=weight)
+    return ParsedQuery(id=qid, referenced=frozenset(ex.referenced),
+                       predicates=tuple(ex.predicates))
 
 
 _HEADER_RE = re.compile(r"^\s*Q(\d+)\s*[-:]\s*", re.MULTILINE)
@@ -427,7 +424,6 @@ class ContextMatrix:
     queries that reference at least one attribute.
     """
 
-    schema: StarSchema
     queries: tuple[ParsedQuery, ...]
     columns: tuple[str, ...]              # qualified names, index = id - 1
     rows: tuple[int, ...]                 # per query, mask of referenced ids
@@ -442,31 +438,22 @@ class ContextMatrix:
         return Hypergraph.from_edges(self.rows)
 
     def support(self, attrs: int) -> float:
-        """Weighted share of the queries whose row holds every id in the
-        mask ``attrs``."""
+        """Share of the queries whose row holds every id in the mask
+        ``attrs``."""
         unknown = attrs & ~((1 << len(self.columns) + 1) - 2)
         if unknown:
             raise ValueError(f"unknown columns {list(bits(unknown))}")
-        total = self.total_weight
-        hit = sum([q.weight for q, row in zip(self.queries, self.rows)
-                   if attrs & row == attrs])
-        return hit / total if total else 0.0
-
-    @cached_property
-    def total_weight(self) -> float:
-        """Summed weight of the kept queries, the denominator of support."""
-        return sum(q.weight for q in self.queries)
+        hit = sum(1 for row in self.rows if attrs & row == attrs)
+        return hit / len(self.rows)
 
     @cached_property
     def marginal_support(self) -> tuple[float, ...]:
-        """Per column id, ``support(1 << id)`` (index 0 unused): the same
-        weights summed in the same order, so the floats are identical."""
-        weights: list[list[float]] = [[] for _ in range(len(self.columns) + 1)]
-        for q, row in zip(self.queries, self.rows):
+        """Per column id, ``support(1 << id)`` (index 0 unused)."""
+        hits = [0] * (len(self.columns) + 1)
+        for row in self.rows:
             for i in bits(row):
-                weights[i].append(q.weight)
-        total = self.total_weight
-        return tuple(sum(w) / total if total else 0.0 for w in weights)
+                hits[i] += 1
+        return tuple(h / len(self.rows) for h in hits)
 
 
 def build_context_matrix(schema: StarSchema,
@@ -483,5 +470,5 @@ def build_context_matrix(schema: StarSchema,
         rows.append(mask(ids[a] for a in q.referenced))
     if not rows:
         raise ParseError("workload is empty after dropping attribute-free queries")
-    return ContextMatrix(schema=schema, queries=tuple(kept), columns=columns,
+    return ContextMatrix(queries=tuple(kept), columns=columns,
                          rows=tuple(rows))

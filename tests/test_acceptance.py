@@ -20,7 +20,7 @@ import pytest
 from bji_advisor import cli, costmodel, data_path, selection
 from bji_advisor.engine import build_bji, demo_tables, evaluate, naive_join_oracle
 from bji_advisor.hypergraph import (Hypergraph, berge_enumerate,
-                                    is_transversal, mask, mmcs,
+                                    is_transversal, mask,
                                     smallest_transversals, transversality)
 from bji_advisor.schema import load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
@@ -108,6 +108,21 @@ def brute_minimal_transversals(h):
     return {t for t in hits if not any(o < t for o in hits)}
 
 
+def cross_and_prune_transversals(h):
+    """Berge's construction on frozensets: each set of the family that
+    misses the next edge is crossed with that edge's vertices, then the
+    family is cut back to its inclusion-minimal sets, smallest first."""
+    family = [frozenset()]
+    for e in h.edges:
+        edge = row_set(e)
+        crossed = {t if t & edge else t | {v} for t in family for v in edge}
+        family = []
+        for t in sorted(crossed, key=len):
+            if not any(k <= t for k in family):
+                family.append(t)
+    return set(family)
+
+
 def test_criterion_1_enumeration_oracle_equivalence():
     rng = random.Random(20260823)
     clauses = []
@@ -123,11 +138,14 @@ def test_criterion_1_enumeration_oracle_equivalence():
             edges = [mask({1})]
         h = Hypergraph.from_edges(edges)
         oracle = brute_minimal_transversals(h)
-        if set(map(frozenset, mmcs(h))) == oracle == \
-                set(map(frozenset, berge_enumerate(h))):
+        k = min(map(len, oracle))
+        if set(map(frozenset, berge_enumerate(h))) == oracle and \
+                set(map(frozenset, smallest_transversals(h))) == \
+                {t for t in oracle if len(t) == k}:
             agree += 1
-    clauses.append(("mmcs = berge = exhaustive oracle on 120 random "
-                    "hypergraphs", agree == 120))
+    clauses.append(("berge = exhaustive oracle, and smallest_transversals = "
+                    "its minimum-size sets, on 120 random hypergraphs",
+                    agree == 120))
     h8 = Hypergraph.from_edges([mask(e) for e in (
         {1, 2}, {2, 3, 7}, {3, 4, 5}, {4, 6}, {6, 7, 8}, {7})])
     clauses.append(("pinned 8-vertex instance: transversality 3",
@@ -231,8 +249,9 @@ def test_criterion_4_tpch_end_to_end(tpch):
     pair = [m.id_of("NATION.N_NAME"), m.id_of("ORDERS.O_ORDERDATE")]
     frequent = frequent_indexable(schema, m, 0.1)
 
-    # The two enumerators, each run on its own, uncapped.
-    by_mmcs = [len(t) for t in mmcs(h)]
+    # Berge and an independent cross-and-prune oracle, each uncapped.
+    oracle = cross_and_prune_transversals(h)
+    oracle_min = min(map(len, oracle))
     berge = berge_enumerate(h)
     berge_min = min(len(t) for t in berge)
     berge_smallest = {t for t in berge if len(t) == berge_min}
@@ -293,11 +312,13 @@ def test_criterion_4_tpch_end_to_end(tpch):
          and set(dyna.attrs) == {top}),
         # Paper: transversality 6 with 54 smallest sets.  Bundled: 5 with
         # 110 (different workload text).
-        ("transversality 5 (mmcs, berge_enumerate and transversality agree)",
-         transversality(h) == min(by_mmcs) == berge_min == 5),
-        ("110 smallest minimal transversals, the same sets as Berge's",
-         len(smallest) == by_mmcs.count(5) == len(berge_smallest) == 110
-         and set(smallest) == berge_smallest),
+        ("transversality 5 (oracle, berge_enumerate and transversality "
+         "agree)", transversality(h) == oracle_min == berge_min == 5),
+        ("110 smallest minimal transversals, the same sets as Berge's and "
+         "the oracle's",
+         len(smallest) == len(berge_smallest) == 110
+         and set(smallest) == berge_smallest
+         == {tuple(sorted(t)) for t in oracle if len(t) == 5}),
         # Paper: {N_NAME, P_SIZE, C_ACCTBAL, O_ORDERDATE}.  Bundled:
         # {O_ORDERDATE, P_BRAND}.  The paper's set lies inside none of the
         # 1232 minimal transversals of the bundled workload, so tm-ijb

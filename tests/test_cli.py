@@ -115,6 +115,32 @@ def test_deeply_nested_subqueries_input_error(tmp_path, capsys):
     assert "query 1: subqueries nested too deeply" in capsys.readouterr().err
 
 
+def assert_input_error(catalog_text, tmp_path, capsys):
+    cat = tmp_path / "catalog.json"
+    cat.write_text(catalog_text)
+    assert run(["enumerate", "--catalog", str(cat), "--workload", WL]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400],
+                         ids=["1e400", "10^400"])
+@pytest.mark.parametrize("section, key", [
+    (None, "page_size"), (None, "rowid_bits"), ("tables", "rows"),
+    ("attributes", "cardinality")])
+def test_catalog_number_too_large_input_error(section, key, number, tmp_path,
+                                              capsys):
+    # JSON reads 1e400 as infinity, which no int() accepts; 10^400 is an
+    # int that no float holds
+    doc = json.loads(read(CAT))
+    (doc if section is None else doc[section][0])[key] = "BIG"
+    assert_input_error(json.dumps(doc).replace('"BIG"', number),
+                       tmp_path, capsys)
+
+
+def test_catalog_nested_too_deeply_input_error(tmp_path, capsys):
+    assert_input_error("[" * 200_000, tmp_path, capsys)
+
+
 def test_byte_identical_reports(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -243,7 +243,7 @@ def oracle_query_cost(schema, query, config):
 
 
 def oracle_workload_cost(schema, queries, config):
-    return sum(q.weight * oracle_query_cost(schema, q, config) for q in queries)
+    return sum(oracle_query_cost(schema, q, config) for q in queries)
 
 
 BUNDLED = (("example_star.json", "example_star.sql"), ("ssb.json", "ssb.sql"),
@@ -259,8 +259,7 @@ def test_plans_equal_oracle_under_random_configs(cat, wl):
     configs = [()] + [rng.sample(names, rng.randint(1, min(8, len(names))))
                       for _ in range(60)]
     for config in configs:
-        want = [q.weight * oracle_query_cost(schema, q, config)
-                for q in m.queries]
+        want = [oracle_query_cost(schema, q, config) for q in m.queries]
         assert plans.costs(config) == want
         assert [costmodel.query_cost(schema, q, config)
                 for q in m.queries] == [oracle_query_cost(schema, q, config)

@@ -15,8 +15,7 @@ from bji_advisor.hypergraph import (Hypergraph, berge_enumerate, bits,
 
 # small instance with a known minimum-size transversal pair
 H8 = Hypergraph.from_edges(
-    [mask(e) for e in ({1, 2}, {2, 3, 7}, {3, 4, 5}, {4, 6}, {6, 7, 8}, {7})],
-    vertices=range(1, 9))
+    [mask(e) for e in ({1, 2}, {2, 3, 7}, {3, 4, 5}, {4, 6}, {6, 7, 8}, {7})])
 
 
 def brute_minimal_transversals(h: Hypergraph):
@@ -151,7 +150,7 @@ def test_h8_size3_members():
 def test_h8_brute_equivalence():
     brute = brute_minimal_transversals(H8)
     assert set(map(frozenset, berge_enumerate(H8))) == brute
-    assert set(map(frozenset, mmcs(H8))) == brute
+    assert berge_enumerate(H8) == oracle_berge(H8)
 
 
 def test_oracle_equivalence_random():
@@ -161,7 +160,7 @@ def test_oracle_equivalence_random():
         brute = brute_minimal_transversals(h)
         berge = berge_enumerate(h)
         assert set(map(frozenset, berge)) == brute
-        assert mmcs(h) == berge
+        assert oracle_berge(h) == berge
         for t in brute:
             assert is_minimal_transversal(h, mask(t))
         if brute:
@@ -169,8 +168,8 @@ def test_oracle_equivalence_random():
             k_greedy, tg = get_min_transversality(h)
             assert k_greedy >= k_exact
             assert is_transversal(h, mask(tg))
-            assert smallest_transversals(h) == [t for t in berge
-                                                if len(t) == k_exact]
+            assert smallest_transversals(h) == sorted(
+                tuple(sorted(t)) for t in brute if len(t) == k_exact)
 
 
 def test_berge_matches_cross_and_prune_oracle():
@@ -193,15 +192,6 @@ def test_berge_matches_oracle_property(h):
     assert berge_enumerate(h) == oracle_berge(h)
 
 
-def test_mmcs_size_cap_filters():
-    rng = random.Random(7)
-    for _ in range(30):
-        h = random_hypergraph(rng)
-        full = berge_enumerate(h)
-        for cap in (1, 2, 3):
-            assert mmcs(h, size_cap=cap) == [t for t in full if len(t) <= cap]
-
-
 def test_greedy_overshoot_shrinks_cap(caplog):
     berge = berge_enumerate(OVERSHOOT)
     assert get_min_transversality(OVERSHOOT) == greedy_per_start(OVERSHOOT) \
@@ -218,18 +208,26 @@ def test_branch_and_bound_matches_berge(h):
     berge = berge_enumerate(h)
     k_exact = min(len(t) for t in berge)
     assert smallest_transversals(h) == [t for t in berge if len(t) == k_exact]
-    for cap in (1, 2, 3, 4):
-        assert mmcs(h, size_cap=cap) == [t for t in berge if len(t) <= cap]
     assert get_min_transversality(h) == greedy_per_start(h)
+
+
+@given(small_hypergraphs())
+def test_mmcs_returns_smallest_within_cap(h):
+    # below the transversality number the packing bound must cut every
+    # branch; above it the search may find larger sets first, and the cap
+    # must shrink past them (caps run past the 9 vertices drawn at most)
+    berge = berge_enumerate(h)
+    k_exact = min(len(t) for t in berge)
+    for cap in range(1, 11):
+        want = [t for t in berge if len(t) == k_exact] if cap >= k_exact else []
+        assert mmcs(h, cap) == want
+    with pytest.raises(ValueError):
+        mmcs(h, 0)
 
 
 def test_from_edges_validation():
     with pytest.raises(ValueError):
         Hypergraph.from_edges([mask(set())])
-    with pytest.raises(ValueError):
-        Hypergraph.from_edges([mask({1, 2})], vertices=[1])  # 2 missing
-    with pytest.raises(ValueError):
-        Hypergraph.from_edges([mask({1})], vertices=[1, 2])  # 2 isolated
 
 
 def test_from_edges_rejects_edgeless():
@@ -237,8 +235,6 @@ def test_from_edges_rejects_edgeless():
     # enumerators and the greedy bound would report differently
     with pytest.raises(ValueError, match="at least one edge"):
         Hypergraph.from_edges([])
-    with pytest.raises(ValueError, match="at least one edge"):
-        Hypergraph.from_edges([], vertices=[])
 
 
 def test_single_edge_trivia():

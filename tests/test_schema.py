@@ -2,9 +2,11 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bji_advisor import cli, data_path
 from bji_advisor.schema import (AttributeStats, CatalogError, Join, StarSchema,
@@ -81,8 +83,9 @@ def _drop(section, key):
     small_catalog(tables="x"),
     _drop("joins", "dim_attr"),
     ["page_size"],
+    small_catalog(page_size="abc"),
 ], ids=["table-without-rows", "tables-not-a-list", "join-without-dim_attr",
-        "not-an-object"])
+        "not-an-object", "page-size-not-a-number"])
 def test_malformed_catalog_is_input_error(doc, tmp_path, capsys):
     text = json.dumps(doc)
     with pytest.raises(CatalogError):
@@ -236,3 +239,78 @@ def test_catalog_names_match_case_insensitively():
                           "tuple_width": 1})
     with pytest.raises(CatalogError, match="duplicate table d"):
         load_catalog(json.dumps(doc))
+
+
+def test_catalog_numbers_fit_64_bits():
+    doc = small_catalog()
+    doc["tables"][0]["rows"] = 2**63 - 1
+    assert load_catalog(json.dumps(doc)).fact.rows == 2**63 - 1
+    doc["tables"][0]["rows"] = 2**63
+    with pytest.raises(CatalogError, match="rows out of the signed 64-bit"):
+        load_catalog(json.dumps(doc))
+
+
+def test_number_too_long_is_catalog_error():
+    # json.loads refuses integers longer than int() reads, with a ValueError
+    with pytest.raises(CatalogError):
+        load_catalog('{"page_size": ' + "1" * 5000 + "}")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the catalog input
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**62, 10**400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+_EXAMPLE = json.loads(data_path("example_star.json").read_text())
+
+
+@st.composite
+def _mutated_example(draw):
+    """The bundled example catalog with one value, at any depth, dropped or
+    replaced by any JSON value: mostly documents that pass the first checks
+    and fail deeper, or load."""
+    doc = json.loads(json.dumps(_EXAMPLE))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] \
+                and draw(st.booleans()):
+            node = node[key]
+        elif isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+            return doc
+        else:
+            node[key] = draw(_JSON)
+            return doc
+
+
+_CATALOGS = _JSON | _mutated_example()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CATALOGS)
+def test_load_catalog_returns_or_raises_catalog_error(doc):
+    try:
+        schema = load_catalog(json.dumps(doc))
+    except CatalogError:
+        return
+    assert isinstance(schema, StarSchema)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_example())
+def test_main_on_fuzzed_catalog_returns_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cat = Path(tmp) / "catalog.json"
+        cat.write_text(json.dumps(doc))
+        code = cli.main(["compare", "--catalog", str(cat),
+                         "--workload", str(data_path("example_star.sql")),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)

@@ -7,8 +7,7 @@ import pytest
 
 from bji_advisor import costmodel, data_path, selection
 from bji_advisor.hypergraph import mask
-from bji_advisor.schema import (AttributeStats, Join, StarSchema, TableStats,
-                                load_catalog_file)
+from bji_advisor.schema import load_catalog_file
 from bji_advisor.workload import (ContextMatrix, ParsedQuery,
                                   build_context_matrix, parse_workload)
 
@@ -49,19 +48,12 @@ def brute_closed_sets(rows):
 
 
 def matrix_from_rows(rows, n_cols):
-    tables = {
-        "F": TableStats("F", "fact", 100, 10),
-        "D": TableStats("D", "dimension", 10, 10),
-    }
-    attrs = tuple(AttributeStats("D", f"a{i}", 2) for i in range(1, n_cols + 1))
-    schema = StarSchema(tables=tables, attributes=attrs, joins=(),
-                        page_size=4096)
     queries = tuple(
-        ParsedQuery(id=i + 1, raw_text="", predicates=(),
+        ParsedQuery(id=i + 1, predicates=(),
                     referenced=frozenset(f"D.a{c}" for c in row))
         for i, row in enumerate(rows))
-    return ContextMatrix(schema=schema, queries=queries,
-                         columns=tuple(a.qualified for a in attrs),
+    return ContextMatrix(queries=queries,
+                         columns=tuple(f"D.a{i}" for i in range(1, n_cols + 1)),
                          rows=tuple(mask(r) for r in rows))
 
 
@@ -115,30 +107,32 @@ def test_alpha_ratios():
 
 def test_fitness_tm_values():
     schema, m = example()
-    assert selection.fitness_tm(schema, m, (3, 4)) == \
+    terms = selection.column_terms(schema, m)
+    assert selection.fitness_tm(terms, (3, 4)) == \
         pytest.approx(0.0085, abs=5e-4)
     # keys add nothing
-    assert selection.fitness_tm(schema, m, (3,)) == \
-        selection.fitness_tm(schema, m, (2, 3, 4))
+    assert selection.fitness_tm(terms, (3,)) == \
+        selection.fitness_tm(terms, (2, 3, 4))
     # no indexable member -> 0
-    assert selection.fitness_tm(schema, m, (1, 2, 4, 5)) == 0.0
+    assert selection.fitness_tm(terms, (1, 2, 4, 5)) == 0.0
 
 
 def test_afc_sums():
-    schema, m = example()
-    assert selection.afc_sum(schema, m, (3, 4)) == 50_005
-    assert selection.afc_sum(schema, m, (3, 5)) == 16_310_336
-    assert selection.afc_sum(schema, m, ()) == 0
+    schema, _ = example()
+    assert selection.afc_sum(schema, (3, 4)) == 50_005
+    assert selection.afc_sum(schema, (3, 5)) == 16_310_336
+    assert selection.afc_sum(schema, ()) == 0
 
 
 def test_fitness_dynaclose_single_indexable():
     schema, m = example()
-    one = selection.fitness_dynaclose(schema, m, (3,))
+    terms = selection.column_terms(schema, m)
+    one = selection.fitness_dynaclose(terms, (3,))
     assert one == pytest.approx(m.support(mask([3])) *
                                 selection.alpha(schema, "CUSTOMERS.cust_gender"))
     # averaging over indexable members only
-    assert selection.fitness_dynaclose(schema, m, (2, 3)) == pytest.approx(one)
-    assert selection.fitness_dynaclose(schema, m, (1, 2)) == 0.0
+    assert selection.fitness_dynaclose(terms, (2, 3)) == pytest.approx(one)
+    assert selection.fitness_dynaclose(terms, (1, 2)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -182,17 +182,16 @@ def test_support_antitone(data):
     assert m.support(mask(a)) >= m.support(mask(a | extra))
 
 
-@given(st.lists(st.tuples(st.sets(st.integers(1, 6), min_size=1),
-                          st.floats(0.01, 10.0)), min_size=1, max_size=12))
+@given(st.lists(st.sets(st.integers(1, 6), min_size=1), min_size=1,
+                max_size=12))
 def test_marginal_support_is_single_column_support(rows):
     m = example_matrix()
-    weighted = ContextMatrix(
-        schema=m.schema, columns=m.columns, rows=tuple(mask(r) for r, _ in rows),
-        queries=tuple(ParsedQuery(id=k, raw_text="", referenced=frozenset(),
-                                  predicates=(), weight=w)
-                      for k, (_, w) in enumerate(rows, 1)))
-    assert weighted.marginal_support[1:] == tuple(
-        weighted.support(1 << i) for i in range(1, len(m.columns) + 1))
+    drawn = ContextMatrix(
+        columns=m.columns, rows=tuple(mask(r) for r in rows),
+        queries=tuple(ParsedQuery(id=k, referenced=frozenset(), predicates=())
+                      for k in range(1, len(rows) + 1)))
+    assert drawn.marginal_support[1:] == tuple(
+        drawn.support(1 << i) for i in range(1, len(m.columns) + 1))
 
 
 def indexable_attributes(schema, attrs):
@@ -299,3 +298,35 @@ def test_tokenize_rejects_garbage():
             tokenize(sql)
         assert str(exc.value) == message
         assert tokens_or_error(oracle_tokenize, sql) == f"ParseError: {message}"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the workload input
+# ---------------------------------------------------------------------------
+
+_TPCH = tpch_schema()
+_KEYWORDS = ("select from where and or not in exists like between is null "
+             "join inner left outer on as group by having order union all "
+             "distinct case when then else end create view top date").split()
+# token soup: SQL keywords, the TPC-H catalog's names, operators, literals
+# and query separators, which reach far deeper into the parser than text;
+# alone, or after a query head that parses, so it lands in a WHERE clause
+_TOKENS = (_KEYWORDS + sorted(_TPCH.tables)
+           + [a.name for a in _TPCH.attributes]
+           + [a.qualified for a in _TPCH.attributes]
+           + list("(),.;*=<>+-/")
+           + ["<>", ">=", "'x'", "1", "2.5", "\n;\n", "\nQ1 - ", "\nQ2: "])
+_SOUP = st.builds(lambda head, tokens: head + " ".join(tokens),
+                  st.sampled_from(["", "select * from LINEITEM, ORDERS where "]),
+                  st.lists(st.sampled_from(_TOKENS), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SQL_TEXT | _SOUP)
+def test_parse_workload_returns_or_raises_parse_error(text):
+    try:
+        queries = parse_workload(text, _TPCH)
+    except ParseError:
+        return
+    assert all(_TPCH.attribute(a).qualified == a
+               for q in queries for a in q.referenced)
