@@ -134,8 +134,41 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` laid out as ``json.dumps(doc, indent=2, sort_keys=True)``
+    lays it out, except that each object in a list is one line: a record
+    per line, written by the C encoder (``indent`` runs the pure-Python
+    one).  Both encoders write floats with ``float.__repr__``."""
+    out: list[str] = []
+    _emit(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value, newline: str, out: list[str]) -> None:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        opener = "{"
+        for key in sorted(value):
+            out += (opener, inner, _encode_line(key), ": ")
+            _emit(value[key], inner, out)
+            opener = ","
+        out += (newline, "}")
+    elif isinstance(value, (list, tuple)) and value:
+        opener = "["
+        for item in value:
+            out += (opener, inner)
+            if isinstance(item, dict):
+                out.append(_encode_line(item))
+            else:
+                _emit(item, inner, out)
+            opener = ","
+        out += (newline, "]")
+    else:
+        out.append(_encode_line(value))
 
 
 def _write_metadata(out_dir: str, argv) -> None:

@@ -47,6 +47,7 @@ class Hypergraph:
 
     vertices: tuple[int, ...]
     edges: tuple[int, ...]              # distinct vertex masks, first seen first
+    vertex_mask: int                    # the mask of ``vertices``
 
     @classmethod
     def from_edges(cls, edges: Iterable[int]) -> "Hypergraph":
@@ -59,10 +60,10 @@ class Hypergraph:
         covered = 0
         for e in canon:
             covered |= e
-        return cls(bits(covered), canon)
+        return cls(bits(covered), canon, covered)
 
     def _check_subset(self, t: int) -> None:
-        extra = t & ~mask(self.vertices)
+        extra = t & ~self.vertex_mask
         if extra:
             raise ValueError(f"vertices {list(bits(extra))} not in hypergraph")
 
@@ -205,7 +206,7 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
                 recurse(chosen | 1 << v, cand, uncov & ~hit,
                         kept + [uncov & hit])
 
-    recurse(0, mask(h.vertices), (1 << len(edges)) - 1, [])
+    recurse(0, h.vertex_mask, (1 << len(edges)) - 1, [])
     # the branch-death test prunes non-minimal supersets already, but keep the
     # guarantee explicit
     assert all(is_minimal_transversal(h, t) for t in out)

@@ -41,8 +41,10 @@ class TableStats:
             raise CatalogError(f"table {self.name}: negative row count")
         if self.tuple_width <= 0:
             raise CatalogError(f"table {self.name}: tuple width must be positive")
-        if self.pages is not None and self.rows > 0 and self.pages < 1:
-            raise CatalogError(f"table {self.name}: pages must be >= 1")
+        # an empty table may have no pages; no table has fewer
+        least = min(self.rows, 1)
+        if self.pages is not None and self.pages < least:
+            raise CatalogError(f"table {self.name}: pages must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -230,10 +232,6 @@ def load_catalog(text: str) -> StarSchema:
         raise CatalogError(f"catalog entry missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise CatalogError(f"malformed catalog entry: {exc}") from exc
-    except (ValueError, OverflowError) as exc:
-        # int() of a non-numeric string, of NaN or of infinity (JSON reads
-        # 1e400 as infinity)
-        raise CatalogError(f"invalid catalog number: {exc}") from exc
 
 
 def _catalog_from(doc: dict) -> StarSchema:
@@ -252,16 +250,20 @@ def _catalog_from(doc: dict) -> StarSchema:
         table = declared.get(a["table"].lower(), a["table"])
         if table not in tables:
             raise CatalogError(f"attribute {table}.{a['name']}: unknown table {table}")
+        is_key = a.get("is_key", False)
+        if not isinstance(is_key, bool):
+            raise CatalogError(f"attribute {table}.{a['name']}: is_key must be "
+                               f"true or false, not {is_key!r}")
         card = a.get("cardinality")
         if card is None:
-            if a.get("is_key"):
+            if is_key:
                 card = max(1, tables[table].rows)  # keys default to row count
             else:
                 raise CatalogError(
                     f"attribute {table}.{a['name']}: cardinality required")
         attrs.append(AttributeStats(table=table, name=a["name"],
                                     cardinality=_int(card, "cardinality"),
-                                    is_key=bool(a.get("is_key", False))))
+                                    is_key=is_key))
     joins = tuple(Join(j["fact_attr"], j["dim_attr"]) for j in doc.get("joins", []))
     return StarSchema(tables=tables, attributes=tuple(attrs), joins=joins,
                       page_size=_int(doc["page_size"], "page_size"),
@@ -270,10 +272,13 @@ def _catalog_from(doc: dict) -> StarSchema:
 
 
 def _int(value, key: str) -> int:
-    n = int(value)
-    if abs(n) > MAX_CATALOG_INT:
+    """A count as written: a JSON integer (not a boolean, a fraction or a
+    string) within the signed 64-bit range."""
+    if type(value) is not int:
+        raise CatalogError(f"{key} must be an integer, not {value!r}")
+    if abs(value) > MAX_CATALOG_INT:
         raise CatalogError(f"{key} out of the signed 64-bit range")
-    return n
+    return value
 
 
 def load_catalog_file(path) -> StarSchema:

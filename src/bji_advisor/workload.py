@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -443,8 +444,13 @@ class ContextMatrix:
         unknown = attrs & ~((1 << len(self.columns) + 1) - 2)
         if unknown:
             raise ValueError(f"unknown columns {list(bits(unknown))}")
-        hit = sum(1 for row in self.rows if attrs & row == attrs)
+        hit = sum(n for row, n in self._row_counts if attrs & row == attrs)
         return hit / len(self.rows)
+
+    @cached_property
+    def _row_counts(self) -> tuple[tuple[int, int], ...]:
+        """Each distinct row mask with the number of queries that have it."""
+        return tuple(Counter(self.rows).items())
 
     @cached_property
     def marginal_support(self) -> tuple[float, ...]:

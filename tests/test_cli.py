@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bji_advisor import cli, data_path
 from bji_advisor.schema import load_catalog_file
@@ -129,8 +130,8 @@ def assert_input_error(catalog_text, tmp_path, capsys):
     ("attributes", "cardinality")])
 def test_catalog_number_too_large_input_error(section, key, number, tmp_path,
                                               capsys):
-    # JSON reads 1e400 as infinity, which no int() accepts; 10^400 is an
-    # int that no float holds
+    # JSON reads 1e400 as infinity, a float and not an integer; 10^400 is
+    # an int that no float holds
     doc = json.loads(read(CAT))
     (doc if section is None else doc[section][0])[key] = "BIG"
     assert_input_error(json.dumps(doc).replace('"BIG"', number),
@@ -154,6 +155,39 @@ def test_byte_identical_reports(tmp_path):
     for fname in ("trace.json", "report.txt", "tm-ijb.sql", "close.sql",
                   "dynaclose.sql", "compare.csv", "compare.json"):
         assert read(outs[0] / fname) == read(outs[1] / fname), fname
+
+
+def test_trace_candidates_one_line_each(tmp_path):
+    out = tmp_path / "o"
+    assert run(["advise", "--catalog", CAT, "--workload", WL,
+                "--out", str(out)]) == 0
+    text = (out / "trace.json").read_text()
+    candidates = json.loads(text)["engines"]["tm-ijb"]["trace"]
+    lines = [line.strip().rstrip(",") for line in text.splitlines()]
+    assert candidates
+    for c in candidates:
+        assert lines.count(json.dumps(c, sort_keys=True)) == 1
+    assert sum(line.startswith('{"afc": ') for line in lines) == len(candidates)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False) | st.text(max_size=6))
+_KEYS = st.text(max_size=6)
+
+
+@given(st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(_KEYS, inner, max_size=4)))
+def test_json_text_parses_to_the_document(doc):
+    assert json.loads(cli._json_text(doc)) == doc
+
+
+# no list holds an object: dicts nest in dicts, lists hold scalars and lists
+@given(st.recursive(
+    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)),
+    lambda inner: st.dictionaries(_KEYS, inner, max_size=4)))
+def test_json_text_is_indent_2_without_records(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2,
+                                             sort_keys=True) + "\n"
 
 
 def test_enumerate_smallest(tmp_path, capsys):

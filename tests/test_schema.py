@@ -78,14 +78,27 @@ def _drop(section, key):
     return doc
 
 
+def _set(section, **values):
+    doc = small_catalog()
+    doc[section][-1].update(values)
+    return doc
+
+
 @pytest.mark.parametrize("doc", [
     _drop("tables", "rows"),
     small_catalog(tables="x"),
     _drop("joins", "dim_attr"),
     ["page_size"],
     small_catalog(page_size="abc"),
+    _set("tables", rows=True),
+    _set("tables", rows=1.5),
+    _set("tables", rows="10"),
+    _set("attributes", is_key="false"),
+    _set("tables", rows=0, pages=-500),
 ], ids=["table-without-rows", "tables-not-a-list", "join-without-dim_attr",
-        "not-an-object", "page-size-not-a-number"])
+        "not-an-object", "page-size-not-a-number", "rows-is-boolean",
+        "rows-is-fraction", "rows-is-string", "is-key-is-string",
+        "negative-pages-on-empty-table"])
 def test_malformed_catalog_is_input_error(doc, tmp_path, capsys):
     text = json.dumps(doc)
     with pytest.raises(CatalogError):

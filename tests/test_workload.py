@@ -194,6 +194,20 @@ def test_marginal_support_is_single_column_support(rows):
         drawn.support(1 << i) for i in range(1, len(m.columns) + 1))
 
 
+# rows over four of the six columns, so that rows repeat
+@given(st.lists(st.sets(st.integers(1, 4), min_size=1), min_size=1,
+                max_size=12),
+       st.sets(st.integers(1, 6), max_size=3))
+def test_support_equals_row_scan(rows, attrs):
+    m = example_matrix()
+    drawn = ContextMatrix(
+        columns=m.columns, rows=tuple(mask(r) for r in rows),
+        queries=tuple(ParsedQuery(id=k, referenced=frozenset(), predicates=())
+                      for k in range(1, len(rows) + 1)))
+    want = sum(1 for r in rows if attrs <= r) / len(rows)
+    assert drawn.support(mask(attrs)) == want
+
+
 def indexable_attributes(schema, attrs):
     """Keep only non-key attributes of dimension tables."""
     return {q for q in attrs if schema.is_indexable(schema.attribute(q))}
