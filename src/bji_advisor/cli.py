@@ -5,7 +5,8 @@ separate metadata.json so consecutive runs over identical inputs produce
 byte-identical reports.
 
 Exit codes: 0 success (including an empty configuration), 1 usage error,
-2 input validation error, 3 internal invariant breach.
+2 input validation error, 3 internal invariant breach, 4 output too large
+for memory, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from datetime import datetime, timezone
 
 from . import costmodel, selection
 from .engine import (bit_string, build_bji, demo_tables, evaluate,
-                     naive_join_oracle, selected_rows, EngineError, MiniTable)
+                     naive_join_oracle, MiniTable)
 from .hypergraph import berge_enumerate, bits, smallest_transversals
 from .schema import CatalogError, StarSchema, load_catalog_file
-from .workload import (ContextMatrix, ParseError, build_context_matrix,
-                       parse_workload)
+from .workload import ContextMatrix, build_context_matrix, parse_workload
 
 ENGINES = ("tm-ijb", "close", "dynaclose")
 
@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_MEMORY = 4
+EXIT_PIPE = 141     # 128 + SIGPIPE, as a shell reports a reader that left
 
 
 class UsageError(ValueError):
@@ -55,6 +57,8 @@ def _parse_engines(arg: str) -> list[str]:
     bad = [e for e in names if e not in ENGINES]
     if bad or not names:
         raise UsageError(f"unknown engine(s) {bad}; choose from {ENGINES}")
+    if len(set(names)) < len(names):
+        raise UsageError(f"engine named more than once in {arg!r}")
     return names
 
 
@@ -280,43 +284,29 @@ def cmd_enumerate(args, argv) -> int:
     return EXIT_OK
 
 
-def _random_demo(rng: random.Random, n_rows: int):
-    villes = ["Poitiers", "Paris", "Nantes"]
-    client_rows = tuple((str(c), f"C{c}", rng.choice(villes))
-                        for c in range(1, 5))
-    client = MiniTable("CLIENT", ("CID", "Nom", "Ville"), client_rows)
-    fact_rows = tuple((str(r), rng.choice([row[0] for row in client_rows]))
-                      for r in range(1, n_rows + 1))
-    fact = MiniTable("VENTES", ("RID", "CID"), fact_rows)
-    return fact, client
-
-
 def cmd_demo(args, argv) -> int:
     if args.rows < 0:
         raise UsageError("--rows must be >= 0")
+    fact, client, produit, temps = demo_tables()
+    dims = {"Ville": (client, "CID", "CID"),
+            "Type": (produit, "PID", "PID"),
+            "Mois": (temps, "TID", "TID")}
     seed = os.environ.get("ADVISOR_SEED")
     if seed is not None:
+        # each fact row's foreign keys are drawn from the dimension keys
         rng = random.Random(int(seed))
-        fact, client = _random_demo(rng, args.rows)
-        idx = build_bji(fact, client, "CID", "CID", "Ville")
-        conds = {"Ville": ["Poitiers", "Nantes"]}
-        indexes = {"Ville": idx}
-        dims = {"Ville": (client, "CID", "CID")}
+        keys = [dim.values(key) for dim, _, key in dims.values()]
+        fact = MiniTable(fact.name, ("RID", "CID", "PID", "TID"), tuple(
+            (str(r), *(rng.choice(k) for k in keys))
+            for r in range(1, args.rows + 1)))
+    elif args.rows > len(fact.rows):
+        raise UsageError(f"--rows above {len(fact.rows)} needs ADVISOR_SEED")
     else:
-        fact, client, produit, temps = demo_tables()
-        if args.rows > len(fact.rows):
-            raise UsageError(f"--rows above {len(fact.rows)} needs ADVISOR_SEED")
         fact = MiniTable(fact.name, fact.columns, fact.rows[:args.rows])
-        indexes = {
-            "Ville": build_bji(fact, client, "CID", "CID", "Ville"),
-            "Type": build_bji(fact, produit, "PID", "PID", "Type"),
-            "Mois": build_bji(fact, temps, "TID", "TID", "Mois"),
-        }
-        dims = {"Ville": (client, "CID", "CID"),
-                "Type": (produit, "PID", "PID"),
-                "Mois": (temps, "TID", "TID")}
-        conds = {"Ville": ["Poitiers", "Nantes"], "Mois": ["Mars"],
-                 "Type": ["Jouet", "Beaute"]}
+    indexes = {attr: build_bji(fact, dim, fk, key, attr)
+               for attr, (dim, fk, key) in dims.items()}
+    conds = {"Ville": ["Poitiers", "Nantes"], "Mois": ["Mars"],
+             "Type": ["Jouet", "Beaute"]}
 
     n = len(fact.rows)
     print(f"fact rows: {n}")
@@ -328,10 +318,8 @@ def cmd_demo(args, argv) -> int:
         print(f"VB {attr} IN {conds[attr]}: {bit_string(vb, n)}")
     vbf = evaluate(indexes, conds)
     print(f"VBF: {bit_string(vbf, n)}")
-    rows = selected_rows(vbf)
-    print(f"selected fact rows: {rows}")
-    oracle = naive_join_oracle(fact, dims, conds)
-    agrees = selected_rows(oracle) == rows
+    print(f"selected fact rows: {list(bits(vbf))}")
+    agrees = naive_join_oracle(fact, dims, conds) == vbf
     print(f"naive join oracle agrees: {agrees}")
     return EXIT_OK if agrees else EXIT_INTERNAL
 
@@ -359,11 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--minsup", type=float, default=0.1)
         sp.add_argument("--storage-budget", type=int, default=None)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--format", choices=("csv", "json", "text"),
-                        default="text")
 
     sp = sub.add_parser("advise", help="select an index configuration")
     common(sp)
+    sp.add_argument("--format", choices=("csv", "json", "text"),
+                    default="text")
     sp.add_argument("--engine", default="tm-ijb",
                     help="engine name(s), comma separated")
     sp.set_defaults(func=cmd_advise)
@@ -391,17 +379,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 0.0 < getattr(args, "minsup", 0.1) <= 1.0:
             raise UsageError("--minsup must be in (0, 1]")
-        return args.func(args, argv)
+        code = args.func(args, argv)
+        sys.stdout.flush()      # a reader that left shows here, not at exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CatalogError, ParseError, EngineError, OSError,
-            ValueError) as exc:
+    except BrokenPipeError:
+        # the reader left: print nothing more, and send what stdout still
+        # buffers to the null device so the interpreter's last flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        pass    # reported below, once the traceback has let the frames go
+    print("out of memory: the output does not fit in memory", file=sys.stderr)
+    return EXIT_MEMORY
 
 
 if __name__ == "__main__":

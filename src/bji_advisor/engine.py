@@ -15,7 +15,6 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .hypergraph import bits
 
 
 class EngineError(ValueError):
@@ -112,10 +111,6 @@ def evaluate(indexes: Mapping[str, BitmapJoinIndex],
         n_rows = idx.n_rows
         acc &= idx.bitmap_for(values)
     return acc
-
-
-def selected_rows(bitmap: Bitmap) -> list[int]:
-    return list(bits(bitmap))
 
 
 def bit_string(bitmap: Bitmap, n_rows: int) -> str:

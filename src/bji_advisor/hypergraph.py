@@ -62,22 +62,13 @@ class Hypergraph:
             covered |= e
         return cls(bits(covered), canon, covered)
 
-    def _check_subset(self, t: int) -> None:
-        extra = t & ~self.vertex_mask
-        if extra:
-            raise ValueError(f"vertices {list(bits(extra))} not in hypergraph")
-
-
-def is_transversal(h: Hypergraph, t: int) -> bool:
-    """True iff the vertex mask ``t`` intersects every edge of ``h``."""
-    h._check_subset(t)
-    return all(t & e for e in h.edges)
-
 
 def is_minimal_transversal(h: Hypergraph, t: int) -> bool:
     """A transversal is minimal iff every member has a critical edge, one
     that it alone of ``t`` hits."""
-    h._check_subset(t)
+    extra = t & ~h.vertex_mask
+    if extra:
+        raise ValueError(f"vertices {list(bits(extra))} not in hypergraph")
     crit = 0
     for e in h.edges:
         hit = t & e
@@ -255,8 +246,3 @@ def smallest_transversals(h: Hypergraph) -> list[tuple[int, ...]]:
         log.warning("greedy transversality bound %d overshoots exact %d",
                     k0, len(found[0]))
     return found
-
-
-def transversality(h: Hypergraph) -> int:
-    """Exact transversality number: minimum size over the enumerated set."""
-    return len(smallest_transversals(h)[0])

@@ -186,25 +186,6 @@ class StarSchema:
                     frontier.append((dst, path + [j]))
         return None
 
-    def to_document(self) -> dict:
-        return {
-            "page_size": self.page_size,
-            "rowid_bits": self.rowid_bits,
-            "tables": [
-                {"name": t.name, "role": t.role, "rows": t.rows,
-                 "tuple_width": t.tuple_width,
-                 **({"pages": t.pages} if t.pages is not None else {})}
-                for t in self.tables.values()
-            ],
-            "attributes": [
-                {"table": a.table, "name": a.name, "cardinality": a.cardinality,
-                 "is_key": a.is_key}
-                for a in self.attributes
-            ],
-            "joins": [{"fact_attr": j.fact_attr, "dim_attr": j.dim_attr}
-                      for j in self.joins],
-        }
-
 
 def load_catalog(text: str) -> StarSchema:
     """Parse and fully validate a JSON catalog document."""

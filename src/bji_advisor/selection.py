@@ -46,13 +46,8 @@ class Configuration:
     notes: tuple[str, ...] = ()
 
 
-def alpha(schema: StarSchema, qualified: str) -> float:
-    """Dimension-to-fact page ratio of the attribute's table; the fact's own
-    attributes weigh 1."""
-    return _page_ratio(schema, schema.attribute(qualified).table)
-
-
 def _page_ratio(schema: StarSchema, table: str) -> float:
+    """Dimension-to-fact page ratio of ``table``; the fact table weighs 1."""
     fact_pages = schema.table_pages(schema.fact.name)
     if fact_pages == 0:
         return 0.0

@@ -429,9 +429,6 @@ class ContextMatrix:
     columns: tuple[str, ...]              # qualified names, index = id - 1
     rows: tuple[int, ...]                 # per query, mask of referenced ids
 
-    def id_of(self, qualified: str) -> int:
-        return self.columns.index(qualified) + 1
-
     def name_of(self, col_id: int) -> str:
         return self.columns[col_id - 1]
 

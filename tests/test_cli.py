@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +74,21 @@ def test_compare_outputs_and_summary(tmp_path, capsys):
 def test_compare_single_engine_usage_error(tmp_path):
     assert run(["compare", "--catalog", CAT, "--workload", WL,
                 "--engine", "tm-ijb", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["advise", "compare"])
+def test_repeated_engine_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run([command, "--catalog", CAT, "--workload", WL,
+                "--engine", "tm-ijb,tm-ijb", "--out", str(out)]) == 1
+    assert "more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_has_no_format_option(tmp_path, capsys):
+    assert run(["compare", "--catalog", CAT, "--workload", WL,
+                "--format", "json", "--out", str(tmp_path)]) == 1
+    assert "--format" in capsys.readouterr().err
 
 
 def test_unknown_engine_usage_error(tmp_path):
@@ -206,6 +223,68 @@ def test_enumerate_all(tmp_path, capsys):
     assert "all minimal transversals: 9" in printed
 
 
+def cli_process(args, **kwargs):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "bji_advisor.cli", *args],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+def test_enumerate_closed_stdout_exits_141():
+    # TPC-H --all prints about 225 KB, more than a pipe buffer holds, so
+    # the writer is still printing when the reader leaves
+    cat, wl = str(data_path("tpch.json")), str(data_path("tpch.sql"))
+    proc = cli_process(["enumerate", "--all", "--catalog", cat,
+                        "--workload", wl])
+    assert proc.stdout.readline() == b"columns:\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_enumerate_out_of_memory_exits_4(monkeypatch, capsys):
+    def exhausted(h):
+        raise MemoryError
+    monkeypatch.setattr(cli, "berge_enumerate", exhausted)
+    cat = str(data_path("example_star.json"))
+    wl = str(data_path("example_star.sql"))
+    assert run(["enumerate", "--all", "--catalog", cat,
+                "--workload", wl]) == 4
+    err = capsys.readouterr().err
+    assert err == "out of memory: the output does not fit in memory\n"
+
+
+def test_enumerate_out_of_memory_under_address_limit(tmp_path):
+    resource = pytest.importorskip("resource")
+    # twelve disjoint 4-attribute queries: 4^12 minimal transversals, far
+    # more than 256 MiB of address space holds; Berge runs out in 1-2 s
+    n = 48
+    cat = tmp_path / "c.json"
+    cat.write_text(json.dumps({
+        "page_size": 8192,
+        "tables": [{"name": "F", "role": "fact", "rows": 1000,
+                    "tuple_width": 100}],
+        "attributes": [{"table": "F", "name": f"c{i}", "cardinality": 10}
+                       for i in range(n)]}))
+    wl = tmp_path / "w.sql"
+    wl.write_text("".join(
+        f"Q{g + 1} - select count(*) from F where "
+        + " and ".join(f"c{i} = 1" for i in range(g, g + 4)) + "\n\n"
+        for g in range(0, n, 4)))
+    limit = 256 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    proc = cli_process(["enumerate", "--all", "--catalog", str(cat),
+                        "--workload", str(wl)], preexec_fn=cap)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 4
+    assert out == b""
+    assert err == b"out of memory: the output does not fit in memory\n"
+
+
 def test_enumerate_rejects_advise_options():
     cat = str(data_path("example_star.json"))
     wl = str(data_path("example_star.sql"))
@@ -241,7 +320,12 @@ def test_demo_rows_out_of_range_usage_error(rows, seed, capsys, monkeypatch):
 def test_demo_seeded_rows_above_twelve(capsys, monkeypatch):
     monkeypatch.setenv("ADVISOR_SEED", "7")
     assert run(["demo", "--rows", "20"]) == 0
-    assert "fact rows: 20" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "fact rows: 20" in printed
+    # the seed draws the foreign keys; the three dimensions stay
+    for attr in ("Mois", "Type", "Ville"):
+        assert f"VB {attr} IN " in printed
+    assert "naive join oracle agrees: True" in printed
 
 
 def test_demo_seeded_deterministic(capsys, monkeypatch):

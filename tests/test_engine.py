@@ -6,7 +6,8 @@ import pytest
 
 from bji_advisor.engine import (BitmapJoinIndex, EngineError, MiniTable,
                                 build_bji, demo_tables, evaluate,
-                                naive_join_oracle, selected_rows)
+                                naive_join_oracle)
+from bji_advisor.hypergraph import bits
 
 
 def as_tuple(bm: int, n: int) -> tuple[int, ...]:
@@ -99,7 +100,7 @@ def test_demo_conjunction_matches_oracle():
              "Type": ["Jouet", "Beaute"]}
     vbf = evaluate(indexes, conds)
     assert vbf == naive_join_oracle(fact, dims, conds)
-    assert selected_rows(vbf) == [0, 4, 6]
+    assert list(bits(vbf)) == [0, 4, 6]
 
 
 def random_instance(rng: random.Random):
@@ -148,8 +149,8 @@ def test_impossible_value_empty_both_ways():
     idx = build_bji(fact, client, "CID", "CID", "Ville")
     conds = {"Ville": ["Atlantis"]}
     dims = {"Ville": (client, "CID", "CID")}
-    assert set(selected_rows(evaluate({"Ville": idx}, conds))) == set()
-    assert set(selected_rows(naive_join_oracle(fact, dims, conds))) == set()
+    assert set(bits(evaluate({"Ville": idx}, conds))) == set()
+    assert set(bits(naive_join_oracle(fact, dims, conds))) == set()
 
 
 def test_all_values_selects_all_joined_rows():

@@ -151,15 +151,6 @@ def test_join_path_snowflake():
     assert s.join_path("REGION") is not None and len(s.join_path("REGION")) == 3
 
 
-def test_round_trip():
-    s = load_catalog_file(data_path("ssb.json"))
-    s2 = load_catalog(json.dumps(s.to_document()))
-    assert [a.qualified for a in s2.attributes] == \
-        [a.qualified for a in s.attributes]
-    assert s2.page_size == s.page_size
-    assert len(s2.joins) == len(s.joins)
-
-
 def test_bundled_catalog_shapes():
     ssb = load_catalog_file(data_path("ssb.json"))
     assert len(ssb.attributes) == 57
