@@ -24,7 +24,7 @@ from . import costmodel, selection
 from .engine import (bit_string, build_bji, demo_tables, evaluate,
                      naive_join_oracle, MiniTable)
 from .hypergraph import berge_enumerate, bits, smallest_transversals
-from .schema import CatalogError, StarSchema, load_catalog_file
+from .schema import StarSchema, load_catalog_file
 from .workload import ContextMatrix, build_context_matrix, parse_workload
 
 ENGINES = ("tm-ijb", "close", "dynaclose")
@@ -89,12 +89,9 @@ def ddl_statements(schema: StarSchema, attrs) -> list[str]:
     out = []
     for q in sorted(attrs):
         a = schema.attribute(q)
-        path = schema.join_path(a.table)
-        if path is None:
-            raise CatalogError(f"no join path from fact to {a.table}")
         tables = [schema.fact.name]
         conds = []
-        for j in path:
+        for j in schema.join_path(a.table):
             tables.append(schema.attribute(j.dim_attr).table)
             conds.append(f"{j.fact_attr} = {j.dim_attr}")
         name = f"{schema.fact.name}_{a.table}_{a.name}_idx".lower()
@@ -113,13 +110,13 @@ def _motif_doc(m: selection.ScoredMotif) -> dict:
 
 
 def _config_doc(schema: StarSchema, cfg: selection.Configuration,
-                report: costmodel.CostReport) -> dict:
+                report: dict) -> dict:
     return {
         "engine": cfg.engine,
         "configuration": list(cfg.attrs),
         "notes": list(cfg.notes),
         "storage_bytes": costmodel.config_storage(schema, cfg.attrs),
-        "cost": report.to_document(),
+        "cost": report,
         "trace": [_motif_doc(m) for m in cfg.trace],
     }
 
@@ -183,14 +180,14 @@ def _write_metadata(out_dir: str, argv) -> None:
 
 
 def _engine_rows(schema, configs, reports) -> list[dict]:
-    rows = [{"engine": "baseline", "total_cost": reports[0].baseline_total,
+    rows = [{"engine": "baseline", "total_cost": reports[0]["baseline_total"],
              "storage_bytes": 0, "reduction_rate": 0.0}]
     for cfg, report in zip(configs, reports):
         rows.append({
             "engine": cfg.engine,
-            "total_cost": report.total,
+            "total_cost": report["total"],
             "storage_bytes": costmodel.config_storage(schema, cfg.attrs),
-            "reduction_rate": report.reduction,
+            "reduction_rate": report["reduction"],
         })
     return rows
 
@@ -294,7 +291,11 @@ def cmd_demo(args, argv) -> int:
     seed = os.environ.get("ADVISOR_SEED")
     if seed is not None:
         # each fact row's foreign keys are drawn from the dimension keys
-        rng = random.Random(int(seed))
+        try:
+            rng = random.Random(int(seed))
+        except ValueError:
+            raise ValueError(
+                f"ADVISOR_SEED must be an integer, not {seed!r}") from None
         keys = [dim.values(key) for dim, _, key in dims.values()]
         fact = MiniTable(fact.name, ("RID", "CID", "PID", "TID"), tuple(
             (str(r), *(rng.choice(k) for k in keys))
@@ -379,6 +380,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 0.0 < getattr(args, "minsup", 0.1) <= 1.0:
             raise UsageError("--minsup must be in (0, 1]")
+        budget = getattr(args, "storage_budget", None)
+        if budget is not None and budget < 0:
+            raise UsageError("--storage-budget must be >= 0")
         code = args.func(args, argv)
         sys.stdout.flush()      # a reader that left shows here, not at exit
         return code

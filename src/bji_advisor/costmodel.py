@@ -213,41 +213,25 @@ class WorkloadPlan:
         return out
 
 
-@dataclass(frozen=True)
-class CostReport:
-    config: tuple[str, ...]
-    per_query: tuple[tuple[int, float], ...]  # (query id, cost)
-    total: float
-    baseline_total: float
-
-    @property
-    def reduction(self) -> float:
-        return reduction_rate(self.baseline_total, self.total)
-
-    def to_document(self) -> dict:
-        return {
-            "config": list(self.config),
-            "per_query": [{"query": qid, "cost": c} for qid, c in self.per_query],
-            "total": self.total,
-            "baseline_total": self.baseline_total,
-            "reduction": self.reduction,
-        }
-
-
 def workload_cost(schema: StarSchema, queries: Sequence[ParsedQuery],
                   config: Iterable[str] = ()) -> float:
     return sum(WorkloadPlan(schema, queries).costs(config))
 
 
-def cost_report(plans: WorkloadPlan, config: Iterable[str]) -> CostReport:
-    """Per-query and total cost of ``config`` against the workload's
-    no-index baseline."""
-    config_t = tuple(sorted(set(config)))
-    per = tuple((p.query_id, c)
-                for p, c in zip(plans.plans, plans.costs(config_t)))
-    return CostReport(config=config_t, per_query=per,
-                      total=sum(c for _, c in per),
-                      baseline_total=plans.baseline)
+def cost_report(plans: WorkloadPlan, config: Iterable[str]) -> dict:
+    """The per-query and total cost of ``config`` against the workload's
+    no-index baseline, as the reports write it."""
+    config = sorted(set(config))
+    costs = plans.costs(config)
+    total = sum(costs)
+    return {
+        "config": config,
+        "per_query": [{"query": p.query_id, "cost": c}
+                      for p, c in zip(plans.plans, costs)],
+        "total": total,
+        "baseline_total": plans.baseline,
+        "reduction": reduction_rate(plans.baseline, total),
+    }
 
 
 def config_storage(schema: StarSchema, config: Iterable[str]) -> int:

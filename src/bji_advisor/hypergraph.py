@@ -43,24 +43,37 @@ def _canon(masks: Iterable[int]) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A vertex set with a family of nonempty hyperedges covering it."""
+    """The inclusion-minimal edges of a family of nonempty vertex sets, over
+    the vertices of all: a set hits an edge iff it hits a minimal edge inside
+    it, so both have the same transversals (Murakami & Uno, DAM 2014)."""
 
     vertices: tuple[int, ...]
-    edges: tuple[int, ...]              # distinct vertex masks, first seen first
+    edges: tuple[int, ...]              # minimal vertex masks, smallest first
     vertex_mask: int                    # the mask of ``vertices``
+    incidence: tuple[int, ...]          # per vertex id, its edge-index mask
 
     @classmethod
     def from_edges(cls, edges: Iterable[int]) -> "Hypergraph":
-        """The distinct ``edges`` over the vertices they cover."""
-        canon = tuple(dict.fromkeys(edges))
-        if not canon:
-            raise ValueError("hypergraph needs at least one edge")
-        if 0 in canon:
-            raise ValueError("hyperedge must be nonempty")
+        """The edges containing no other given edge (so no repeat either),
+        by size, ties in first-seen order, over the vertices of all."""
+        kept: list[int] = []
         covered = 0
-        for e in canon:
+        for e in sorted(edges, key=int.bit_count):
+            if not e:
+                raise ValueError("hyperedge must be nonempty")
             covered |= e
-        return cls(bits(covered), canon, covered)
+            for k in kept:
+                if k & e == k:
+                    break
+            else:
+                kept.append(e)
+        if not kept:
+            raise ValueError("hypergraph needs at least one edge")
+        incidence = [0] * covered.bit_length()
+        for i, e in enumerate(kept):
+            for v in bits(e):
+                incidence[v] |= 1 << i
+        return cls(bits(covered), tuple(kept), covered, tuple(incidence))
 
 
 def is_minimal_transversal(h: Hypergraph, t: int) -> bool:
@@ -82,36 +95,33 @@ def is_minimal_transversal(h: Hypergraph, t: int) -> bool:
 def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
     """All minimal transversals, built edge by edge (Berge).
 
-    Only the inclusion-minimal edges are processed, smallest first: a set
-    that hits an edge hits every edge containing it, so the transversals
-    are the same.  The running family holds the minimal transversals of the
-    edges processed so far, and each set carries, per member, its private
-    edges: the processed edges that no other member hits.  Processing edge
-    ``e``, a set that hits ``e`` stays (a lone hitter gains ``e`` as a
-    private edge); a set ``t`` that misses ``e`` grows into ``t | v`` for
-    each ``v`` in ``e``, unless ``v`` hits every private edge of some member
-    of ``t``, which is exactly when ``t | v`` is not minimal.  ``v`` is the
-    only member of ``t | v`` in ``e``, so no set arises twice and the family
-    needs no pairwise pruning.  The time is bound by the size of the output.
+    The minimal edges are processed smallest first.  The running family
+    holds the minimal transversals of the edges processed so far, and each
+    set carries, per member, its private edges: the processed edges that no
+    other member hits.  Processing edge ``e``, a set that hits ``e`` stays
+    (a lone hitter gains ``e`` as a private edge); a set ``t`` that misses
+    ``e`` grows into ``t | v`` for each ``v`` in ``e``, unless ``v`` hits
+    every private edge of some member of ``t``, which is exactly when
+    ``t | v`` is not minimal.  ``v`` is the only member of ``t | v`` in
+    ``e``, so no set arises twice and the family needs no pairwise pruning.
+    The time is bound by the size of the output.
     """
-    hm = Hypergraph.from_edges(_minimal_edges(h.edges))
     # A set's private edges are packed into one int, a field of m + 1 bits
-    # per member in vertex order: bit j of a field is edge j of ``hm``, the
-    # top bit is a zero guard.  Adding 2^m - 1 to each of the k fields of a
-    # k-set carries into the guard iff the field is nonzero, so one addition
+    # per member in vertex order: bit j of a field is edge j, the top bit is
+    # a zero guard.  Adding 2^m - 1 to each of the k fields of a k-set
+    # carries into the guard iff the field is nonzero, so one addition
     # checks every member at once.  (A tuple of per-member masks took over
-    # twice the time and memory on a family of 450,000 sets.)
-    m = len(hm.edges)
+    # twice the time and memory on a family of 450,000 sets.)  Each member
+    # has a private edge of its own, so no set has more than m members.
+    m = len(h.edges)
     width, full = m + 1, (1 << m) - 1
-    ones = [mask(range(0, width * k, width))
-            for k in range(len(hm.vertices) + 1)]
+    ones = [mask(range(0, width * k, width)) for k in range(m + 1)]
     fills = [full * o for o in ones]
     guards = [o << m for o in ones]
     # per vertex, in every field: the edges that do not contain it
-    misses = {v: (full & ~edges) * ones[-1]
-              for v, edges in _incidence(hm).items()}
+    misses = [(full & ~edges) * ones[-1] for edges in h.incidence]
     sets, privs = [0], [0]
-    for j, e in enumerate(hm.edges):
+    for j, e in enumerate(h.edges):
         grow = [(1 << v, misses[v]) for v in bits(e)]
         next_sets, next_privs = [], []
         for t, p in zip(sets, privs):
@@ -137,21 +147,6 @@ def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
     return _canon(sets)
 
 
-def _minimal_edges(edges: Iterable[int]) -> list[int]:
-    """The edges containing no other edge, smallest first."""
-    kept: list[int] = []
-    for e in sorted(edges, key=int.bit_count):
-        if not any(k & e == k for k in kept):
-            kept.append(e)
-    return kept
-
-
-def _incidence(h: Hypergraph) -> dict[int, int]:
-    """Per vertex, the mask of the edge indexes containing it."""
-    return {v: mask(i for i, e in enumerate(h.edges) if e >> v & 1)
-            for v in h.vertices}
-
-
 def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
     """The minimal transversals of minimum size if that size is at most
     ``size_cap``, else ``[]``.
@@ -167,7 +162,7 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
     """
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
-    edges, vert_edges = h.edges, _incidence(h)
+    edges, vert_edges = h.edges, h.incidence
     out: list[int] = []
     cap = size_cap
 
@@ -213,7 +208,7 @@ def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     start vertex the picks depend only on the remaining edges, so each
     continuation is memoised on that mask and shared between starts.
     """
-    vert_edges = _incidence(h)
+    vert_edges = h.incidence
     picks_from = {0: 0}     # remaining-edge mask -> vertex mask greedy adds
     best: Optional[tuple[int, ...]] = None
     for start in h.vertices:

@@ -134,8 +134,20 @@ class StarSchema:
             if not da.is_key:
                 raise CatalogError(f"join dim side {j.dim_attr} must be a key")
             links.append((fa.table, da.table, Join(fa.qualified, da.qualified)))
+        # the shortest join chain from the fact table to each table (BFS)
+        paths: dict[str, list[Join]] = {facts[0].name: []}
+        queue = [facts[0].name]
+        for table in queue:
+            for src, dst, j in links:
+                if src == table and dst not in paths:
+                    paths[dst] = paths[table] + [j]
+                    queue.append(dst)
+        for t in self.tables:
+            if t not in paths:
+                raise CatalogError(
+                    f"no join path from fact table {facts[0].name} to {t}")
         for name, value in (
-                ("fact", facts[0]), ("links", tuple(links)),
+                ("fact", facts[0]), ("links", tuple(links)), ("_paths", paths),
                 ("_by_qualified", index), ("_by_name", by_name),
                 ("_table_names", table_names),
                 ("_pages", {key: pages_of(t, self.page_size)
@@ -173,18 +185,9 @@ class StarSchema:
         return (not a.is_key) and self.tables[a.table].role == "dimension"
 
     def join_path(self, dim: str) -> Optional[list[Join]]:
-        """Chain of join links from the fact table to ``dim`` (BFS), if any."""
-        frontier = [(self.fact.name, [])]
-        seen = {self.fact.name}
-        while frontier:
-            table, path = frontier.pop(0)
-            if table == dim:
-                return path
-            for src, dst, j in self.links:
-                if src == table and dst not in seen:
-                    seen.add(dst)
-                    frontier.append((dst, path + [j]))
-        return None
+        """The shortest chain of join links from the fact table to the
+        table ``dim``; None if there is no such table."""
+        return self._paths.get(dim)
 
 
 def load_catalog(text: str) -> StarSchema:

@@ -101,6 +101,31 @@ def test_bad_minsup_usage_error(tmp_path):
                 "--minsup", "0", "--out", str(tmp_path)]) == 1
 
 
+def test_negative_storage_budget_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["compare", "--catalog", CAT, "--workload", WL,
+                "--storage-budget", "-5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "usage error: --storage-budget must be >= 0\n"
+    assert not out.exists()
+
+
+def test_unreachable_dimension_input_error(tmp_path, capsys):
+    # without its join, CHANNELS has no join path, and no DDL could index it
+    doc = json.loads(data_path("example_star.json").read_text())
+    doc["joins"] = [j for j in doc["joins"]
+                    if not j["dim_attr"].startswith("CHANNELS.")]
+    cat = tmp_path / "catalog.json"
+    cat.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["advise", "--catalog", str(cat),
+                "--workload", str(data_path("example_star.sql")),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: no join path from fact table SALES to CHANNELS\n"
+    assert not out.exists()
+
+
 def test_missing_catalog_input_error(tmp_path):
     assert run(["advise", "--catalog", str(tmp_path / "nope.json"),
                 "--workload", WL, "--out", str(tmp_path)]) == 2
@@ -315,6 +340,14 @@ def test_demo_rows_out_of_range_usage_error(rows, seed, capsys, monkeypatch):
         monkeypatch.setenv("ADVISOR_SEED", seed)
     assert run(["demo", "--rows", rows]) == 1
     assert "usage error: --rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["x", "1e3"])
+def test_demo_bad_seed_input_error(seed, capsys, monkeypatch):
+    monkeypatch.setenv("ADVISOR_SEED", seed)
+    assert run(["demo"]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: ADVISOR_SEED must be an integer, not {seed!r}\n"
 
 
 def test_demo_seeded_rows_above_twelve(capsys, monkeypatch):

@@ -12,35 +12,47 @@ from bji_advisor.hypergraph import (Hypergraph, berge_enumerate, bits,
                                     is_minimal_transversal, mask, mmcs,
                                     smallest_transversals)
 
+# The oracles below take the edge list a test drew, with its repeats and
+# supersets, not ``Hypergraph.edges``, so they also check the reduction to
+# minimal edges that ``from_edges`` makes.
+
 # small instance with a known minimum-size transversal pair
-H8 = Hypergraph.from_edges(
-    [mask(e) for e in ({1, 2}, {2, 3, 7}, {3, 4, 5}, {4, 6}, {6, 7, 8}, {7})])
+H8_EDGES = [mask(e) for e in (
+    {1, 2}, {2, 3, 7}, {3, 4, 5}, {4, 6}, {6, 7, 8}, {7})]
+H8 = Hypergraph.from_edges(H8_EDGES)
 
 
-def subsets(h: Hypergraph):
-    verts = list(h.vertices)
+def union(edges) -> int:
+    covered = 0
+    for e in edges:
+        covered |= e
+    return covered
+
+
+def subsets(edges):
+    verts = bits(union(edges))
     for r in range(len(verts) + 1):
         yield from map(frozenset, itertools.combinations(verts, r))
 
 
-def brute_minimal_transversals(h: Hypergraph):
+def brute_minimal_transversals(edges):
     """Exhaustive 2^|S| scan: a set is a minimal transversal when it hits
     every edge and each member has a private edge, one that no other member
     hits."""
     out = set()
-    for t in subsets(h):
-        hits = [{v for v in t if e >> v & 1} for e in h.edges]
+    for t in subsets(edges):
+        hits = [{v for v in t if e >> v & 1} for e in edges]
         if all(hits) and all({v} in hits for v in t):
             out.add(t)
     return out
 
 
-def oracle_berge(h: Hypergraph):
+def oracle_berge(edges):
     """Berge's algorithm as cross-product and prune: the running family is
     crossed with each edge, then pruned back to inclusion-minimal sets by a
     pairwise subset test."""
     family = [0]
-    for e in h.edges:
+    for e in edges:
         crossed = {t | 1 << v for t in family if not t & e for v in bits(e)}
         crossed |= {t for t in family if t & e}
         family = prune_minimal(crossed)
@@ -55,22 +67,31 @@ def prune_minimal(sets):
     return kept
 
 
-# greedy picks 4 vertices from every start; the exact minimum is 3
-OVERSHOOT = Hypergraph.from_edges([mask(e) for e in (
+# no edge contains another; greedy picks 4 vertices from every start, and
+# the exact minimum is 3
+OVERSHOOT_EDGES = [mask(e) for e in (
+    {8, 11}, {0, 1, 6}, {0, 2, 8}, {1, 7}, {3, 10}, {0, 4, 10})]
+OVERSHOOT = Hypergraph.from_edges(OVERSHOOT_EDGES)
+
+# greedy over all these edges picks 4 vertices from every start, but three
+# of them contain {7}; over the minimal edges it picks 3, the exact minimum
+NESTED_OVERSHOOT_EDGES = [mask(e) for e in (
     {7}, {1, 6, 7}, {2, 3, 5}, {1, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 6}, {0, 4},
-    {2, 4, 6, 7})])
+    {2, 4, 6, 7})]
 
 
-def greedy_per_start(h: Hypergraph):
-    """The greedy bound run afresh from every start vertex, without sharing
-    continuations: after the start, repeatedly add the vertex hitting most
-    uncovered edges (ties by lowest id); keep the smallest cover, ties by ids."""
+def greedy_per_start(edges):
+    """The greedy bound over the minimal edges, run afresh from every start
+    vertex without sharing continuations: after the start, repeatedly add
+    the vertex hitting most uncovered edges (ties by lowest id); keep the
+    smallest cover, ties by ids."""
+    verts = bits(union(edges))
     best = None
-    for start in h.vertices:
+    for start in verts:
         picked = {start}
-        remaining = [e for e in h.edges if not e >> start & 1]
+        remaining = [e for e in prune_minimal(edges) if not e >> start & 1]
         while remaining:
-            v = min(h.vertices,
+            v = min(verts,
                     key=lambda x: (-sum(e >> x & 1 for e in remaining), x))
             picked.add(v)
             remaining = [e for e in remaining if not e >> v & 1]
@@ -81,15 +102,15 @@ def greedy_per_start(h: Hypergraph):
 
 
 @st.composite
-def small_hypergraphs(draw) -> Hypergraph:
+def small_hypergraphs(draw) -> list[int]:
     n = draw(st.integers(1, 9))
     edges = draw(st.lists(st.sets(st.integers(1, n), min_size=1),
                           min_size=1, max_size=9))
-    return Hypergraph.from_edges([mask(e) for e in edges])
+    return [mask(e) for e in edges]
 
 
 @st.composite
-def nested_hypergraphs(draw) -> Hypergraph:
+def nested_hypergraphs(draw) -> list[int]:
     """Edges plus supersets and repeats of some of them, in any order."""
     n = draw(st.integers(1, 10))
     vertex = st.integers(1, n)
@@ -97,10 +118,10 @@ def nested_hypergraphs(draw) -> Hypergraph:
     grown = [e | draw(st.sets(vertex)) for e in draw(st.lists(
         st.sampled_from(base), max_size=5))]
     edges = draw(st.permutations(base + grown))
-    return Hypergraph.from_edges([mask(e) for e in edges])
+    return [mask(e) for e in edges]
 
 
-def random_hypergraph(rng: random.Random) -> Hypergraph:
+def random_hypergraph(rng: random.Random) -> list[int]:
     n = rng.randint(1, 12)
     verts = list(range(1, n + 1))
     m = rng.randint(1, 8)
@@ -108,7 +129,7 @@ def random_hypergraph(rng: random.Random) -> Hypergraph:
     for _ in range(m):
         k = rng.randint(1, n)
         edges.append(mask(rng.sample(verts, k)))
-    return Hypergraph.from_edges(edges)
+    return edges
 
 
 def test_is_transversal_unknown_vertex():
@@ -143,30 +164,31 @@ def test_h8_size3_members():
     assert set(mmcs(H8, size_cap=3)) == {(1, 4, 7), (2, 4, 7)}
     assert set(smallest_transversals(H8)) == {(1, 4, 7), (2, 4, 7)}
     k, t = get_min_transversality(H8)
-    assert k == 3 and all(mask(t) & e for e in H8.edges)
+    assert k == 3 and all(mask(t) & e for e in H8_EDGES)
 
 
 def test_h8_brute_equivalence():
-    brute = brute_minimal_transversals(H8)
+    brute = brute_minimal_transversals(H8_EDGES)
     assert set(map(frozenset, berge_enumerate(H8))) == brute
-    assert berge_enumerate(H8) == oracle_berge(H8)
+    assert berge_enumerate(H8) == oracle_berge(H8_EDGES)
 
 
 def test_oracle_equivalence_random():
     rng = random.Random(20240817)
     for _ in range(120):
-        h = random_hypergraph(rng)
-        brute = brute_minimal_transversals(h)
+        edges = random_hypergraph(rng)
+        h = Hypergraph.from_edges(edges)
+        brute = brute_minimal_transversals(edges)
         berge = berge_enumerate(h)
         assert set(map(frozenset, berge)) == brute
-        assert oracle_berge(h) == berge
-        for t in subsets(h):
+        assert oracle_berge(edges) == berge
+        for t in subsets(edges):
             assert is_minimal_transversal(h, mask(t)) == (t in brute)
         if brute:
             k_exact = min(len(t) for t in brute)
             k_greedy, tg = get_min_transversality(h)
             assert k_greedy >= k_exact
-            assert all(mask(tg) & e for e in h.edges)
+            assert all(mask(tg) & e for e in edges)
             assert smallest_transversals(h) == sorted(
                 tuple(sorted(t)) for t in brute if len(t) == k_exact)
 
@@ -183,41 +205,64 @@ def test_berge_matches_cross_and_prune_oracle():
         edges = base + nested + rng.choices(base, k=rng.randint(0, 3))
         rng.shuffle(edges)
         h = Hypergraph.from_edges(edges)
-        assert berge_enumerate(h) == oracle_berge(h)
+        assert berge_enumerate(h) == oracle_berge(edges)
 
 
 @given(nested_hypergraphs())
-def test_berge_matches_oracle_property(h):
-    assert berge_enumerate(h) == oracle_berge(h)
+def test_berge_matches_oracle_property(edges):
+    assert berge_enumerate(Hypergraph.from_edges(edges)) == oracle_berge(edges)
+
+
+@given(nested_hypergraphs())
+def test_from_edges_keeps_minimal_edges(edges):
+    h = Hypergraph.from_edges(edges)
+    assert list(h.edges) == prune_minimal(edges)
+    assert h.vertices == bits(union(edges)) and h.vertex_mask == union(edges)
+    assert list(h.incidence) == [
+        mask(i for i, e in enumerate(h.edges) if e >> v & 1)
+        for v in range(max(h.vertices) + 1)]
+
+
+def test_from_edges_drops_supersets():
+    h = Hypergraph.from_edges(NESTED_OVERSHOOT_EDGES)
+    assert h.edges == tuple(mask(e) for e in (
+        {7}, {1, 4}, {0, 4}, {2, 3, 5}, {0, 1, 2, 6}))
+    assert h.vertices == tuple(range(8))
+    assert get_min_transversality(h) == (3, (2, 4, 7))
+    assert smallest_transversals(h) == [
+        t for t in oracle_berge(NESTED_OVERSHOOT_EDGES) if len(t) == 3]
 
 
 def test_greedy_overshoot_shrinks_cap(caplog):
-    berge = berge_enumerate(OVERSHOOT)
-    assert get_min_transversality(OVERSHOOT) == greedy_per_start(OVERSHOOT) \
-        == (4, (0, 1, 2, 7))
+    berge = oracle_berge(OVERSHOOT_EDGES)
+    assert sorted(OVERSHOOT.edges) == sorted(OVERSHOOT_EDGES)
+    assert get_min_transversality(OVERSHOOT) \
+        == greedy_per_start(OVERSHOOT_EDGES) == (4, (0, 1, 3, 8))
     assert min(len(t) for t in berge) == 3
     with caplog.at_level(logging.WARNING, logger="bji_advisor.hypergraph"):
         assert smallest_transversals(OVERSHOOT) == [
-            t for t in berge if len(t) == 3]
+            t for t in berge if len(t) == 3] == [(1, 8, 10)]
     assert "greedy transversality bound 4 overshoots exact 3" in caplog.text
 
 
-@given(small_hypergraphs())
-def test_branch_and_bound_matches_berge(h):
-    berge = berge_enumerate(h)
+@given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
+def test_branch_and_bound_matches_berge(edges):
+    h = Hypergraph.from_edges(edges)
+    berge = oracle_berge(edges)
     k_exact = min(len(t) for t in berge)
     assert smallest_transversals(h) == [t for t in berge if len(t) == k_exact]
-    assert get_min_transversality(h) == greedy_per_start(h)
+    assert get_min_transversality(h) == greedy_per_start(edges)
 
 
-@given(small_hypergraphs())
-def test_mmcs_returns_smallest_within_cap(h):
+@given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
+def test_mmcs_returns_smallest_within_cap(edges):
     # below the transversality number the packing bound must cut every
     # branch; above it the search may find larger sets first, and the cap
-    # must shrink past them (caps run past the 9 vertices drawn at most)
-    berge = berge_enumerate(h)
+    # must shrink past them (caps run past the 10 vertices drawn at most)
+    h = Hypergraph.from_edges(edges)
+    berge = oracle_berge(edges)
     k_exact = min(len(t) for t in berge)
-    for cap in range(1, 11):
+    for cap in range(1, 12):
         want = [t for t in berge if len(t) == k_exact] if cap >= k_exact else []
         assert mmcs(h, cap) == want
     with pytest.raises(ValueError):

@@ -65,6 +65,13 @@ def test_requires_exactly_one_fact():
         load_catalog(json.dumps(doc))
 
 
+def test_dimension_without_join_path():
+    doc = small_catalog(joins=[])
+    with pytest.raises(CatalogError,
+                       match="no join path from fact table F to D"):
+        load_catalog(json.dumps(doc))
+
+
 def test_missing_page_size():
     doc = small_catalog()
     del doc["page_size"]
