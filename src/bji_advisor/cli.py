@@ -135,7 +135,20 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-_encode_line = json.JSONEncoder(sort_keys=True).encode
+def _make_encode_line():
+    """``json.JSONEncoder(sort_keys=True).encode`` through one C encoder:
+    ``encode`` builds a new one on every call.  Without the C speedups,
+    ``encode`` itself.  The documents are trees, so no cycle check."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.JSONEncoder(sort_keys=True).encode
+    encoder = make(None, json.JSONEncoder().default,
+                   json.encoder.encode_basestring_ascii, None, ": ", ", ",
+                   True, False, True)
+    return lambda value: "".join(encoder(value, 0))
+
+
+_encode_line = _make_encode_line()
 
 
 def _json_text(doc) -> str:
@@ -267,17 +280,19 @@ def cmd_enumerate(args, argv) -> int:
     schema, matrix = _load_inputs(args)
     h = matrix.hypergraph()
     tms = berge_enumerate(h) if args.all else smallest_transversals(h)
-    print("columns:")
-    for v in h.vertices:
-        print(f"  {v}: {matrix.name_of(v)}")
-    print(f"{'all' if args.all else 'smallest'} minimal transversals: "
-          f"{len(tms)}")
+    # per column id (index 0 unused): name, cardinality, fitness term
+    names = ("", *matrix.columns)
+    cards = selection.column_cardinalities(schema)
     terms = selection.column_terms(schema, matrix)
-    for ids in tms:
-        fit = selection.fitness_tm(terms, ids)
-        afc = selection.afc_sum(schema, ids)
-        names = ", ".join(matrix.name_of(i) for i in ids)
-        print(f"  {ids} fitness={fit:.6f} afc={afc} [{names}]")
+    out = sys.stdout
+    out.write("columns:\n")
+    out.writelines(f"  {v}: {names[v]}\n" for v in h.vertices)
+    out.write(f"{'all' if args.all else 'smallest'} minimal transversals: "
+              f"{len(tms)}\n")
+    out.writelines(f"  {ids} fitness={selection.fitness_tm(terms, ids):.6f} "
+                   f"afc={selection.afc_sum(cards, ids)} "
+                   f"[{', '.join([names[i] for i in ids])}]\n"
+                   for ids in tms)
     return EXIT_OK
 
 

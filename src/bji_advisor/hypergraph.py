@@ -22,9 +22,10 @@ def bits(mask: int) -> tuple[int, ...]:
     """Set bit positions of ``mask``, lowest first."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 
@@ -208,16 +209,16 @@ def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     start vertex the picks depend only on the remaining edges, so each
     continuation is memoised on that mask and shared between starts.
     """
-    vert_edges = h.incidence
+    vertices, vert_edges = h.vertices, h.incidence
     picks_from = {0: 0}     # remaining-edge mask -> vertex mask greedy adds
     best: Optional[tuple[int, ...]] = None
-    for start in h.vertices:
+    for start in vertices:
         remaining = ((1 << len(h.edges)) - 1) & ~vert_edges[start]
         path: list[tuple[int, int]] = []
         while remaining not in picks_from:
-            # max keeps the first, lowest-id vertex among ties
-            v = max(h.vertices,
-                    key=lambda x: (vert_edges[x] & remaining).bit_count())
+            counts = [(vert_edges[x] & remaining).bit_count() for x in vertices]
+            # index finds the first, lowest-id vertex among ties
+            v = vertices[counts.index(max(counts))]
             path.append((remaining, v))
             remaining &= ~vert_edges[v]
         picked = picks_from[remaining]

@@ -86,9 +86,14 @@ def fitness_dynaclose(terms: dict[int, float], ids: Sequence[int]) -> float:
     return sum(own) / len(own) if own else 0.0
 
 
-def afc_sum(schema: StarSchema, ids: Iterable[int]) -> int:
-    """Summed cardinality of all attributes in the motif."""
-    return sum(schema.attributes[i - 1].cardinality for i in ids)
+def column_cardinalities(schema: StarSchema) -> tuple[int, ...]:
+    """Per column id, its attribute's cardinality (index 0 unused)."""
+    return (0, *(a.cardinality for a in schema.attributes))
+
+
+def afc_sum(cards: Sequence[int], ids: Iterable[int]) -> int:
+    """Summed ``column_cardinalities`` of all attributes in the motif."""
+    return sum([cards[i] for i in ids])
 
 
 def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
@@ -102,9 +107,9 @@ def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
 
 def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
-    terms = column_terms(schema, matrix)
+    terms, cards = column_terms(schema, matrix), column_cardinalities(schema)
     # candidates arrive as sorted id tuples of one size, in id order
-    scored = [(fitness_tm(terms, ids), afc_sum(schema, ids), ids)
+    scored = [(fitness_tm(terms, ids), afc_sum(cards, ids), ids)
               for ids in smallest_transversals(matrix.hypergraph())]
     # max fitness, then min cardinality sum, then lexicographic
     winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))
@@ -188,9 +193,10 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
             costs, current = trial_costs, cost
         else:
             notes.append(f"{attr} skipped: no cost improvement")
+    cards = column_cardinalities(schema)
     trace = tuple(
         ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=0.0, afc=afc_sum(schema, ids), support=sup,
+                    fitness=0.0, afc=afc_sum(cards, ids), support=sup,
                     selected=any(matrix.name_of(i) in chosen for i in ids))
         for ids, sup in motifs)
     return Configuration(engine="close", attrs=tuple(sorted(chosen)),
@@ -209,9 +215,10 @@ def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
     scored = [(fitness_dynaclose(terms, ids), ids, sup)
               for ids, sup in motifs]
     winner = max(scored, key=lambda s: (s[0], [-i for i in s[1]]))
+    cards = column_cardinalities(schema)
     trace = tuple(
         ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=fit, afc=afc_sum(schema, ids), support=sup,
+                    fitness=fit, afc=afc_sum(cards, ids), support=sup,
                     selected=(ids == winner[1]))
         for fit, ids, sup in sorted(scored, key=lambda s: s[1]))
     attrs = _indexable_of(schema, matrix, winner[1])

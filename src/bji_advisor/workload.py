@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import re
 import string
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -441,22 +440,25 @@ class ContextMatrix:
         unknown = attrs & ~((1 << len(self.columns) + 1) - 2)
         if unknown:
             raise ValueError(f"unknown columns {list(bits(unknown))}")
-        hit = sum(n for row, n in self._row_counts if attrs & row == attrs)
-        return hit / len(self.rows)
+        hit = (1 << len(self.rows)) - 1
+        for i in bits(attrs):
+            hit &= self._column_rows[i]
+        return hit.bit_count() / len(self.rows)
 
     @cached_property
-    def _row_counts(self) -> tuple[tuple[int, int], ...]:
-        """Each distinct row mask with the number of queries that have it."""
-        return tuple(Counter(self.rows).items())
+    def _column_rows(self) -> tuple[int, ...]:
+        """Per column id, the mask of the rows that hold it: bit ``k`` is
+        ``rows[k]`` (index 0 unused)."""
+        masks = [0] * (len(self.columns) + 1)
+        for k, row in enumerate(self.rows):
+            for i in bits(row):
+                masks[i] |= 1 << k
+        return tuple(masks)
 
     @cached_property
     def marginal_support(self) -> tuple[float, ...]:
         """Per column id, ``support(1 << id)`` (index 0 unused)."""
-        hits = [0] * (len(self.columns) + 1)
-        for row in self.rows:
-            for i in bits(row):
-                hits[i] += 1
-        return tuple(h / len(self.rows) for h in hits)
+        return tuple(m.bit_count() / len(self.rows) for m in self._column_rows)
 
 
 def build_context_matrix(schema: StarSchema,

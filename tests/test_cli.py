@@ -8,8 +8,10 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from bji_advisor import cli, data_path
+from bji_advisor import cli, data_path, selection
+from bji_advisor.hypergraph import berge_enumerate, smallest_transversals
 from bji_advisor.schema import load_catalog_file
+from bji_advisor.workload import build_context_matrix, parse_workload
 
 CAT = str(data_path("ssb.json"))
 WL = str(data_path("ssb.sql"))
@@ -232,6 +234,46 @@ def test_json_text_is_indent_2_without_records(doc):
                                              sort_keys=True) + "\n"
 
 
+@given(st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(_KEYS, inner, max_size=4)))
+def test_encode_line_with_and_without_c_encoder(doc):
+    want = json.dumps(doc, sort_keys=True)
+    assert cli._make_encode_line()(doc) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "c_make_encoder", None)
+        assert cli._make_encode_line()(doc) == want
+
+
+def listing_oracle(cat, wl, all_):
+    """What ``enumerate`` prints, built set by set from the catalog's
+    attributes and the matrix's column names."""
+    schema = load_catalog_file(cat)
+    with open(wl, encoding="utf-8") as fh:
+        matrix = build_context_matrix(schema, parse_workload(fh.read(), schema))
+    h = matrix.hypergraph()
+    tms = berge_enumerate(h) if all_ else smallest_transversals(h)
+    terms = selection.column_terms(schema, matrix)
+    lines = ["columns:"]
+    lines += [f"  {v}: {matrix.columns[v - 1]}" for v in h.vertices]
+    lines.append(f"{'all' if all_ else 'smallest'} minimal transversals: "
+                 f"{len(tms)}")
+    for ids in tms:
+        names = [matrix.columns[i - 1] for i in ids]
+        afc = sum(schema.attribute(q).cardinality for q in names)
+        lines.append(f"  {ids} fitness={selection.fitness_tm(terms, ids):.6f}"
+                     f" afc={afc} [{', '.join(names)}]")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("all_", [False, True])
+@pytest.mark.parametrize("name", ["example_star", "ssb", "tpch"])
+def test_enumerate_listing_matches_oracle(name, all_, capsys):
+    cat, wl = str(data_path(f"{name}.json")), str(data_path(f"{name}.sql"))
+    assert run(["enumerate", "--catalog", cat, "--workload", wl]
+               + ["--all"] * all_) == 0
+    assert capsys.readouterr().out == listing_oracle(cat, wl, all_)
+
+
 def test_enumerate_smallest(tmp_path, capsys):
     cat = str(data_path("example_star.json"))
     wl = str(data_path("example_star.sql"))
@@ -264,7 +306,8 @@ def test_enumerate_closed_stdout_exits_141():
                         "--workload", wl])
     assert proc.stdout.readline() == b"columns:\n"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
 

@@ -281,6 +281,14 @@ def test_from_edges_rejects_edgeless():
         Hypergraph.from_edges([])
 
 
+def test_greedy_ties_go_to_the_lowest_id():
+    # from start 0 the uncovered edge {2, 3} ties vertices 2 and 3; taking
+    # the highest id would give (0, 3)
+    edges = [mask({0, 1}), mask({2, 3})]
+    assert get_min_transversality(Hypergraph.from_edges(edges)) \
+        == greedy_per_start(edges) == (2, (0, 2))
+
+
 def test_single_edge_trivia():
     h = Hypergraph.from_edges([mask({7})])
     assert get_min_transversality(h) == (1, (7,))
@@ -291,3 +299,8 @@ def test_single_edge_trivia():
 @given(st.sets(st.integers(0, 200)))
 def test_bits_inverts_mask(s):
     assert bits(mask(s)) == tuple(sorted(s))
+
+
+@given(st.integers(0, 2**130))
+def test_bits_lists_set_bits_lowest_first(m):
+    assert bits(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1)

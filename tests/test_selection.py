@@ -119,9 +119,11 @@ def test_fitness_tm_values():
 
 def test_afc_sums():
     schema, _ = example()
-    assert selection.afc_sum(schema, (3, 4)) == 50_005
-    assert selection.afc_sum(schema, (3, 5)) == 16_310_336
-    assert selection.afc_sum(schema, ()) == 0
+    cards = selection.column_cardinalities(schema)
+    assert cards[1:] == tuple(a.cardinality for a in schema.attributes)
+    assert selection.afc_sum(cards, (3, 4)) == 50_005
+    assert selection.afc_sum(cards, (3, 5)) == 16_310_336
+    assert selection.afc_sum(cards, ()) == 0
 
 
 def test_fitness_dynaclose_single_indexable():

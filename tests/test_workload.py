@@ -182,30 +182,38 @@ def test_support_antitone(data):
     assert m.support(mask(a)) >= m.support(mask(a | extra))
 
 
+def drawn_matrix(rows) -> ContextMatrix:
+    """The example's six columns over the drawn rows of column ids."""
+    return ContextMatrix(
+        columns=example_matrix().columns, rows=tuple(mask(r) for r in rows),
+        queries=tuple(ParsedQuery(id=k, referenced=frozenset(), predicates=())
+                      for k in range(1, len(rows) + 1)))
+
+
 @given(st.lists(st.sets(st.integers(1, 6), min_size=1), min_size=1,
                 max_size=12))
 def test_marginal_support_is_single_column_support(rows):
-    m = example_matrix()
-    drawn = ContextMatrix(
-        columns=m.columns, rows=tuple(mask(r) for r in rows),
-        queries=tuple(ParsedQuery(id=k, referenced=frozenset(), predicates=())
-                      for k in range(1, len(rows) + 1)))
+    drawn = drawn_matrix(rows)
+    assert drawn.marginal_support == tuple(
+        sum(1 for r in rows if i in r) / len(rows) for i in range(7))
     assert drawn.marginal_support[1:] == tuple(
-        drawn.support(1 << i) for i in range(1, len(m.columns) + 1))
+        drawn.support(1 << i) for i in range(1, len(drawn.columns) + 1))
 
 
-# rows over four of the six columns, so that rows repeat
+# rows over four of the six columns, so that rows repeat; ids 0, 7 and 8
+# name no column
 @given(st.lists(st.sets(st.integers(1, 4), min_size=1), min_size=1,
                 max_size=12),
-       st.sets(st.integers(1, 6), max_size=3))
+       st.sets(st.integers(0, 8), max_size=3))
 def test_support_equals_row_scan(rows, attrs):
-    m = example_matrix()
-    drawn = ContextMatrix(
-        columns=m.columns, rows=tuple(mask(r) for r in rows),
-        queries=tuple(ParsedQuery(id=k, referenced=frozenset(), predicates=())
-                      for k in range(1, len(rows) + 1)))
-    want = sum(1 for r in rows if attrs <= r) / len(rows)
-    assert drawn.support(mask(attrs)) == want
+    drawn = drawn_matrix(rows)
+    assert drawn.support(0) == 1.0
+    if attrs <= set(range(1, 7)):
+        want = sum(1 for r in rows if attrs <= r) / len(rows)
+        assert drawn.support(mask(attrs)) == want
+    else:
+        with pytest.raises(ValueError, match="unknown columns"):
+            drawn.support(mask(attrs))
 
 
 def indexable_attributes(schema, attrs):
