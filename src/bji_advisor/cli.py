@@ -16,13 +16,9 @@ import csv
 import io
 import json
 import os
-import random
 import sys
-from datetime import datetime, timezone
 
 from . import costmodel, selection
-from .engine import (bit_string, build_bji, demo_tables, evaluate,
-                     naive_join_oracle, MiniTable)
 from .hypergraph import berge_enumerate, bits, smallest_transversals
 from .schema import StarSchema, load_catalog_file
 from .workload import ContextMatrix, build_context_matrix, parse_workload
@@ -186,6 +182,7 @@ def _emit(value, newline: str, out: list[str]) -> None:
 
 
 def _write_metadata(out_dir: str, argv) -> None:
+    from datetime import datetime, timezone
     _write(os.path.join(out_dir, "metadata.json"), _json_text({
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "argv": list(argv),
@@ -297,6 +294,9 @@ def cmd_enumerate(args, argv) -> int:
 
 
 def cmd_demo(args, argv) -> int:
+    import random
+    from .engine import (bit_string, build_bji, demo_tables, evaluate,
+                         naive_join_oracle, MiniTable)
     if args.rows < 0:
         raise UsageError("--rows must be >= 0")
     fact, client, produit, temps = demo_tables()

@@ -15,14 +15,20 @@ CL(Nt) = pages * (1 - e^(-Nt / pages)) estimates distinct pages touched when
 fetching Nt tuples.  Queries that join no dimension scan their referenced
 tables and never use an index (a bitmap join index precomputes a
 fact-dimension join; there is none to use).
+
+Each query is planned once, over catalog column ids: a plan costs a
+configuration given as an id mask.  ``query_cost``, ``workload_cost``,
+``cost_report`` and ``config_storage`` take configurations as qualified
+attribute names.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
+from .hypergraph import bits, mask
 from .schema import StarSchema
 from .workload import ParsedQuery
 
@@ -72,8 +78,7 @@ def tuple_access_cost(n_tuples: float, table_pages: int) -> float:
 _SELECTIVE_CLASSES = ("equality", "range", "like", "in-list")
 
 
-def _selectivity(schema: StarSchema, attr: str, opclass: str, k: int) -> float:
-    card = schema.attribute(attr).cardinality
+def _selectivity(card: int, opclass: str, k: int) -> float:
     if opclass == "equality":
         return 1.0 / card
     if opclass in ("range", "like"):
@@ -90,15 +95,15 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     joined when such links chain it back to the fact table (snowflake arms
     must be referenced all the way down).
     """
+    referenced = query.referenced
     joined = {schema.fact.name}
     order: list[str] = []
     changed = True
     while changed:
         changed = False
-        for src, dst, j in schema.links:
+        for src, dst, ends in schema.link_masks:
             if src in joined and dst not in joined \
-                    and j.fact_attr in query.referenced \
-                    and j.dim_attr in query.referenced:
+                    and referenced & ends == ends:
                 joined.add(dst)
                 order.append(dst)
                 changed = True
@@ -108,105 +113,154 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
 @dataclass(frozen=True)
 class QueryPlan:
     """The facts of one query that costing it under any configuration
-    needs, worked out once."""
+    needs, worked out once.  Attributes are column ids."""
 
     query_id: int
-    dims: tuple[tuple[str, int], ...]    # joined dimensions in order, pages
+    # joined dimensions in order: (table, pages, mask of its usable ids)
+    dims: tuple[tuple[str, int, int], ...]
     no_index: float                      # cost when no index is usable
-    # referenced attribute on a joined dimension -> (table, index load pages)
-    usable: dict[str, tuple[str, int]]
-    # (attribute, selectivity) per selective predicate, in predicate order
-    selectivity: tuple[tuple[str, float], ...]
+    usable: int                          # referenced ids on joined dimensions
+    # the usable ids in the order their index loads are added: by qualified
+    # name, which groups them by table (see ``regroup``)
+    order: tuple[int, ...]
+    load_pages: tuple[int, ...]          # per column id, its index load pages
+    # (id, selectivity) per selective predicate, in predicate order
+    selectivity: tuple[tuple[int, float], ...]
     fact_rows: int
     fact_pages: int
+    # whether some table's qualified names are not contiguous in name order
+    # (only a dotted table name does that), so ``cost`` regroups by table
+    regroup: bool
 
-    def fact_tuples(self, filter_attrs: Iterable[str]) -> float:
-        """Fact rows surviving the predicates on ``filter_attrs``."""
-        usable = set(filter_attrs)
+    def fact_tuples(self, filter_attrs: int) -> float:
+        """Fact rows surviving the predicates on the id mask
+        ``filter_attrs``."""
         sel = 1.0
-        for attr, s in self.selectivity:
-            if attr in usable:
+        for i, s in self.selectivity:
+            if filter_attrs >> i & 1:
                 sel *= s
         rows = self.fact_rows
         return min(float(rows), max(0.0, rows * sel))
 
-    def cost(self, config: Iterable[str]) -> float:
-        """Cost under ``config``, given as sorted distinct attribute names."""
-        # per joined dimension, the configured indexes the query can use:
-        # indexed attributes of that dimension referenced by the query
-        used: dict[str, list[str]] = {}
-        for a in config:
-            hit = self.usable.get(a)
-            if hit is not None:
-                used.setdefault(hit[0], []).append(a)
-        if not used:
+    def cost(self, config: int) -> float:
+        """Cost under the configuration with id mask ``config``."""
+        # the configured indexes the query can use: indexed attributes of a
+        # joined dimension that the query references
+        hit = config & self.usable
+        if not hit:
             return self.no_index
-        index_attrs = [a for attrs in used.values() for a in attrs]
-        cl = tuple_access_cost(self.fact_tuples(index_attrs), self.fact_pages)
+        cl = tuple_access_cost(self.fact_tuples(hit), self.fact_pages)
         cost = cl
-        for a in index_attrs:
-            cost += self.usable[a][1]
-        for d, pages in self.dims:
-            if d not in used:
+        ids = [i for i in self.order if hit >> i & 1]
+        if self.regroup:
+            ids = _by_table(ids, self.dims)
+        for i in ids:
+            cost += self.load_pages[i]
+        for _, pages, on_dim in self.dims:
+            if not hit & on_dim:
                 cost += hash_join_cost(math.ceil(cl), pages)
         return cost
 
 
+def _by_table(ids: list[int], dims) -> list[int]:
+    """``ids``, in name order, grouped by dimension, each dimension where
+    its first id is."""
+    out: list[int] = []
+    for i in ids:
+        if i not in out:
+            on_dim = next(m for _, _, m in dims if m >> i & 1)
+            out += [j for j in ids if on_dim >> j & 1]
+    return out
+
+
+class _Planner:
+    """The per-column facts of one catalog that plans read, by column id,
+    worked out once per catalog."""
+
+    def __init__(self, schema: StarSchema):
+        self.schema = schema
+        attrs = schema.attributes
+        self.names = ("", *(a.qualified for a in attrs))
+        self.tables = ("", *(a.table for a in attrs))
+        self.cards = (0, *(a.cardinality for a in attrs))
+        self.on_table: dict[str, int] = {}
+        for i, t in enumerate(self.tables[1:], 1):
+            self.on_table[t] = self.on_table.get(t, 0) | 1 << i
+        rows, rowid_bits, page = \
+            schema.fact.rows, schema.rowid_bits, schema.page_size
+        self.load_pages = (0, *(
+            index_load_cost(index_storage_size(c, rows, rowid_bits), page)
+            for c in self.cards[1:]))
+        self.fact_pages = schema.table_pages(schema.fact.name)
+        self.regroup = any("." in t for t in schema.tables)
+
+    def plan(self, query: ParsedQuery) -> QueryPlan:
+        schema, fact_pages = self.schema, self.fact_pages
+        ref = query.referenced
+        dims = []
+        usable = 0
+        for d in joined_dimensions(schema, query):
+            on_dim = ref & self.on_table[d]
+            dims.append((d, schema.table_pages(d), on_dim))
+            usable |= on_dim
+        if dims:
+            no_index = float(sum([hash_join_cost(fact_pages, pages)
+                                  for _, pages, _ in dims]))
+        else:
+            tables = {self.tables[i] for i in bits(ref)}
+            no_index = float(sum([schema.table_pages(t) for t in tables]))
+        cards = self.cards
+        return QueryPlan(
+            query_id=query.id, dims=tuple(dims), no_index=no_index,
+            usable=usable,
+            order=tuple(sorted(bits(usable), key=self.names.__getitem__)),
+            load_pages=self.load_pages,
+            selectivity=tuple([(i, _selectivity(cards[i], opclass, k))
+                               for i, opclass, k in query.predicates
+                               if opclass in _SELECTIVE_CLASSES]),
+            fact_rows=schema.fact.rows, fact_pages=fact_pages,
+            regroup=self.regroup)
+
+
 def plan_query(schema: StarSchema, query: ParsedQuery) -> QueryPlan:
-    dims = joined_dimensions(schema, query)
-    fact_pages = schema.table_pages(schema.fact.name)
-    if dims:
-        no_index = float(sum(hash_join_cost(fact_pages, schema.table_pages(d))
-                             for d in dims))
-    else:
-        tables = {schema.attribute(a).table for a in query.referenced}
-        no_index = float(sum(schema.table_pages(t) for t in tables))
-    usable = {}
-    for a in query.referenced:
-        table = schema.attribute(a).table
-        if table in dims:
-            usable[a] = (table, index_load_cost(_index_size(schema, a),
-                                                schema.page_size))
-    return QueryPlan(
-        query_id=query.id,
-        dims=tuple((d, schema.table_pages(d)) for d in dims),
-        no_index=no_index, usable=usable,
-        selectivity=tuple((p.attr, _selectivity(schema, p.attr, p.opclass,
-                                                p.in_count))
-                          for p in query.predicates
-                          if p.opclass in _SELECTIVE_CLASSES),
-        fact_rows=schema.fact.rows, fact_pages=fact_pages)
+    return _Planner(schema).plan(query)
+
+
+def _config_mask(schema: StarSchema, config: Iterable[str]) -> int:
+    """The id mask of a configuration given as qualified names."""
+    return mask(schema.column_id(a) for a in config)
 
 
 def query_cost(schema: StarSchema, query: ParsedQuery,
                config: Iterable[str] = ()) -> float:
     """Cost of one query under ``config``: its plan, costed."""
-    return plan_query(schema, query).cost(sorted(set(config)))
+    return plan_query(schema, query).cost(_config_mask(schema, config))
 
 
 class WorkloadPlan:
     """The plans of a workload's queries, built once per run, and which
-    queries can use an index on each attribute (only their costs change
+    queries can use an index on each column id (only their costs change
     when that attribute joins a configuration)."""
 
     def __init__(self, schema: StarSchema, queries: Sequence[ParsedQuery]):
-        self.plans = tuple(plan_query(schema, q) for q in queries)
-        self.users: dict[str, list[int]] = {}
+        self.schema = schema
+        planner = _Planner(schema)
+        self.plans = tuple(planner.plan(q) for q in queries)
+        self.users: dict[int, list[int]] = {}
         for k, plan in enumerate(self.plans):
-            for a in plan.usable:
-                self.users.setdefault(a, []).append(k)
+            for i in plan.order:
+                self.users.setdefault(i, []).append(k)
         self.no_index = tuple(p.no_index for p in self.plans)
         self.baseline = sum(self.no_index)
 
-    def costs(self, config: Iterable[str]) -> list[float]:
-        """Cost of each query under ``config``, in query order."""
-        config = sorted(set(config))
+    def costs(self, config: int) -> list[float]:
+        """Cost of each query under the id mask ``config``, in query order."""
         return [p.cost(config) for p in self.plans]
 
-    def recost(self, costs: Sequence[float], config: list[str],
-               attr: str) -> list[float]:
-        """``costs``, the per-query costs of ``config`` without ``attr``,
-        updated to ``config`` (sorted, holding ``attr``)."""
+    def recost(self, costs: Sequence[float], config: int,
+               attr: int) -> list[float]:
+        """``costs``, the per-query costs of ``config`` without the id
+        ``attr``, updated to ``config`` (an id mask holding ``attr``)."""
         out = list(costs)
         for k in self.users.get(attr, ()):
             out[k] = self.plans[k].cost(config)
@@ -215,14 +269,15 @@ class WorkloadPlan:
 
 def workload_cost(schema: StarSchema, queries: Sequence[ParsedQuery],
                   config: Iterable[str] = ()) -> float:
-    return sum(WorkloadPlan(schema, queries).costs(config))
+    return sum(WorkloadPlan(schema, queries).costs(
+        _config_mask(schema, config)))
 
 
 def cost_report(plans: WorkloadPlan, config: Iterable[str]) -> dict:
     """The per-query and total cost of ``config`` against the workload's
     no-index baseline, as the reports write it."""
     config = sorted(set(config))
-    costs = plans.costs(config)
+    costs = plans.costs(_config_mask(plans.schema, config))
     total = sum(costs)
     return {
         "config": config,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 
 

@@ -12,8 +12,8 @@ transversality number.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 log = logging.getLogger(__name__)
 
@@ -211,7 +211,7 @@ def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """
     vertices, vert_edges = h.vertices, h.incidence
     picks_from = {0: 0}     # remaining-edge mask -> vertex mask greedy adds
-    best: Optional[tuple[int, ...]] = None
+    best: tuple[int, ...] | None = None
     for start in vertices:
         remaining = ((1 << len(h.edges)) - 1) & ~vert_edges[start]
         path: list[tuple[int, int]] = []

@@ -4,6 +4,11 @@ Catalogs load from a JSON document with top-level keys ``page_size``,
 ``rowid_bits``, ``tables``, ``attributes`` and ``joins``.  Explicit page counts
 in the catalog win over the ceil(rows*width/page_size) estimate so benchmark
 statistics can be reproduced exactly.
+
+Every attribute has a column id: its 1-based position in the catalog's
+declaration order, so ``attributes[i - 1]`` is column ``i``.  The parser,
+the query-attribute matrix, the cost model and the reports all name
+attributes by these ids, and sets of them as int masks (bit ``i``).
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +36,7 @@ class TableStats:
     role: str  # "fact" | "dimension"
     rows: int
     tuple_width: int
-    pages: Optional[int] = None
+    pages: int | None = None
 
     def __post_init__(self) -> None:
         if self.role not in ("fact", "dimension"):
@@ -93,6 +97,14 @@ class StarSchema:
     # (from table, to table, join with the declared qualified names)
     links: tuple[tuple[str, str, Join], ...] = field(
         init=False, repr=False, compare=False)
+    # (from table, to table, mask of the join's two endpoint ids) per link
+    link_masks: tuple[tuple[str, str, int], ...] = field(
+        init=False, repr=False, compare=False)
+    # lowercase name -> column id, for the names that only one table has
+    ids_by_name: dict[str, int] = field(init=False, repr=False, compare=False)
+    # (declared table, lowercase name) -> column id
+    ids_by_column: dict[tuple[str, str], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.page_size <= 0:
@@ -107,26 +119,29 @@ class StarSchema:
         for t in self.tables:
             if table_names.setdefault(t.lower(), t) != t:
                 raise CatalogError(f"duplicate table {t}")
-        index: dict[str, AttributeStats] = {}
+        index: dict[str, int] = {}      # lowercase qualified name -> id
         by_name: dict[str, list[AttributeStats]] = {}
-        for a in self.attributes:
+        by_column: dict[tuple[str, str], int] = {}
+        for i, a in enumerate(self.attributes, 1):
             if a.table not in self.tables:
                 raise CatalogError(f"attribute {a.qualified}: unknown table {a.table}")
             if a.qualified.lower() in index:
                 raise CatalogError(f"duplicate attribute {a.qualified}")
-            index[a.qualified.lower()] = a
+            index[a.qualified.lower()] = i
             by_name.setdefault(a.name.lower(), []).append(a)
+            by_column[a.table, a.name.lower()] = i
             owner = self.tables[a.table]
             if owner.rows > 0 and a.cardinality > owner.rows:
                 # the worked-example catalog legitimately exceeds this bound
                 log.warning("attribute %s: cardinality %d exceeds table rows %d",
                             a.qualified, a.cardinality, owner.rows)
-        links = []
+        links, link_masks = [], []
         for j in self.joins:
-            fa = index.get(j.fact_attr.lower())
-            da = index.get(j.dim_attr.lower())
-            if fa is None or da is None:
+            fi = index.get(j.fact_attr.lower())
+            di = index.get(j.dim_attr.lower())
+            if fi is None or di is None:
                 raise CatalogError(f"join {j.fact_attr} = {j.dim_attr}: unknown endpoint")
+            fa, da = self.attributes[fi - 1], self.attributes[di - 1]
             if fa.table == da.table:
                 raise CatalogError(f"join {j.fact_attr} = {j.dim_attr} is self-referential")
             if self.tables[da.table].role != "dimension":
@@ -134,6 +149,7 @@ class StarSchema:
             if not da.is_key:
                 raise CatalogError(f"join dim side {j.dim_attr} must be a key")
             links.append((fa.table, da.table, Join(fa.qualified, da.qualified)))
+            link_masks.append((fa.table, da.table, 1 << fi | 1 << di))
         # the shortest join chain from the fact table to each table (BFS)
         paths: dict[str, list[Join]] = {facts[0].name: []}
         queue = [facts[0].name]
@@ -147,7 +163,12 @@ class StarSchema:
                 raise CatalogError(
                     f"no join path from fact table {facts[0].name} to {t}")
         for name, value in (
-                ("fact", facts[0]), ("links", tuple(links)), ("_paths", paths),
+                ("fact", facts[0]), ("links", tuple(links)),
+                ("link_masks", tuple(link_masks)),
+                ("ids_by_name", {name: by_column[a.table, name]
+                                 for name, (a, *more) in by_name.items()
+                                 if not more}),
+                ("ids_by_column", by_column), ("_paths", paths),
                 ("_by_qualified", index), ("_by_name", by_name),
                 ("_table_names", table_names),
                 ("_pages", {key: pages_of(t, self.page_size)
@@ -155,13 +176,16 @@ class StarSchema:
             object.__setattr__(self, name, value)
 
     # -- lookups -----------------------------------------------------------
-    def attribute(self, qualified: str) -> AttributeStats:
-        a = self._by_qualified.get(qualified.lower())
-        if a is None:
+    def column_id(self, qualified: str) -> int:
+        i = self._by_qualified.get(qualified.lower())
+        if i is None:
             raise CatalogError(f"unknown attribute {qualified}")
-        return a
+        return i
 
-    def find_attribute(self, name: str, table: Optional[str] = None) -> AttributeStats:
+    def attribute(self, qualified: str) -> AttributeStats:
+        return self.attributes[self.column_id(qualified) - 1]
+
+    def find_attribute(self, name: str, table: str | None = None) -> AttributeStats:
         """Resolve a (possibly unqualified) column name, case-insensitively."""
         if table is not None:
             return self.attribute(f"{table}.{name}")
@@ -173,7 +197,7 @@ class StarSchema:
                 f"ambiguous attribute {name}: " + ", ".join(a.qualified for a in hits))
         return hits[0]
 
-    def find_table(self, name: str) -> Optional[str]:
+    def find_table(self, name: str) -> str | None:
         """The declared name of a table, matched case-insensitively."""
         return self._table_names.get(name.lower())
 
@@ -184,7 +208,7 @@ class StarSchema:
         """Non-key attribute of a dimension table."""
         return (not a.is_key) and self.tables[a.table].role == "dimension"
 
-    def join_path(self, dim: str) -> Optional[list[Join]]:
+    def join_path(self, dim: str) -> list[Join] | None:
         """The shortest chain of join links from the fact table to the
         table ``dim``; None if there is no such table."""
         return self._paths.get(dim)

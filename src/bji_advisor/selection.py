@@ -17,8 +17,8 @@ mono-attribute bitmap join index:
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
 
 from . import costmodel
 from .hypergraph import bits, mask, smallest_transversals
@@ -55,10 +55,6 @@ def _page_ratio(schema: StarSchema, table: str) -> float:
         return 1.0
     return schema.table_pages(table) / fact_pages
 
-
-# Matrix column ``i`` is ``schema.attributes[i - 1]`` (build_context_matrix
-# takes the columns in declaration order), so the helpers below read a
-# column's statistics by id.
 
 def _indexable(schema: StarSchema, ids: Iterable[int]) -> list[int]:
     """The ids whose column is indexable, in the given order."""
@@ -159,7 +155,7 @@ def mine_closed_frequent_itemsets(
 
 def close_select(schema: StarSchema, matrix: ContextMatrix,
                  plans: costmodel.WorkloadPlan, minsup: float = 0.1,
-                 storage_budget: Optional[int] = None) -> Configuration:
+                 storage_budget: int | None = None) -> Configuration:
     """Greedy cost-driven pick over closed-itemset candidates.
 
     Indexable attributes of the frequent closed itemsets are ranked by
@@ -175,21 +171,21 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
     in_motifs = mask(i for ids, _ in motifs for i in ids)
     ranked = sorted(_indexable(schema, bits(in_motifs)),
                     key=lambda i: (-matrix.marginal_support[i], matrix.name_of(i)))
-    chosen: list[str] = []
+    chosen = 0                      # id mask
     notes: list[str] = []
     costs = plans.no_index
     current = plans.baseline
     for i in ranked:
         attr = matrix.name_of(i)
-        trial = chosen + [attr]
-        if storage_budget is not None and \
-                costmodel.config_storage(schema, trial) > storage_budget:
+        trial = chosen | 1 << i
+        if storage_budget is not None and costmodel.config_storage(
+                schema, map(matrix.name_of, bits(trial))) > storage_budget:
             notes.append(f"{attr} skipped: storage budget exceeded")
             continue
-        trial_costs = plans.recost(costs, sorted(trial), attr)
+        trial_costs = plans.recost(costs, trial, i)
         cost = sum(trial_costs)
         if cost < current:
-            chosen.append(attr)
+            chosen = trial
             costs, current = trial_costs, cost
         else:
             notes.append(f"{attr} skipped: no cost improvement")
@@ -197,9 +193,10 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
     trace = tuple(
         ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
                     fitness=0.0, afc=afc_sum(cards, ids), support=sup,
-                    selected=any(matrix.name_of(i) in chosen for i in ids))
+                    selected=any(chosen >> i & 1 for i in ids))
         for ids, sup in motifs)
-    return Configuration(engine="close", attrs=tuple(sorted(chosen)),
+    return Configuration(engine="close",
+                         attrs=tuple(sorted(map(matrix.name_of, bits(chosen)))),
                          trace=trace, notes=tuple(notes))
 
 

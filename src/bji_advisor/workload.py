@@ -7,8 +7,13 @@ It collects the attributes referenced by WHERE and ON clauses; SELECT, GROUP
 BY, ORDER BY and HAVING are tolerated and ignored.  Vendor constructs outside
 that dialect are rejected rather than guessed.
 
-Matrix columns are the catalog's attributes in declaration order (dense ids
-starting at 1); the hypergraph keeps only the referenced vertices.
+Each referenced column resolves once, through the catalog's lookup tables,
+to its column id: its 1-based position in the catalog's declaration order,
+so column ``i`` is ``StarSchema.attributes[i - 1]``.  A parsed query holds
+the int mask of its ids (bit ``i``) and one ``(id, opclass, in_count)``
+tuple per predicate.  Matrix columns are all the catalog's attributes in id
+order, and a query's mask is its matrix row; the hypergraph keeps only the
+referenced vertices.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from __future__ import annotations
 import logging
 import re
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, bits, mask
+from .hypergraph import Hypergraph, bits
 from .schema import CatalogError, StarSchema
 
 log = logging.getLogger(__name__)
@@ -31,17 +36,13 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Predicate:
-    attr: str          # qualified table.attr
-    opclass: str       # equality | range | in-list | like | join | subquery | ref
-    in_count: int = 0  # list length for in-list
-
-
-@dataclass(frozen=True)
 class ParsedQuery:
     id: int
-    referenced: frozenset[str]          # qualified attribute names
-    predicates: tuple[Predicate, ...]
+    referenced: int                     # mask of the referenced column ids
+    # (column id, opclass, in-list length) for the first predicate on each
+    # column; opclass is one of equality, range, in-list, like, join,
+    # subquery, ref
+    predicates: tuple[tuple[int, str, int], ...]
 
 
 _TOKEN = r"""
@@ -116,9 +117,9 @@ class _Extractor:
         self.lows = [t.lower() for t in tokens]
         self.aliases: dict[str, str] = {}     # alias/table (lower) -> table name
         self.derived: set[str] = set()        # derived/view column + alias names
-        self.referenced: set[str] = set()
-        self.predicates: list[Predicate] = []
-        self._pred_seen: set[str] = set()
+        self.referenced = 0                   # mask of column ids
+        self.predicates: list[tuple[int, str, int]] = []
+        self._pred_seen = 0                   # mask of the ids in predicates
 
     def _name_at(self, i: int) -> bool:
         """Whether token i exists and is an identifier but not a keyword."""
@@ -268,7 +269,7 @@ class _Extractor:
                 i += 1
         return i
 
-    def _lookup_table(self, i: int) -> Optional[str]:
+    def _lookup_table(self, i: int) -> str | None:
         table = self.schema.find_table(self.toks[i])
         if table is None and self.lows[i] in self.derived:
             # derived relation/view: columns resolve to nothing
@@ -287,39 +288,47 @@ class _Extractor:
         if attr is None:
             # qualified name consumes 3 tokens, bare name 1
             return i + (3 if i + 2 < n and toks[i + 1] == "." else 1)
-        qualified, consumed = attr
-        self.referenced.add(qualified)
-        j = i + consumed
-        self._classify(j, qualified)
-        return j
+        cid, consumed = attr
+        self.referenced |= 1 << cid
+        return self._classify(i + consumed, cid)
 
-    def _resolve(self, i: int) -> Optional[tuple[str, int]]:
-        """Resolve an identifier at i; None if it is a derived/alias name."""
-        toks, lows = self.toks, self.lows
+    def _resolve(self, i: int) -> tuple[int, int] | None:
+        """Resolve an identifier at i to (column id, tokens consumed); None
+        if it is a derived/alias name."""
+        toks, lows, schema = self.toks, self.lows, self.schema
         if i + 2 < len(toks) and toks[i + 1] == ".":
             table = self.aliases.get(lows[i])
             if table is None:
                 table = self._lookup_table(i)
             if table is None or table.lower() in self.derived:
                 return None
-            try:
-                a = self.schema.find_attribute(toks[i + 2], table)
-            except CatalogError as exc:
-                raise ParseError(str(exc)) from exc
-            return a.qualified, 3
+            cid = schema.ids_by_column.get((table, lows[i + 2]))
+            if cid is None:
+                try:
+                    a = schema.find_attribute(toks[i + 2], table)
+                except CatalogError as exc:
+                    raise ParseError(str(exc)) from exc
+                cid = schema.column_id(a.qualified)
+            return cid, 3
         low = lows[i]
         if low in self.derived or low in self.aliases:
             return None
-        try:
-            a = self.schema.find_attribute(toks[i])
-        except CatalogError as exc:
-            raise ParseError(f"unresolvable column {toks[i]!r}") from exc
-        return a.qualified, 1
+        cid = schema.ids_by_name.get(low)
+        if cid is None:
+            try:
+                a = schema.find_attribute(toks[i])
+            except CatalogError as exc:
+                raise ParseError(f"unresolvable column {toks[i]!r}") from exc
+            cid = schema.column_id(a.qualified)
+        return cid, 1
 
-    def _classify(self, j: int, qualified: str) -> None:
-        """Record the operator class of the predicate starting after the attr."""
+    def _classify(self, j: int, cid: int) -> int:
+        """Record the operator class of the predicate starting at j, after
+        the column ``cid``; return where the scan resumes: j, or after a
+        join's right-hand side, which is resolved here once."""
         toks, lows = self.toks, self.lows
         n = len(toks)
+        resume = j
         nxt = lows[j] if j < n else ""
         opclass, k = "ref", 0
         if nxt == "not" and j + 1 < n:
@@ -339,10 +348,15 @@ class _Extractor:
                     resolved = None
                 if resolved:
                     opclass = "join"
-                    rq = resolved[0]
-                    if rq not in self._pred_seen:
-                        self._pred_seen.add(rq)
-                        self.predicates.append(Predicate(rq, "join", 0))
+                    rid, used = resolved
+                    if not self._pred_seen >> rid & 1:
+                        self._pred_seen |= 1 << rid
+                        self.predicates.append((rid, "join", 0))
+                    if lows[rhs] not in _SCALAR_ARGS:
+                        # resume after it; the scan would resolve it
+                        # again (it never resolves a bare ``date`` & co.)
+                        self.referenced |= 1 << rid
+                        resume = rhs + used
                 else:
                     opclass = "equality"
             else:
@@ -370,10 +384,10 @@ class _Extractor:
                                          or _is_number(toks[p])):
                             k += 1
                         p += 1
-        if qualified in self._pred_seen:
-            return
-        self._pred_seen.add(qualified)
-        self.predicates.append(Predicate(qualified, opclass, k))
+        if not self._pred_seen >> cid & 1:
+            self._pred_seen |= 1 << cid
+            self.predicates.append((cid, opclass, k))
+        return resume
 
 
 def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
@@ -387,7 +401,7 @@ def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
         raise ParseError(f"query {qid}: truncated statement") from exc
     except RecursionError as exc:
         raise ParseError(f"query {qid}: subqueries nested too deeply") from exc
-    return ParsedQuery(id=qid, referenced=frozenset(ex.referenced),
+    return ParsedQuery(id=qid, referenced=ex.referenced,
                        predicates=tuple(ex.predicates))
 
 
@@ -398,14 +412,24 @@ def split_workload(text: str) -> list[tuple[int, str]]:
     """Split a workload file into (id, sql) blocks.
 
     Two styles are accepted: ``Qn -`` or ``Qn :`` headers, or queries
-    separated by a line containing only ``;``.
+    separated by a line containing only ``;``.  With headers, text before
+    the first one and a repeated query id are errors.
     """
     headers = list(_HEADER_RE.finditer(text))
     if headers:
+        before = text[:headers[0].start()].strip()
+        if before:
+            raise ParseError(
+                f"text before the first query header: {before[:40]!r}")
         out = []
+        seen: set[int] = set()
         for k, m in enumerate(headers):
+            qid = int(m.group(1))
+            if qid in seen:
+                raise ParseError(f"query id Q{qid} appears more than once")
+            seen.add(qid)
             end = headers[k + 1].start() if k + 1 < len(headers) else len(text)
-            out.append((int(m.group(1)), text[m.end():end].strip()))
+            out.append((qid, text[m.end():end].strip()))
         return out
     blocks = re.split(r"^\s*;\s*$", text, flags=re.MULTILINE)
     return [(k + 1, b.strip()) for k, b in enumerate(blocks) if b.strip()]
@@ -426,7 +450,7 @@ class ContextMatrix:
 
     queries: tuple[ParsedQuery, ...]
     columns: tuple[str, ...]              # qualified names, index = id - 1
-    rows: tuple[int, ...]                 # per query, mask of referenced ids
+    rows: tuple[int, ...]                 # per query, its ``referenced``
 
     def name_of(self, col_id: int) -> str:
         return self.columns[col_id - 1]
@@ -463,17 +487,14 @@ class ContextMatrix:
 
 def build_context_matrix(schema: StarSchema,
                          queries: Sequence[ParsedQuery]) -> ContextMatrix:
-    columns = tuple(a.qualified for a in schema.attributes)
-    ids = {q: i + 1 for i, q in enumerate(columns)}
     kept: list[ParsedQuery] = []
-    rows: list[int] = []
     for q in queries:
         if not q.referenced:
             log.warning("query %d references no attributes; dropped", q.id)
             continue
         kept.append(q)
-        rows.append(mask(ids[a] for a in q.referenced))
-    if not rows:
+    if not kept:
         raise ParseError("workload is empty after dropping attribute-free queries")
-    return ContextMatrix(queries=tuple(kept), columns=columns,
-                         rows=tuple(rows))
+    return ContextMatrix(queries=tuple(kept),
+                         columns=tuple(a.qualified for a in schema.attributes),
+                         rows=tuple(q.referenced for q in kept))

@@ -140,6 +140,20 @@ def test_invalid_workload_input_error(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("select x from t where a = 1\n\nQ1 - select 2\n",
+     "text before the first query header: 'select x from t where a = 1'"),
+    ("Q1 - select 1 from lineorder where lo_quantity < 5\n"
+     "Q1 - select 1 from lineorder where lo_discount = 2\n",
+     "query id Q1 appears more than once")])
+def test_malformed_headers_input_error(text, message, tmp_path, capsys):
+    bad = tmp_path / "w.sql"
+    bad.write_text(text)
+    assert run(["advise", "--catalog", CAT, "--workload", str(bad),
+                "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_empty_workload_input_error(tmp_path):
     bad = tmp_path / "w.sql"
     bad.write_text("Q1 - select count(*) from lineorder\n")
@@ -412,3 +426,29 @@ def test_demo_seeded_deterministic(capsys, monkeypatch):
     second = capsys.readouterr().out
     assert first == second
     assert "naive join oracle agrees: True" in first
+
+
+# modules a command does not need; each costs start-up time when imported
+NOT_IMPORTED = ("bji_advisor.engine", "random", "typing", "importlib.resources")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+@pytest.mark.parametrize("command", ["advise", "compare", "enumerate"])
+def test_commands_import_only_what_they_run(command, tmp_path):
+    """A fresh interpreter without ``site`` (whose start-up hooks may import
+    some of these modules themselves) runs the command, then lists which of
+    the modules it loaded."""
+    argv = [command, "--catalog", str(data_path("example_star.json")),
+            "--workload", str(data_path("example_star.sql"))]
+    if command != "enumerate":
+        argv += ["--out", str(tmp_path)]
+    watched = NOT_IMPORTED + (("datetime",) if command == "enumerate" else ())
+    script = ("import sys\n"
+              "from bji_advisor import cli\n"
+              f"code = cli.main({argv!r})\n"
+              f"print([m for m in {watched!r} if m in sys.modules], code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env={"PYTHONPATH": SRC}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "[] 0", proc.stderr

@@ -1,5 +1,6 @@
 """I/O cost model: storage/load formulas, CL properties, query costing."""
 
+import itertools
 import json
 import math
 import random
@@ -7,14 +8,26 @@ import random
 import pytest
 
 from bji_advisor import cli, costmodel, data_path, selection
+from bji_advisor.hypergraph import bits, mask
 from bji_advisor.schema import load_catalog, load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
 
 
-def load(cat, wl):
-    schema = load_catalog_file(data_path(cat))
-    qs = parse_workload(data_path(wl).read_text(), schema)
+def load(cat, wl, gen=None):
+    if cat == "synth-templates":
+        # a generated instance: fact columns declared first and d1_a10
+        # after d1_a2, so id order is not name order
+        inst = gen.synth_templates(1)[wl]
+        schema = load_catalog(json.dumps(inst.catalog))
+        qs = parse_workload(inst.sql, schema)
+    else:
+        schema = load_catalog_file(data_path(cat))
+        qs = parse_workload(data_path(wl).read_text(), schema)
     return schema, build_context_matrix(schema, qs)
+
+
+def ids_of(schema, names):
+    return mask(schema.column_id(a) for a in names)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +156,8 @@ def test_estimate_fact_tuples_selectivities():
     by_id = {q.id: q for q in m.queries}
     plan = costmodel.plan_query(schema, by_id[1])
     # only predicates on the given attributes filter
-    assert plan.fact_tuples([]) == schema.fact.rows
-    nt = plan.fact_tuples(["dates.d_year"])
+    assert plan.fact_tuples(0) == schema.fact.rows
+    nt = plan.fact_tuples(ids_of(schema, ["dates.d_year"]))
     assert nt == pytest.approx(schema.fact.rows / 7)
 
 
@@ -192,41 +205,46 @@ def test_join_endpoints_match_case_insensitively():
 def oracle_query_cost(schema, query, config):
     """The page-cost model evaluated from scratch: the joined-dimension
     fixpoint, then the scan, hash-only or (partly) covered branch, with the
-    unit formulas inlined."""
+    unit formulas inlined.  Attributes are read by name, through
+    ``schema.attributes[i - 1]``."""
+    referenced = {schema.attributes[i - 1].qualified
+                  for i in bits(query.referenced)}
+    predicates = [(schema.attributes[i - 1].qualified, opclass, in_count)
+                  for i, opclass, in_count in query.predicates]
     joined, dims = {schema.fact.name}, []
     changed = True
     while changed:
         changed = False
         for src, dst, j in schema.links:
             if src in joined and dst not in joined \
-                    and j.fact_attr in query.referenced \
-                    and j.dim_attr in query.referenced:
+                    and j.fact_attr in referenced \
+                    and j.dim_attr in referenced:
                 joined.add(dst)
                 dims.append(dst)
                 changed = True
     if not dims:
-        tables = {schema.attribute(a).table for a in query.referenced}
+        tables = {schema.attribute(a).table for a in referenced}
         return float(sum(schema.table_pages(t) for t in tables))
     fact_pages = schema.table_pages(schema.fact.name)
     used = {}
     for a in sorted(set(config)):
         table = schema.attribute(a).table
-        if table in dims and a in query.referenced:
+        if table in dims and a in referenced:
             used.setdefault(table, []).append(a)
     if not used:
         return float(sum(3 * (fact_pages + schema.table_pages(d))
                          for d in dims))
     index_attrs = [a for attrs in used.values() for a in attrs]
     rows, sel = schema.fact.rows, 1.0
-    for p in query.predicates:
-        if p.attr in index_attrs:
-            card = schema.attribute(p.attr).cardinality
-            if p.opclass == "equality":
+    for attr, opclass, in_count in predicates:
+        if attr in index_attrs:
+            card = schema.attribute(attr).cardinality
+            if opclass == "equality":
                 sel *= 1.0 / card
-            elif p.opclass in ("range", "like"):
+            elif opclass in ("range", "like"):
                 sel *= 1.0 / 3.0
-            elif p.opclass == "in-list":
-                sel *= min(1.0, max(p.in_count, 1) / card)
+            elif opclass == "in-list":
+                sel *= min(1.0, max(in_count, 1) / card)
     nt = min(float(rows), max(0.0, rows * sel))
     cl = fact_pages * (1.0 - math.exp(-nt / fact_pages)) \
         if fact_pages > 0 and nt > 0 else 0.0
@@ -249,9 +267,9 @@ BUNDLED = (("example_star.json", "example_star.sql"), ("ssb.json", "ssb.sql"),
            ("tpch.json", "tpch.sql"))
 
 
-@pytest.mark.parametrize("cat, wl", BUNDLED)
-def test_plans_equal_oracle_under_random_configs(cat, wl):
-    schema, m = load(cat, wl)
+@pytest.mark.parametrize("cat, wl", BUNDLED + (("synth-templates", 0),))
+def test_plans_equal_oracle_under_random_configs(cat, wl, gen):
+    schema, m = load(cat, wl, gen)
     plans = costmodel.WorkloadPlan(schema, m.queries)
     names = [a.qualified for a in schema.attributes]
     rng = random.Random(7)
@@ -259,7 +277,7 @@ def test_plans_equal_oracle_under_random_configs(cat, wl):
                       for _ in range(60)]
     for config in configs:
         want = [oracle_query_cost(schema, q, config) for q in m.queries]
-        assert plans.costs(config) == want
+        assert plans.costs(ids_of(schema, config)) == want
         assert [costmodel.query_cost(schema, q, config)
                 for q in m.queries] == [oracle_query_cost(schema, q, config)
                                         for q in m.queries]
@@ -305,3 +323,38 @@ def test_close_select_equals_full_recost_loop(cat, wl):
             cfg = selection.close_select(schema, m, plans, minsup, budget)
             assert (cfg.attrs, cfg.notes) == oracle_close(schema, m, minsup,
                                                           budget)
+
+
+def test_index_loads_add_by_table_in_name_order():
+    """Under a configuration, a query's index loads are added to CL grouped
+    by table, tables in the order of their first name, each table's in name
+    order.  Table ``d.b`` puts ``d.b.c`` between ``d.a`` and ``d.z`` in name
+    order, and the columns are declared in another order again; the
+    statistics are picked so that adding the loads in name order or in id
+    order gives a different float from the oracle's order."""
+    doc = {"page_size": 4096, "tables": [
+        {"name": "F", "role": "fact", "rows": 61445735, "tuple_width": 100,
+         "pages": 562302},
+        {"name": "d.b", "role": "dimension", "rows": 1000, "tuple_width": 50},
+        {"name": "d", "role": "dimension", "rows": 1000, "tuple_width": 50}],
+        "attributes": [
+            {"table": "F", "name": "fk1", "is_key": True},
+            {"table": "F", "name": "fk2", "is_key": True},
+            {"table": "d.b", "name": "c", "cardinality": 239},
+            {"table": "d.b", "name": "k2", "is_key": True},
+            {"table": "d", "name": "z", "cardinality": 879},
+            {"table": "d", "name": "k1", "is_key": True},
+            {"table": "d", "name": "a", "cardinality": 136}],
+        "joins": [{"fact_attr": "F.fk1", "dim_attr": "d.k1"},
+                  {"fact_attr": "F.fk2", "dim_attr": "d.b.k2"}]}
+    schema = load_catalog(json.dumps(doc))
+    queries = parse_workload(
+        "Q1 - select 1 from F where fk1 = k1 and fk2 = k2 and a = 1 "
+        "and c = 2 and z = 3\n", schema)
+    plans = costmodel.WorkloadPlan(schema, queries)
+    names = ["d.a", "d.b.c", "d.z", "d.k1"]
+    for r in range(len(names) + 1):
+        for config in itertools.combinations(names, r):
+            want = oracle_query_cost(schema, queries[0], config)
+            assert costmodel.query_cost(schema, queries[0], config) == want
+            assert plans.costs(ids_of(schema, config)) == [want]

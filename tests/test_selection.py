@@ -49,8 +49,7 @@ def brute_closed_sets(rows):
 
 def matrix_from_rows(rows, n_cols):
     queries = tuple(
-        ParsedQuery(id=i + 1, predicates=(),
-                    referenced=frozenset(f"D.a{c}" for c in row))
+        ParsedQuery(id=i + 1, predicates=(), referenced=mask(row))
         for i, row in enumerate(rows))
     return ContextMatrix(queries=queries,
                          columns=tuple(f"D.a{i}" for i in range(1, n_cols + 1)),

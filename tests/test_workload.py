@@ -1,5 +1,6 @@
 """SQL attribute extraction and the query-attribute matrix."""
 
+import json
 import random
 import re
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bji_advisor import data_path
-from bji_advisor.hypergraph import mask
-from bji_advisor.schema import load_catalog_file
+from bji_advisor.hypergraph import bits, mask
+from bji_advisor.schema import load_catalog, load_catalog_file
 from bji_advisor.workload import (ContextMatrix, ParseError, ParsedQuery,
                                   build_context_matrix, parse_query,
                                   parse_workload, split_workload, tokenize)
@@ -26,6 +27,18 @@ def example_schema():
     return load_catalog_file(data_path("example_star.json"))
 
 
+def names(schema, ids):
+    """The qualified names of the column ids in the mask ``ids``."""
+    assert not ids & 1, "bit 0 names no column"
+    return frozenset(schema.attributes[i - 1].qualified for i in bits(ids))
+
+
+def predicates_by_name(schema, q):
+    """A query's predicates as {qualified name: (opclass, in_count)}."""
+    return {schema.attributes[i - 1].qualified: (opclass, k)
+            for i, opclass, k in q.predicates}
+
+
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------
@@ -39,6 +52,21 @@ def test_split_colon_headers():
     text = "Q1 : select 1\n\nQ2: select 2\nmore\nQ10 :select 3\n"
     blocks = split_workload(text)
     assert blocks == [(1, "select 1"), (2, "select 2\nmore"), (10, "select 3")]
+
+
+def test_split_rejects_text_before_the_first_header():
+    with pytest.raises(ParseError, match="text before the first query header"):
+        split_workload("select x from t where a = 1\n\nQ1 - select 2\n")
+    # blank lines before it are fine
+    assert split_workload("\n  \nQ1 - select 2\n") == [(1, "select 2")]
+
+
+def test_split_rejects_a_repeated_query_id():
+    with pytest.raises(ParseError, match="Q1 appears more than once"):
+        split_workload("Q1 - select 1\nQ2 - select 2\nQ1 : select 3\n")
+    # 1 and 01 are one id
+    with pytest.raises(ParseError, match="Q1 appears more than once"):
+        split_workload("Q1 - select 1\nQ01 - select 2\n")
 
 
 def test_split_semicolon_lines():
@@ -64,11 +92,12 @@ def test_ssb_q1_referenced():
     from lineorder, dates
     where lo_orderdate = d_datekey and d_year = 1993
     and lo_discount >= 1 and lo_discount <= 3 and lo_quantity < 25"""
-    q = parse_query(sql, ssb_schema(), 1)
-    assert q.referenced == {
+    schema = ssb_schema()
+    q = parse_query(sql, schema, 1)
+    assert names(schema, q.referenced) == {
         "lineorder.lo_orderdate", "dates.d_datekey", "dates.d_year",
         "lineorder.lo_discount", "lineorder.lo_quantity"}
-    classes = {p.attr: p.opclass for p in q.predicates}
+    classes = {a: p[0] for a, p in predicates_by_name(schema, q).items()}
     assert classes["dates.d_year"] == "equality"
     assert classes["lineorder.lo_quantity"] == "range"
     assert classes["lineorder.lo_orderdate"] == "join"
@@ -77,15 +106,16 @@ def test_ssb_q1_referenced():
 
 def test_no_where_clause_gives_empty_set():
     q = parse_query("select count(*) from lineorder", ssb_schema(), 1)
-    assert q.referenced == frozenset()
+    assert q.referenced == 0
 
 
 def test_aliased_and_qualified_refs():
     sql = """select count(*) from SALES S, CUSTOMERS C
     where S.cust_id = C.cust_id and C.cust_gender = 'M'"""
-    q = parse_query(sql, example_schema(), 4)
-    assert q.referenced == {"SALES.cust_id", "CUSTOMERS.cust_id",
-                            "CUSTOMERS.cust_gender"}
+    schema = example_schema()
+    q = parse_query(sql, schema, 4)
+    assert names(schema, q.referenced) == {
+        "SALES.cust_id", "CUSTOMERS.cust_id", "CUSTOMERS.cust_gender"}
 
 
 def test_unresolvable_column_is_error():
@@ -103,39 +133,43 @@ def test_unknown_table_is_error():
 def test_in_list_counting():
     sql = ("SELECT 1 FROM LINEITEM, PART WHERE L_PARTKEY = P_PARTKEY "
            "AND P_SIZE IN (1, 2, 3) AND L_SHIPMODE IN ('AIR', 'AIR REG')")
-    q = parse_query(sql, tpch_schema(), 1)
-    preds = {p.attr: p for p in q.predicates}
-    assert preds["PART.P_SIZE"].opclass == "in-list"
-    assert preds["PART.P_SIZE"].in_count == 3
-    assert preds["LINEITEM.L_SHIPMODE"].in_count == 2
+    schema = tpch_schema()
+    q = parse_query(sql, schema, 1)
+    preds = predicates_by_name(schema, q)
+    assert preds["PART.P_SIZE"][0] == "in-list"
+    assert preds["PART.P_SIZE"][1] == 3
+    assert preds["LINEITEM.L_SHIPMODE"][1] == 2
 
 
 def test_subquery_attrs_fold_into_parent():
     sql = ("SELECT 1 FROM ORDERS WHERE O_ORDERDATE >= '1993-07-01' AND "
            "EXISTS (SELECT * FROM LINEITEM WHERE L_ORDERKEY = O_ORDERKEY)")
-    q = parse_query(sql, tpch_schema(), 4)
-    assert "LINEITEM.L_ORDERKEY" in q.referenced
-    assert "ORDERS.O_ORDERKEY" in q.referenced
-    assert "ORDERS.O_ORDERDATE" in q.referenced
+    schema = tpch_schema()
+    q = parse_query(sql, schema, 4)
+    assert "LINEITEM.L_ORDERKEY" in names(schema, q.referenced)
+    assert "ORDERS.O_ORDERKEY" in names(schema, q.referenced)
+    assert "ORDERS.O_ORDERDATE" in names(schema, q.referenced)
 
 
 def test_having_is_ignored():
     sql = ("SELECT L_ORDERKEY FROM LINEITEM GROUP BY L_ORDERKEY "
            "HAVING SUM(L_QUANTITY) > 300")
-    q = parse_query(sql, tpch_schema(), 1)
-    assert "LINEITEM.L_QUANTITY" not in q.referenced
-    assert q.referenced == frozenset()
+    schema = tpch_schema()
+    q = parse_query(sql, schema, 1)
+    assert "LINEITEM.L_QUANTITY" not in names(schema, q.referenced)
+    assert q.referenced == 0
 
 
 def test_view_block_and_derived_columns():
     sql = data_path("tpch.sql").read_text()
     q15 = dict(split_workload(sql))[15]
-    q = parse_query(q15, tpch_schema(), 15)
-    assert "LINEITEM.L_SHIPDATE" in q.referenced
-    assert "SUPPLIER.S_SUPPKEY" in q.referenced
+    schema = tpch_schema()
+    q = parse_query(q15, schema, 15)
+    assert "LINEITEM.L_SHIPDATE" in names(schema, q.referenced)
+    assert "SUPPLIER.S_SUPPKEY" in names(schema, q.referenced)
     # view columns must not leak as schema attributes
     assert all(a.split(".")[1] not in ("SUPPLIER_NO", "TOTAL_REVENUE")
-               for a in q.referenced)
+               for a in names(schema, q.referenced))
 
 
 def test_full_annex_workloads_parse():
@@ -145,6 +179,49 @@ def test_full_annex_workloads_parse():
     tpch = parse_workload(data_path("tpch.sql").read_text(), tpch_schema())
     assert len(tpch) == 22
     assert all(q.referenced for q in tpch)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark generator as an oracle
+# ---------------------------------------------------------------------------
+
+# operator class the extractor gives each of the generator's operators
+GEN_OPCLASS = {"equality": "equality", "range": "range", "between": "range",
+               "in-list": "in-list", "like": "like"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parser_agrees_with_the_generators_record(gen, data):
+    """A query the benchmark generator renders (aliases, qualified or bare
+    names and predicate order drawn) parses to the attributes the generator
+    recorded, each attribute with the class of its operator."""
+    dims, attrs, fact_cols = 3, 4, 4
+    catalog = gen.star_catalog(random.Random(data.draw(st.integers(0, 99))),
+                               dims, attrs, fact_cols)
+    schema = load_catalog(json.dumps(catalog))
+    joins = data.draw(st.lists(st.integers(1, dims), unique=True))
+    dim_filters = data.draw(st.lists(
+        st.tuples(st.sampled_from(joins), st.integers(1, attrs),
+                  st.sampled_from(gen.OPERATORS)),
+        unique_by=lambda f: f[:2])) if joins else []
+    fact_filters = data.draw(st.lists(
+        st.tuples(st.integers(1, fact_cols), st.sampled_from(gen.OPERATORS)),
+        unique_by=lambda f: f[0]))
+    shape = gen.QueryShape(tuple(joins), tuple(dim_filters),
+                           tuple(fact_filters))
+    sql = gen.render_query(random.Random(data.draw(st.integers(0, 2**32))),
+                           1, shape)
+    (q,) = parse_workload(sql, schema)
+    assert names(schema, q.referenced) == shape.referenced()
+    want = {f"{gen.FACT}.{gen._fcol(c)}": GEN_OPCLASS[op]
+            for c, op in fact_filters}
+    want.update({f"{gen._dim(d)}.{gen._dattr(d, a)}": GEN_OPCLASS[op]
+                 for d, a, op in dim_filters})
+    for d in joins:
+        want[f"{gen.FACT}.{gen._fk(d)}"] = "join"
+        want[f"{gen._dim(d)}.{gen._key(d)}"] = "join"
+    assert {a: p[0] for a, p in predicates_by_name(schema, q).items()} == want
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +263,7 @@ def drawn_matrix(rows) -> ContextMatrix:
     """The example's six columns over the drawn rows of column ids."""
     return ContextMatrix(
         columns=example_matrix().columns, rows=tuple(mask(r) for r in rows),
-        queries=tuple(ParsedQuery(id=k, referenced=frozenset(), predicates=())
+        queries=tuple(ParsedQuery(id=k, referenced=0, predicates=())
                       for k in range(1, len(rows) + 1)))
 
 
@@ -351,4 +428,4 @@ def test_parse_workload_returns_or_raises_parse_error(text):
     except ParseError:
         return
     assert all(_TPCH.attribute(a).qualified == a
-               for q in queries for a in q.referenced)
+               for q in queries for a in names(_TPCH, q.referenced))
