@@ -12,7 +12,6 @@ for memory, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -61,16 +60,19 @@ def _parse_engines(arg: str) -> list[str]:
 def _select(args, engines: list[str]):
     """Load the inputs, create the output directory, run ``engines`` and cost
     each configuration against the no-index baseline.  Each query's cost
-    plan is built once, here, and serves every configuration."""
+    plan is built once, here, and serves every configuration; so do the
+    closed itemsets, mined once for the engines that read them."""
     schema, matrix = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     plans = costmodel.WorkloadPlan(schema, matrix.queries)
+    if {"close", "dynaclose"} & set(engines):
+        motifs = selection.mine_closed_frequent_itemsets(matrix, args.minsup)
     run = {"tm-ijb": lambda: selection.tm_ijb(schema, matrix),
            "close": lambda: selection.close_select(
-               schema, matrix, plans, minsup=args.minsup,
+               schema, matrix, plans, motifs,
                storage_budget=args.storage_budget),
            "dynaclose": lambda: selection.dynaclose_select(
-               schema, matrix, minsup=args.minsup)}
+               schema, matrix, motifs)}
     configs = [run[e]() for e in engines]
     reports = [costmodel.cost_report(plans, c.attrs) for c in configs]
     return schema, matrix, configs, reports
@@ -203,6 +205,7 @@ def _engine_rows(schema, configs, reports) -> list[dict]:
 
 
 def _rows_csv(rows: list[dict]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["engine", "total_cost", "storage_bytes",

@@ -25,8 +25,8 @@ attribute names.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .hypergraph import bits, mask
 from .schema import StarSchema
@@ -110,27 +110,24 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     return order
 
 
-@dataclass(frozen=True)
-class QueryPlan:
+class QueryPlan(namedtuple("QueryPlan", "query_id dims no_index usable order "
+                           "load_pages selectivity fact_rows fact_pages "
+                           "regroup")):
     """The facts of one query that costing it under any configuration
-    needs, worked out once.  Attributes are column ids."""
+    needs, worked out once.  Attributes are column ids.
 
-    query_id: int
-    # joined dimensions in order: (table, pages, mask of its usable ids)
-    dims: tuple[tuple[str, int, int], ...]
-    no_index: float                      # cost when no index is usable
-    usable: int                          # referenced ids on joined dimensions
-    # the usable ids in the order their index loads are added: by qualified
-    # name, which groups them by table (see ``regroup``)
-    order: tuple[int, ...]
-    load_pages: tuple[int, ...]          # per column id, its index load pages
-    # (id, selectivity) per selective predicate, in predicate order
-    selectivity: tuple[tuple[int, float], ...]
-    fact_rows: int
-    fact_pages: int
-    # whether some table's qualified names are not contiguous in name order
-    # (only a dotted table name does that), so ``cost`` regroups by table
-    regroup: bool
+    ``dims``: the joined dimensions in order, as (table, pages, mask of its
+    usable ids).  ``no_index``: the cost when no index is usable.
+    ``usable``: the referenced ids on joined dimensions.  ``order``: the
+    usable ids in the order their index loads are added, by qualified name,
+    which groups them by table.  ``load_pages``: per column id, its index
+    load pages.  ``selectivity``: (id, selectivity) per selective predicate,
+    in predicate order.  ``regroup``: whether some table's qualified names
+    are not contiguous in name order (only a dotted table name does that),
+    so ``cost`` regroups by table.
+    """
+
+    __slots__ = ()
 
     def fact_tuples(self, filter_attrs: int) -> float:
         """Fact rows surviving the predicates on the id mask

@@ -12,27 +12,25 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
-
 
 
 class EngineError(ValueError):
     """Bad table data or an evaluation over a missing index."""
 
 
-@dataclass(frozen=True)
-class MiniTable:
-    name: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+class MiniTable(namedtuple("MiniTable", "name columns rows")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(set(c.lower() for c in self.columns)) != len(self.columns):
             raise EngineError(f"table {self.name}: duplicate column names")
         for r in self.rows:
             if len(r) != len(self.columns):
                 raise EngineError(f"table {self.name}: row arity mismatch: {r!r}")
+        return self
 
     @classmethod
     def from_csv(cls, text: str, name: str) -> "MiniTable":
@@ -58,10 +56,10 @@ class MiniTable:
 Bitmap = int
 
 
-@dataclass(frozen=True)
-class BitmapJoinIndex:
-    bitmaps: Mapping[object, Bitmap]    # attribute value -> fact-row bitmap
-    n_rows: int
+class BitmapJoinIndex(namedtuple("BitmapJoinIndex", "bitmaps n_rows")):
+    """``bitmaps`` maps each attribute value to its fact-row bitmap."""
+
+    __slots__ = ()
 
     def bitmap_for(self, values: Iterable[object]) -> Bitmap:
         """OR of the bitmaps of the given values (absent value = all zeros)."""

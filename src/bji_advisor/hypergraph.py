@@ -11,11 +11,8 @@ transversality number.
 
 from __future__ import annotations
 
-import logging
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
-
-log = logging.getLogger(__name__)
 
 
 def bits(mask: int) -> tuple[int, ...]:
@@ -42,16 +39,18 @@ def _canon(masks: Iterable[int]) -> list[tuple[int, ...]]:
     return sorted(map(bits, masks), key=lambda t: (len(t), t))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(namedtuple("Hypergraph",
+                            "vertices edges vertex_mask incidence")):
     """The inclusion-minimal edges of a family of nonempty vertex sets, over
     the vertices of all: a set hits an edge iff it hits a minimal edge inside
-    it, so both have the same transversals (Murakami & Uno, DAM 2014)."""
+    it, so both have the same transversals (Murakami & Uno, DAM 2014).
 
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]              # minimal vertex masks, smallest first
-    vertex_mask: int                    # the mask of ``vertices``
-    incidence: tuple[int, ...]          # per vertex id, its edge-index mask
+    ``edges`` are the minimal vertex masks, smallest first; ``vertex_mask``
+    is the mask of ``vertices``; ``incidence[v]`` is vertex ``v``'s
+    edge-index mask.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, edges: Iterable[int]) -> "Hypergraph":
@@ -239,6 +238,8 @@ def smallest_transversals(h: Hypergraph) -> list[tuple[int, ...]]:
     # so the search started at that cap finds every smallest one
     found = mmcs(h, k0)
     if len(found[0]) < k0:
-        log.warning("greedy transversality bound %d overshoots exact %d",
-                    k0, len(found[0]))
+        import logging
+        logging.getLogger(__name__).warning(
+            "greedy transversality bound %d overshoots exact %d",
+            k0, len(found[0]))
     return found

@@ -14,11 +14,8 @@ attributes by these ids, and sets of them as int masks (bit ``i``).
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field
-
-log = logging.getLogger(__name__)
+from collections import namedtuple
 
 DEFAULT_ROWID_BITS = 80  # 10-byte row identifier
 # Catalog numbers fit a signed 64-bit integer, as a database's statistics
@@ -30,15 +27,15 @@ class CatalogError(ValueError):
     """Raised when a catalog document violates a validation rule."""
 
 
-@dataclass(frozen=True)
-class TableStats:
-    name: str
-    role: str  # "fact" | "dimension"
-    rows: int
-    tuple_width: int
-    pages: int | None = None
+class TableStats(namedtuple("TableStats", "name role rows tuple_width pages",
+                            defaults=(None,))):
+    """A table: ``role`` is "fact" or "dimension"; ``pages`` None means the
+    estimate from rows and width."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.role not in ("fact", "dimension"):
             raise CatalogError(f"table {self.name}: unknown role {self.role!r}")
         if self.rows < 0:
@@ -49,28 +46,27 @@ class TableStats:
         least = min(self.rows, 1)
         if self.pages is not None and self.pages < least:
             raise CatalogError(f"table {self.name}: pages must be >= {least}")
+        return self
 
 
-@dataclass(frozen=True)
-class AttributeStats:
-    table: str
-    name: str
-    cardinality: int
-    is_key: bool = False
+class AttributeStats(namedtuple("AttributeStats",
+                                "table name cardinality is_key",
+                                defaults=(False,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cardinality < 1:
             raise CatalogError(f"attribute {self.table}.{self.name}: cardinality < 1")
+        return self
 
     @property
     def qualified(self) -> str:
         return f"{self.table}.{self.name}"
 
 
-@dataclass(frozen=True)
-class Join:
-    fact_attr: str  # qualified "table.attr"
-    dim_attr: str
+# a join link between two qualified "table.attr" names
+Join = namedtuple("Join", "fact_attr dim_attr")
 
 
 def pages_of(t: TableStats, page_size: int) -> int:
@@ -84,67 +80,63 @@ def pages_of(t: TableStats, page_size: int) -> int:
     return math.ceil(t.rows * t.tuple_width / page_size)
 
 
-@dataclass(frozen=True)
 class StarSchema:
-    tables: dict[str, TableStats]
-    attributes: tuple[AttributeStats, ...]  # catalog declaration order
-    joins: tuple[Join, ...]
-    page_size: int
-    rowid_bits: int = DEFAULT_ROWID_BITS
+    """A validated catalog: ``tables`` by name, ``attributes`` in declaration
+    order, ``joins``, ``page_size`` and ``rowid_bits``.
 
-    # resolved once by __post_init__ from the fields above
-    fact: TableStats = field(init=False, repr=False, compare=False)
-    # (from table, to table, join with the declared qualified names)
-    links: tuple[tuple[str, str, Join], ...] = field(
-        init=False, repr=False, compare=False)
-    # (from table, to table, mask of the join's two endpoint ids) per link
-    link_masks: tuple[tuple[str, str, int], ...] = field(
-        init=False, repr=False, compare=False)
-    # lowercase name -> column id, for the names that only one table has
-    ids_by_name: dict[str, int] = field(init=False, repr=False, compare=False)
-    # (declared table, lowercase name) -> column id
-    ids_by_column: dict[tuple[str, str], int] = field(
-        init=False, repr=False, compare=False)
+    Resolved once from those: the ``fact`` table; ``links``, per join (from
+    table, to table, join with the declared qualified names); ``link_masks``,
+    per link (from table, to table, mask of the join's two endpoint ids);
+    ``ids_by_name``, lowercase name -> column id for the names only one
+    table has; ``ids_by_column``, (declared table, lowercase name) -> id.
+    """
 
-    def __post_init__(self) -> None:
-        if self.page_size <= 0:
+    def __init__(self, tables: dict[str, TableStats],
+                 attributes: tuple[AttributeStats, ...],
+                 joins: tuple[Join, ...], page_size: int,
+                 rowid_bits: int = DEFAULT_ROWID_BITS) -> None:
+        self.tables, self.attributes, self.joins = tables, attributes, joins
+        self.page_size, self.rowid_bits = page_size, rowid_bits
+        if page_size <= 0:
             raise CatalogError("missing or invalid page_size")
-        if self.rowid_bits <= 0:
+        if rowid_bits <= 0:
             raise CatalogError("rowid_bits must be positive")
-        facts = [t for t in self.tables.values() if t.role == "fact"]
+        facts = [t for t in tables.values() if t.role == "fact"]
         if len(facts) != 1:
             raise CatalogError(
                 f"exactly one fact table required, found {[t.name for t in facts]}")
         table_names: dict[str, str] = {}
-        for t in self.tables:
+        for t in tables:
             if table_names.setdefault(t.lower(), t) != t:
                 raise CatalogError(f"duplicate table {t}")
         index: dict[str, int] = {}      # lowercase qualified name -> id
         by_name: dict[str, list[AttributeStats]] = {}
         by_column: dict[tuple[str, str], int] = {}
-        for i, a in enumerate(self.attributes, 1):
-            if a.table not in self.tables:
+        for i, a in enumerate(attributes, 1):
+            if a.table not in tables:
                 raise CatalogError(f"attribute {a.qualified}: unknown table {a.table}")
             if a.qualified.lower() in index:
                 raise CatalogError(f"duplicate attribute {a.qualified}")
             index[a.qualified.lower()] = i
             by_name.setdefault(a.name.lower(), []).append(a)
             by_column[a.table, a.name.lower()] = i
-            owner = self.tables[a.table]
+            owner = tables[a.table]
             if owner.rows > 0 and a.cardinality > owner.rows:
                 # the worked-example catalog legitimately exceeds this bound
-                log.warning("attribute %s: cardinality %d exceeds table rows %d",
-                            a.qualified, a.cardinality, owner.rows)
+                import logging
+                logging.getLogger(__name__).warning(
+                    "attribute %s: cardinality %d exceeds table rows %d",
+                    a.qualified, a.cardinality, owner.rows)
         links, link_masks = [], []
-        for j in self.joins:
+        for j in joins:
             fi = index.get(j.fact_attr.lower())
             di = index.get(j.dim_attr.lower())
             if fi is None or di is None:
                 raise CatalogError(f"join {j.fact_attr} = {j.dim_attr}: unknown endpoint")
-            fa, da = self.attributes[fi - 1], self.attributes[di - 1]
+            fa, da = attributes[fi - 1], attributes[di - 1]
             if fa.table == da.table:
                 raise CatalogError(f"join {j.fact_attr} = {j.dim_attr} is self-referential")
-            if self.tables[da.table].role != "dimension":
+            if tables[da.table].role != "dimension":
                 raise CatalogError(f"join dim side {j.dim_attr} is not on a dimension")
             if not da.is_key:
                 raise CatalogError(f"join dim side {j.dim_attr} must be a key")
@@ -158,22 +150,18 @@ class StarSchema:
                 if src == table and dst not in paths:
                     paths[dst] = paths[table] + [j]
                     queue.append(dst)
-        for t in self.tables:
+        for t in tables:
             if t not in paths:
                 raise CatalogError(
                     f"no join path from fact table {facts[0].name} to {t}")
-        for name, value in (
-                ("fact", facts[0]), ("links", tuple(links)),
-                ("link_masks", tuple(link_masks)),
-                ("ids_by_name", {name: by_column[a.table, name]
-                                 for name, (a, *more) in by_name.items()
-                                 if not more}),
-                ("ids_by_column", by_column), ("_paths", paths),
-                ("_by_qualified", index), ("_by_name", by_name),
-                ("_table_names", table_names),
-                ("_pages", {key: pages_of(t, self.page_size)
-                            for key, t in self.tables.items()})):
-            object.__setattr__(self, name, value)
+        self.fact, self.links, self.link_masks = \
+            facts[0], tuple(links), tuple(link_masks)
+        self.ids_by_name = {name: by_column[a.table, name]
+                            for name, (a, *more) in by_name.items() if not more}
+        self.ids_by_column, self._paths = by_column, paths
+        self._by_qualified, self._by_name, self._table_names = \
+            index, by_name, table_names
+        self._pages = {key: pages_of(t, page_size) for key, t in tables.items()}
 
     # -- lookups -----------------------------------------------------------
     def column_id(self, qualified: str) -> int:

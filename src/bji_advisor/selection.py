@@ -7,43 +7,35 @@ mono-attribute bitmap join index:
   hypergraph, score each by fitness (support-weighted dimension/fact page
   ratio over its indexable members), break ties by summed attribute
   cardinality then lexicographically, keep the winner's indexable members;
-* ``close_select``: mine closed frequent itemsets, rank their indexable
+* ``close_select``: over the closed frequent itemsets, rank their indexable
   members by marginal support, greedily keep indexes while the modeled
   workload cost strictly decreases;
-* ``dynaclose_select``: same mining, score whole motifs by mean
+* ``dynaclose_select``: over the same itemsets, score whole motifs by mean
   alpha-weighted support, keep the best motif's indexable members.
+
+The two itemset engines take the itemsets ``mine_closed_frequent_itemsets``
+returns, so a run that uses both mines once.
 """
 
 from __future__ import annotations
 
-import logging
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from . import costmodel
 from .hypergraph import bits, mask, smallest_transversals
 from .schema import StarSchema
 from .workload import ContextMatrix
 
-log = logging.getLogger(__name__)
+# one candidate: ``ids`` its sorted column ids, ``attrs`` their qualified
+# names in the same order, ``afc`` their summed attribute cardinality
+ScoredMotif = namedtuple("ScoredMotif",
+                         "ids attrs fitness afc support selected")
 
-
-@dataclass(frozen=True)
-class ScoredMotif:
-    ids: tuple[int, ...]            # sorted column ids
-    attrs: tuple[str, ...]          # qualified names, same order
-    fitness: float
-    afc: int                        # summed attribute cardinality
-    support: float
-    selected: bool
-
-
-@dataclass(frozen=True)
-class Configuration:
-    engine: str
-    attrs: tuple[str, ...]          # qualified attribute names, sorted
-    trace: tuple[ScoredMotif, ...]
-    notes: tuple[str, ...] = ()
+# an engine's pick: ``attrs`` the sorted qualified names, ``trace`` the
+# ScoredMotif of each candidate
+Configuration = namedtuple("Configuration", "engine attrs trace notes",
+                           defaults=((),))
 
 
 def _page_ratio(schema: StarSchema, table: str) -> float:
@@ -154,20 +146,20 @@ def mine_closed_frequent_itemsets(
 
 
 def close_select(schema: StarSchema, matrix: ContextMatrix,
-                 plans: costmodel.WorkloadPlan, minsup: float = 0.1,
+                 plans: costmodel.WorkloadPlan,
+                 motifs: Sequence[tuple[tuple[int, ...], float]],
                  storage_budget: int | None = None) -> Configuration:
     """Greedy cost-driven pick over closed-itemset candidates.
 
-    Indexable attributes of the frequent closed itemsets are ranked by
-    marginal support (ties by name) and added one by one while the modeled
-    workload cost strictly decreases, starting from the no-index baseline;
-    non-improving candidates are skipped.  ``plans`` holds the cost plans
-    of ``matrix.queries``, built once by the caller.  A trial re-costs only
-    the queries that can use the candidate, then sums every query's cost in
-    query order, the same additions ``workload_cost`` makes, so an equal
-    cost never passes for a smaller one.
+    Indexable attributes of the frequent closed itemsets ``motifs`` are
+    ranked by marginal support (ties by name) and added one by one while the
+    modeled workload cost strictly decreases, starting from the no-index
+    baseline; non-improving candidates are skipped.  ``plans`` holds the
+    cost plans of ``matrix.queries``, built once by the caller.  A trial
+    re-costs only the queries that can use the candidate, then sums every
+    query's cost in query order, the same additions ``workload_cost`` makes,
+    so an equal cost never passes for a smaller one.
     """
-    motifs = mine_closed_frequent_itemsets(matrix, minsup)
     in_motifs = mask(i for ids, _ in motifs for i in ids)
     ranked = sorted(_indexable(schema, bits(in_motifs)),
                     key=lambda i: (-matrix.marginal_support[i], matrix.name_of(i)))
@@ -201,10 +193,10 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
 
 
 def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
-                     minsup: float = 0.1) -> Configuration:
-    """Keep the indexable members of the motif with the best mean
-    alpha-weighted support."""
-    motifs = mine_closed_frequent_itemsets(matrix, minsup)
+                     motifs: Sequence[tuple[tuple[int, ...], float]]
+                     ) -> Configuration:
+    """Keep the indexable members of the frequent closed itemset in
+    ``motifs`` with the best mean alpha-weighted support."""
     if not motifs:
         return Configuration(engine="dynaclose", attrs=(), trace=(),
                              notes=("no frequent closed itemset",))

@@ -18,31 +18,23 @@ referenced vertices.
 
 from __future__ import annotations
 
-import logging
 import re
-import string
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .hypergraph import Hypergraph, bits
 from .schema import CatalogError, StarSchema
-
-log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
     """Unsupported syntax or unresolvable column, with query context."""
 
 
-@dataclass(frozen=True)
-class ParsedQuery:
-    id: int
-    referenced: int                     # mask of the referenced column ids
-    # (column id, opclass, in-list length) for the first predicate on each
-    # column; opclass is one of equality, range, in-list, like, join,
-    # subquery, ref
-    predicates: tuple[tuple[int, str, int], ...]
+# one query: ``referenced`` is the mask of its column ids, and ``predicates``
+# holds (column id, opclass, in-list length) for the first predicate on each
+# column; opclass is one of equality, range, in-list, like, join, subquery, ref
+ParsedQuery = namedtuple("ParsedQuery", "id referenced predicates")
 
 
 _TOKEN = r"""
@@ -56,7 +48,8 @@ _TOKEN_RE = re.compile(_TOKEN, re.VERBOSE)
 # text as one last token, so one findall both splits and finds the error
 _SCAN_RE = re.compile(_TOKEN + r"| \S[\s\S]*", re.VERBOSE)
 
-_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _KEYWORDS = {
     "select", "from", "where", "and", "or", "not", "group", "by", "order",
@@ -67,8 +60,10 @@ _KEYWORDS = {
 }
 
 _COMPARE_OPS = {"<", ">", "<=", ">=", "<>", "!="}
+_COMPARISONS = _COMPARE_OPS | {"="}
 
-# bare arguments of T-SQL scalar helpers (dateadd/datepart parts, cast types)
+# bare arguments of T-SQL scalar helpers (dateadd/datepart parts, cast types);
+# one that names a column is that column next to a comparison operator
 _SCALAR_ARGS = {
     "dd", "mm", "yy", "yyyy", "qq", "dy", "wk", "ww", "hh", "mi", "ss",
     "date", "datetime", "time", "int", "integer", "bigint", "float", "real",
@@ -225,8 +220,8 @@ class _Extractor:
                     continue
             if clause == "from":
                 i = self._from_item(i)
-            elif clause in ("where", "on") and low not in _NOT_COLUMNS \
-                    and toks[i][0] in _IDENT_START:
+            elif clause in ("where", "on") and toks[i][0] in _IDENT_START \
+                    and (low not in _NOT_COLUMNS or self._compared_column(i)):
                 i = self._where_token(i)
             else:
                 # select/group/order/having, and WHERE/ON tokens that name
@@ -275,6 +270,16 @@ class _Extractor:
             # derived relation/view: columns resolve to nothing
             return self.toks[i]
         return table
+
+    def _compared_column(self, i: int) -> bool:
+        """Whether the helper-argument name at i is a column: only one table
+        has a column of that name, and a comparison operator is next to it.
+        Inside a call, as in ``dateadd(dd, ...)`` or ``cast(... as date)``,
+        it is an argument."""
+        lows = self.lows
+        return lows[i] in _SCALAR_ARGS and lows[i] in self.schema.ids_by_name \
+            and (lows[i - 1] in _COMPARISONS
+                 or i + 1 < len(lows) and lows[i + 1] in _COMPARISONS)
 
     # ------------------------------------------------------------------
     def _where_token(self, i: int) -> int:
@@ -352,11 +357,9 @@ class _Extractor:
                     if not self._pred_seen >> rid & 1:
                         self._pred_seen |= 1 << rid
                         self.predicates.append((rid, "join", 0))
-                    if lows[rhs] not in _SCALAR_ARGS:
-                        # resume after it; the scan would resolve it
-                        # again (it never resolves a bare ``date`` & co.)
-                        self.referenced |= 1 << rid
-                        resume = rhs + used
+                    # resume after it; the scan would resolve it again
+                    self.referenced |= 1 << rid
+                    resume = rhs + used
                 else:
                     opclass = "equality"
             else:
@@ -439,18 +442,19 @@ def parse_workload(text: str, schema: StarSchema) -> list[ParsedQuery]:
     return [parse_query(sql, schema, qid) for qid, sql in split_workload(text)]
 
 
-@dataclass(frozen=True)
-class ContextMatrix:
+class ContextMatrix(namedtuple("ContextMatrix", "queries columns rows")):
     """Binary query x attribute usage matrix.
 
-    Columns are ALL catalog attributes in declaration order (ids 1..N) so that
-    column ids are stable across workloads over the same catalog; rows are the
-    queries that reference at least one attribute.
+    ``columns`` are the qualified names of ALL catalog attributes in
+    declaration order (index = id - 1), so that column ids are stable across
+    workloads over the same catalog; ``queries`` are the queries that
+    reference at least one attribute, and ``rows`` their ``referenced``.
+    The cached properties live in the instance ``__dict__``, so no other
+    attribute may be set.
     """
 
-    queries: tuple[ParsedQuery, ...]
-    columns: tuple[str, ...]              # qualified names, index = id - 1
-    rows: tuple[int, ...]                 # per query, its ``referenced``
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: ContextMatrix is immutable")
 
     def name_of(self, col_id: int) -> str:
         return self.columns[col_id - 1]
@@ -490,7 +494,9 @@ def build_context_matrix(schema: StarSchema,
     kept: list[ParsedQuery] = []
     for q in queries:
         if not q.referenced:
-            log.warning("query %d references no attributes; dropped", q.id)
+            import logging
+            logging.getLogger(__name__).warning(
+                "query %d references no attributes; dropped", q.id)
             continue
         kept.append(q)
     if not kept:

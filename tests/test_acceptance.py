@@ -193,9 +193,10 @@ def test_criterion_3_ssb_end_to_end(ssb):
     h = m.hypergraph()
     smallest = set(smallest_transversals(h))
     cfg = selection.tm_ijb(schema, m)
+    motifs = selection.mine_closed_frequent_itemsets(m, 0.1)
     close = selection.close_select(
-        schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1)
-    dyna = selection.dynaclose_select(schema, m, 0.1)
+        schema, m, costmodel.WorkloadPlan(schema, m.queries), motifs)
+    dyna = selection.dynaclose_select(schema, m, motifs)
     d_year = m.columns.index("dates.d_year") + 1
     frequent = frequent_indexable(schema, m, 0.1)
     clauses = [
@@ -245,9 +246,10 @@ def test_criterion_4_tpch_end_to_end(tpch):
     h = m.hypergraph()
     smallest = smallest_transversals(h)
     cfg = selection.tm_ijb(schema, m)
+    motifs = selection.mine_closed_frequent_itemsets(m, 0.1)
     close = selection.close_select(
-        schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1)
-    dyna = selection.dynaclose_select(schema, m, 0.1)
+        schema, m, costmodel.WorkloadPlan(schema, m.queries), motifs)
+    dyna = selection.dynaclose_select(schema, m, motifs)
     pair = [m.columns.index("NATION.N_NAME") + 1,
             m.columns.index("ORDERS.O_ORDERDATE") + 1]
     frequent = frequent_indexable(schema, m, 0.1)
@@ -348,14 +350,15 @@ def test_criterion_5_cost_ordering(ssb, tpch):
     for label, (schema, queries, m) in (("SSB", ssb), ("TPC-H", tpch)):
         base = costmodel.workload_cost(schema, queries, ())
         tm = selection.tm_ijb(schema, m).attrs
+        motifs = selection.mine_closed_frequent_itemsets(m, 0.1)
         close = selection.close_select(
-            schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1).attrs
+            schema, m, costmodel.WorkloadPlan(schema, m.queries), motifs).attrs
         costs = {
             "tm-ijb": costmodel.workload_cost(schema, queries, tm),
             "close": costmodel.workload_cost(schema, queries, close),
             "dynaclose": costmodel.workload_cost(
                 schema, queries,
-                selection.dynaclose_select(schema, m, 0.1).attrs),
+                selection.dynaclose_select(schema, m, motifs).attrs),
         }
         # Paper: cost(tm-ijb) <= cost(close), which followed from its
         # smaller close picks (criteria 3 and 4 show they are unreachable

@@ -429,7 +429,8 @@ def test_demo_seeded_deterministic(capsys, monkeypatch):
 
 
 # modules a command does not need; each costs start-up time when imported
-NOT_IMPORTED = ("bji_advisor.engine", "random", "typing", "importlib.resources")
+NOT_IMPORTED = ("bji_advisor.engine", "random", "typing", "importlib.resources",
+                "dataclasses", "inspect", "logging", "string")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -437,13 +438,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 @pytest.mark.parametrize("command", ["advise", "compare", "enumerate"])
 def test_commands_import_only_what_they_run(command, tmp_path):
     """A fresh interpreter without ``site`` (whose start-up hooks may import
-    some of these modules themselves) runs the command, then lists which of
-    the modules it loaded."""
-    argv = [command, "--catalog", str(data_path("example_star.json")),
-            "--workload", str(data_path("example_star.sql"))]
+    some of these modules themselves) runs the command on SSB, which warns
+    of nothing, then lists which of the modules it loaded."""
+    argv = [command, "--catalog", CAT, "--workload", WL]
     if command != "enumerate":
         argv += ["--out", str(tmp_path)]
-    watched = NOT_IMPORTED + (("datetime",) if command == "enumerate" else ())
+    watched = NOT_IMPORTED + {"advise": ("csv",), "compare": (),
+                              "enumerate": ("csv", "datetime")}[command]
     script = ("import sys\n"
               "from bji_advisor import cli\n"
               f"code = cli.main({argv!r})\n"
@@ -452,3 +453,29 @@ def test_commands_import_only_what_they_run(command, tmp_path):
                           env={"PYTHONPATH": SRC}, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.splitlines()[-1] == "[] 0", proc.stderr
+
+
+def test_warning_reaches_stderr_through_the_lazy_logger():
+    """example_star's catalog warns when it loads; the module imports
+    ``logging`` only then, and the message still reaches stderr as is."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "bji_advisor.cli", "enumerate",
+         "--catalog", str(data_path("example_star.json")),
+         "--workload", str(data_path("example_star.sql"))],
+        env={"PYTHONPATH": SRC}, capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == (b"attribute SALES.channel_id: cardinality 16260336 "
+                           b"exceeds table rows 1626033\n")
+
+
+@pytest.mark.parametrize("engine, mined", [("tm-ijb,close,dynaclose", 1),
+                                           ("close,dynaclose", 1),
+                                           ("tm-ijb", 0)])
+def test_closed_itemsets_are_mined_once(engine, mined, tmp_path, monkeypatch):
+    calls = []
+    mine = selection.mine_closed_frequent_itemsets
+    monkeypatch.setattr(selection, "mine_closed_frequent_itemsets",
+                        lambda *a: calls.append(a) or mine(*a))
+    assert run(["advise", "--catalog", CAT, "--workload", WL, "--engine",
+                engine, "--out", str(tmp_path)]) == 0
+    assert len(calls) == mined

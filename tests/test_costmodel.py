@@ -320,7 +320,8 @@ def test_close_select_equals_full_recost_loop(cat, wl):
     plans = costmodel.WorkloadPlan(schema, m.queries)
     for minsup in (0.05, 0.1, 0.3):
         for budget in (None, 10**4, 10**8, 5 * 10**8):
-            cfg = selection.close_select(schema, m, plans, minsup, budget)
+            motifs = selection.mine_closed_frequent_itemsets(m, minsup)
+            cfg = selection.close_select(schema, m, plans, motifs, budget)
             assert (cfg.attrs, cfg.notes) == oracle_close(schema, m, minsup,
                                                           budget)
 

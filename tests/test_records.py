@@ -1,0 +1,81 @@
+"""The immutable records: assignment, keyword construction, defaults and
+the checks made when a record is built."""
+
+import pytest
+
+from bji_advisor import data_path
+from bji_advisor.costmodel import WorkloadPlan
+from bji_advisor.engine import BitmapJoinIndex, EngineError, MiniTable
+from bji_advisor.hypergraph import Hypergraph
+from bji_advisor.schema import (AttributeStats, CatalogError, Join,
+                                TableStats, load_catalog_file)
+from bji_advisor.selection import Configuration, ScoredMotif
+from bji_advisor.workload import (ContextMatrix, ParsedQuery,
+                                  build_context_matrix, parse_workload)
+
+
+def records():
+    schema = load_catalog_file(data_path("example_star.json"))
+    queries = parse_workload(data_path("example_star.sql").read_text(), schema)
+    matrix = build_context_matrix(schema, queries)
+    motif = ScoredMotif(ids=(1,), attrs=("T.a",), fitness=0.5, afc=3,
+                        support=1.0, selected=True)
+    return [
+        matrix.hypergraph(), queries[0], matrix,
+        WorkloadPlan(schema, queries).plans[0], motif,
+        Configuration(engine="close", attrs=("T.a",), trace=(motif,)),
+        schema.fact, schema.attributes[0], schema.joins[0],
+        MiniTable("T", ("a",), (("1",),)),
+        BitmapJoinIndex(bitmaps={"x": 1}, n_rows=1),
+    ]
+
+
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+def test_records_reject_attribute_assignment(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_keyword_construction_and_defaults():
+    assert Configuration(engine="tm-ijb", attrs=(), trace=()).notes == ()
+    t = TableStats(name="T", role="dimension", rows=5, tuple_width=4)
+    assert t.pages is None
+    assert TableStats("T", "dimension", 5, 4, pages=2).pages == 2
+    a = AttributeStats(table="T", name="a", cardinality=3)
+    assert a.is_key is False and a.qualified == "T.a"
+    assert Join(fact_attr="F.k", dim_attr="D.k") == Join("F.k", "D.k")
+    q = ParsedQuery(id=1, referenced=2, predicates=())
+    assert (q.id, q.referenced, q.predicates) == (1, 2, ())
+    h = Hypergraph.from_edges([0b110, 0b010])
+    assert h == Hypergraph(vertices=(1, 2), edges=(0b010,), vertex_mask=0b110,
+                           incidence=(0, 1, 0))
+    m = ContextMatrix(queries=(q,), columns=("T.a",), rows=(2,))
+    assert m.support(2) == 1.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TableStats("T", "cube", 1, 1), "unknown role 'cube'"),
+    (lambda: TableStats("T", "fact", -1, 1), "negative row count"),
+    (lambda: TableStats(name="T", role="fact", rows=1, tuple_width=0),
+     "tuple width must be positive"),
+    (lambda: TableStats("T", "fact", 5, 1, pages=0), "pages must be >= 1"),
+    (lambda: TableStats("T", "fact", 0, 1, -1), "pages must be >= 0"),
+    (lambda: AttributeStats("T", "a", 0), "attribute T.a: cardinality < 1"),
+    (lambda: AttributeStats(table="T", name="a", cardinality=-2, is_key=True),
+     "cardinality < 1"),
+])
+def test_catalog_records_check_their_values(build, message):
+    with pytest.raises(CatalogError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MiniTable("T", ("a", "A"), ()), "duplicate column names"),
+    (lambda: MiniTable(name="T", columns=("a", "b"), rows=(("1",),)),
+     "row arity mismatch"),
+])
+def test_mini_table_checks_its_values(build, message):
+    with pytest.raises(EngineError, match=message):
+        build()

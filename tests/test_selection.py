@@ -22,6 +22,12 @@ def example():
     return load("example_star.json", "example_star.sql")
 
 
+def motifs(m):
+    """The closed itemsets at minsup 0.1, which the two itemset engines
+    take."""
+    return selection.mine_closed_frequent_itemsets(m, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # closed-itemset miner vs brute-force closure oracle
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def test_tm_ijb_deterministic():
 
 def test_dynaclose_worked_example():
     schema, m = example()
-    cfg = selection.dynaclose_select(schema, m, 0.1)
+    cfg = selection.dynaclose_select(schema, m, motifs(m))
     # the customer motif wins: 0.4 * 19/894 > 0.6 * 1/894
     assert cfg.attrs == ("CUSTOMERS.cust_gender",)
     sel = [t for t in cfg.trace if t.selected]
@@ -175,7 +181,7 @@ def test_close_greedy_improves_cost():
     schema, m = example()
     base = costmodel.workload_cost(schema, m.queries, ())
     cfg = selection.close_select(
-        schema, m, costmodel.WorkloadPlan(schema, m.queries), 0.1)
+        schema, m, costmodel.WorkloadPlan(schema, m.queries), motifs(m))
     cost = costmodel.workload_cost(schema, m.queries, cfg.attrs)
     assert cost < base
     # every chosen attribute is indexable
@@ -186,8 +192,9 @@ def test_close_greedy_improves_cost():
 def test_close_storage_budget_skips():
     schema, m = example()
     plans = costmodel.WorkloadPlan(schema, m.queries)
-    free = selection.close_select(schema, m, plans, 0.1)
-    capped = selection.close_select(schema, m, plans, 0.1, storage_budget=1)
+    free = selection.close_select(schema, m, plans, motifs(m))
+    capped = selection.close_select(schema, m, plans, motifs(m),
+                                    storage_budget=1)
     assert capped.attrs == ()
     assert len(capped.notes) >= len(free.attrs)
 
@@ -214,7 +221,7 @@ def test_close_select_sums_every_trial_in_full():
     plans = ScriptedPlans([1.0, tiny, 0.0, 0.0, 0.0],
                           [1.0, 0.0, 0.0, 0.0, 0.0])
     assert plans.baseline == sum(plans.trial) == 1.0
-    cfg = selection.close_select(schema, m, plans, 0.1)
+    cfg = selection.close_select(schema, m, plans, motifs(m))
     assert cfg.attrs == ()
     assert cfg.notes and all(n.endswith("skipped: no cost improvement")
                              for n in cfg.notes)
@@ -228,7 +235,7 @@ def test_ssb_pipeline_goldens():
     winner = [t for t in cfg.trace if t.selected][0]
     assert winner.ids == (5, 22, 54)
     assert (4, 5, 22) in {t.ids for t in cfg.trace}
-    dyn = selection.dynaclose_select(schema, m, 0.1)
+    dyn = selection.dynaclose_select(schema, m, motifs(m))
     assert dyn.attrs == ("part.p_brand",)
 
 

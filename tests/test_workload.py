@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bji_advisor import data_path
+from bji_advisor import costmodel, data_path
 from bji_advisor.hypergraph import bits, mask
 from bji_advisor.schema import load_catalog, load_catalog_file
 from bji_advisor.workload import (ContextMatrix, ParseError, ParsedQuery,
@@ -116,6 +116,56 @@ def test_aliased_and_qualified_refs():
     q = parse_query(sql, schema, 4)
     assert names(schema, q.referenced) == {
         "SALES.cust_id", "CUSTOMERS.cust_id", "CUSTOMERS.cust_gender"}
+
+
+def helper_named_schema():
+    """F(fk, x) joined on fk to D(date key, y, dd, yy): D's columns are
+    named like T-SQL helper arguments."""
+    return load_catalog(json.dumps({
+        "page_size": 8192,
+        "tables": [{"name": "F", "role": "fact", "rows": 1000,
+                    "tuple_width": 10, "pages": 100},
+                   {"name": "D", "role": "dimension", "rows": 100,
+                    "tuple_width": 10, "pages": 1}],
+        "attributes": [{"table": "F", "name": "fk", "cardinality": 100},
+                       {"table": "F", "name": "x", "cardinality": 10},
+                       {"table": "D", "name": "date", "is_key": True},
+                       {"table": "D", "name": "y", "cardinality": 10},
+                       {"table": "D", "name": "dd", "cardinality": 10},
+                       {"table": "D", "name": "yy", "cardinality": 10}],
+        "joins": [{"fact_attr": "F.fk", "dim_attr": "D.date"}]}))
+
+
+def test_helper_argument_name_as_join_endpoint():
+    """A bare helper-argument name that is a column is that column next to
+    a comparison operator: each spelling of the join costs as the qualified
+    one does, not as a 101-page scan of F and D."""
+    schema = helper_named_schema()
+    qualified = parse_query(
+        "select * from F, D where F.fk = D.date and y = 2", schema)
+    assert names(schema, qualified.referenced) == {"F.fk", "D.date", "D.y"}
+    cost = costmodel.query_cost(schema, qualified, ["D.y"])
+    assert cost == pytest.approx(65.21205588285576)
+    for where in ("fk = date and y = 2", "date = fk and y = 2"):
+        q = parse_query(f"select * from F, D where {where}", schema)
+        assert q.referenced == qualified.referenced, where
+        assert sorted(q.predicates) == sorted(qualified.predicates), where
+        assert costmodel.query_cost(schema, q, ["D.y"]) == cost, where
+    for where, opclass in (("y = 2 and date > 3", "range"),
+                           ("y = 2 and 3 = date", "ref")):
+        q = parse_query(f"select * from D where {where}", schema)
+        assert predicates_by_name(schema, q) == {
+            "D.y": ("equality", 0), "D.date": (opclass, 0)}, where
+
+
+def test_helper_argument_name_inside_a_call_is_an_argument():
+    schema = helper_named_schema()
+    for where, want in (
+            ("y < dateadd(dd, 1, cast('1998-12-01' as date))", {"D.y"}),
+            ("datepart(yy, y) = 1994", {"D.y"}),
+            ("cast(x as date) = '1998-12-01'", {"F.x"})):
+        q = parse_query(f"select * from F, D where {where}", schema)
+        assert names(schema, q.referenced) == want, where
 
 
 def test_unresolvable_column_is_error():
