@@ -5,8 +5,9 @@ Vertices are small nonnegative integers.  A vertex set is an int mask: bit
 leave as sorted vertex tuples, smallest sets first.  Berge's edge-by-edge
 construction with a private-edge minimality test enumerates every minimal
 transversal; a depth-first branch and bound with critical-edge pruning
-(MMCS) finds the smallest ones, starting from a greedy upper bound on the
-transversality number.
+(MMCS) finds the smallest ones, capped first at one below a greedy upper
+bound on the transversality number and then, if that finds none, at the
+bound.
 """
 
 from __future__ import annotations
@@ -76,20 +77,34 @@ class Hypergraph(namedtuple("Hypergraph",
         return cls(bits(covered), tuple(kept), covered, tuple(incidence))
 
 
-def is_minimal_transversal(h: Hypergraph, t: int) -> bool:
-    """A transversal is minimal iff every member has a critical edge, one
-    that it alone of ``t`` hits."""
-    extra = t & ~h.vertex_mask
-    if extra:
-        raise ValueError(f"vertices {list(bits(extra))} not in hypergraph")
-    crit = 0
+def are_minimal_transversals(h: Hypergraph,
+                             family: list[tuple[int, ...]]) -> bool:
+    """Whether every set of ``family`` is a minimal transversal: it hits
+    every edge, and each member is the lone hitter of some edge (a critical
+    edge).  One pass over the edges checks the whole family: bit ``i`` of
+    ``holders[v]`` says set ``i`` holds ``v``, and per edge ``once`` and
+    ``twice`` mark the sets hitting it at least once and at least twice."""
+    holders = [0] * h.vertex_mask.bit_length()
+    try:
+        for i, t in enumerate(family):
+            bit = 1 << i
+            for v in t:
+                holders[v] |= bit
+    except IndexError:      # a vertex past every edge hits none
+        return False
+    everyone = (1 << len(family)) - 1
+    lone = [0] * len(holders)
     for e in h.edges:
-        hit = t & e
-        if not hit:
+        members = bits(e)
+        once = twice = 0
+        for v in members:
+            twice |= once & holders[v]
+            once |= holders[v]
+        if once != everyone:
             return False
-        if not hit & (hit - 1):
-            crit |= hit
-    return crit == t
+        for v in members:
+            lone[v] |= holders[v] & ~twice
+    return lone == holders
 
 
 def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
@@ -158,7 +173,10 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
     critical edge.  A node is cut when its chosen vertices plus a greedy
     packing of uncovered edges pairwise disjoint on the remaining candidates
     (each needs a vertex of its own) exceed the cap, and the cap shrinks to
-    the best size found so far.
+    the best size found so far.  A node one vertex short of the cap enters
+    no child: only a vertex hitting every uncovered edge can complete it,
+    and each such vertex that keeps every chosen one critical does.  The
+    results are checked in one pass before they are returned.
     """
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
@@ -174,10 +192,20 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
                 cap = len(crit)
             out.append(chosen)
             return
+        room = cap - len(crit)
+        if room == 1:
+            common = cand
+            for i in bits(uncov):
+                common &= edges[i]
+            for v in bits(common):
+                hit = vert_edges[v]
+                if all(c & ~hit for c in crit):
+                    out.append(chosen | 1 << v)
+            return
         # uncovered edges on the remaining candidates, fewest first, ties by
         # lowest edge index; the first is the fail-first branching edge
-        live = sorted((edges[i] & cand for i in bits(uncov)), key=int.bit_count)
-        room, used = cap - len(crit), 0
+        live = sorted([edges[i] & cand for i in bits(uncov)], key=int.bit_count)
+        used = 0
         for e in live:
             if not e & used:
                 used |= e
@@ -193,10 +221,11 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
                         kept + [uncov & hit])
 
     recurse(0, h.vertex_mask, (1 << len(edges)) - 1, [])
+    found = _canon(out)
     # the branch-death test prunes non-minimal supersets already, but keep the
     # guarantee explicit
-    assert all(is_minimal_transversal(h, t) for t in out)
-    return _canon(out)
+    assert are_minimal_transversals(h, found)
+    return found
 
 
 def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
@@ -235,8 +264,12 @@ def smallest_transversals(h: Hypergraph) -> list[tuple[int, ...]]:
     """All minimal transversals of minimum cardinality (exact)."""
     k0, _ = get_min_transversality(h)
     # the greedy cover contains a minimal transversal of at most k0 vertices,
-    # so the search started at that cap finds every smallest one
-    found = mmcs(h, k0)
+    # so the search capped at k0 finds every smallest one.  Probe one below
+    # first: where greedy overshoots, the cap then never lists size-k0 sets;
+    # where it is exact, the probe finds nothing and the search runs at k0.
+    found = mmcs(h, k0 - 1) if k0 > 1 else []
+    if not found:
+        found = mmcs(h, k0)
     if len(found[0]) < k0:
         import logging
         logging.getLogger(__name__).warning(

@@ -6,16 +6,31 @@ from pathlib import Path
 
 import pytest
 
-GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="session")
-def gen():
-    """The benchmark's seeded input generator, ``bench/gen.py``, read as it
-    is: its instances come with their own record of what each query
-    references, made without the advisor."""
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+def load_bench_module(name: str):
+    """``bench/<name>.py`` read as it is, under the module name
+    ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's seeded input generator, ``bench/gen.py``: its
+    instances come with their own record of what each query references,
+    made without the advisor."""
+    return load_bench_module("gen")
+
+
+@pytest.fixture(scope="session")
+def checks():
+    """The benchmark's output checks, ``bench/checks.py``: they hold for any
+    correct advisor and read only its outputs, the catalog and the
+    generator's record."""
+    return load_bench_module("checks")

@@ -7,10 +7,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bji_advisor.hypergraph import (Hypergraph, berge_enumerate, bits,
-                                    get_min_transversality,
-                                    is_minimal_transversal, mask, mmcs,
+from bji_advisor import data_path, hypergraph
+from bji_advisor.hypergraph import (Hypergraph, are_minimal_transversals,
+                                    berge_enumerate, bits,
+                                    get_min_transversality, mask, mmcs,
                                     smallest_transversals)
+from bji_advisor.schema import load_catalog_file
+from bji_advisor.workload import build_context_matrix, parse_workload
 
 # The oracles below take the edge list a test drew, with its repeats and
 # supersets, not ``Hypergraph.edges``, so they also check the reduction to
@@ -45,6 +48,22 @@ def brute_minimal_transversals(edges):
         if all(hits) and all({v} in hits for v in t):
             out.add(t)
     return out
+
+
+def is_minimal_transversal(h: Hypergraph, t: int) -> bool:
+    """A transversal is minimal iff every member has a critical edge, one
+    that it alone of ``t`` hits."""
+    extra = t & ~h.vertex_mask
+    if extra:
+        raise ValueError(f"vertices {list(bits(extra))} not in hypergraph")
+    crit = 0
+    for e in h.edges:
+        hit = t & e
+        if not hit:
+            return False
+        if not hit & (hit - 1):
+            crit |= hit
+    return crit == t
 
 
 def oracle_berge(edges):
@@ -267,6 +286,79 @@ def test_mmcs_returns_smallest_within_cap(edges):
         assert mmcs(h, cap) == want
     with pytest.raises(ValueError):
         mmcs(h, 0)
+
+
+@given(st.one_of(small_hypergraphs(), nested_hypergraphs()), st.data())
+def test_one_pass_check_agrees_with_the_per_set_oracle(edges, data):
+    # families mix minimal transversals, strict supersets of them and sets
+    # that miss an edge; the empty family passes
+    h = Hypergraph.from_edges(edges)
+    minimal = [mask(t) for t in oracle_berge(edges)]
+    kinds = [st.sampled_from(minimal),
+             st.tuples(st.sampled_from(h.edges), st.sets(st.sampled_from(
+                 h.vertices))).map(lambda p: mask(p[1]) & ~p[0])]
+    roomy = [t for t in minimal if h.vertex_mask & ~t]
+    if roomy:
+        kinds.append(st.sampled_from(roomy).flatmap(
+            lambda t: st.sets(st.sampled_from(bits(h.vertex_mask & ~t)),
+                              min_size=1).map(lambda extra: t | mask(extra))))
+    family = data.draw(st.lists(st.one_of(kinds), max_size=8))
+    assert are_minimal_transversals(h, list(map(bits, family))) == all(
+        is_minimal_transversal(h, t) for t in family)
+    assert are_minimal_transversals(h, list(map(bits, minimal)))
+    assert are_minimal_transversals(h, [])
+
+
+def test_one_pass_check_rejects_a_vertex_outside_the_hypergraph():
+    assert not are_minimal_transversals(H8, [(2, 4, 7), (2, 4, 7, 42)])
+    assert not are_minimal_transversals(H8, [(0, 2, 4, 7)])
+
+
+def spy_on_mmcs(monkeypatch) -> list:
+    """Record each ``mmcs`` call that ``smallest_transversals`` makes, as
+    (cap, result)."""
+    calls = []
+    search = hypergraph.mmcs
+
+    def spy(h, size_cap):
+        found = search(h, size_cap)
+        calls.append((size_cap, found))
+        return found
+
+    monkeypatch.setattr(hypergraph, "mmcs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, k", [("tpch", 5), ("ssb", 3)])
+def test_probe_below_an_exact_greedy_bound_finds_nothing(name, k, monkeypatch,
+                                                          caplog):
+    schema = load_catalog_file(str(data_path(name + ".json")))
+    queries = parse_workload(data_path(name + ".sql").read_text(), schema)
+    h = build_context_matrix(schema, queries).hypergraph()
+    assert get_min_transversality(h)[0] == k
+    calls = spy_on_mmcs(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="bji_advisor.hypergraph"):
+        got = smallest_transversals(h)
+    assert got == [t for t in berge_enumerate(h) if len(t) == k]
+    assert calls == [(k - 1, []), (k, got)]
+    assert not caplog.records
+
+
+def test_probe_below_a_greedy_bound_two_over_finds_the_smallest(monkeypatch,
+                                                                caplog):
+    # two disjoint copies of OVERSHOOT: greedy picks 4 in each, the exact
+    # minimum is 3 in each
+    edges = OVERSHOOT_EDGES + [e << 12 for e in OVERSHOOT_EDGES]
+    h = Hypergraph.from_edges(edges)
+    assert get_min_transversality(h) == greedy_per_start(edges) \
+        == (8, (0, 1, 3, 8, 12, 13, 15, 20))
+    want = [t for t in oracle_berge(edges) if len(t) == 6]
+    calls = spy_on_mmcs(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="bji_advisor.hypergraph"):
+        assert smallest_transversals(h) == want == [(1, 8, 10, 13, 20, 22)]
+    assert calls == [(7, want)]
+    assert caplog.messages == [
+        "greedy transversality bound 8 overshoots exact 6"]
 
 
 def test_from_edges_validation():
