@@ -61,7 +61,9 @@ def _select(args, engines: list[str]):
     """Load the inputs, create the output directory, run ``engines`` and cost
     each configuration against the no-index baseline.  Each query's cost
     plan is built once, here, and serves every configuration; so do the
-    closed itemsets, mined once for the engines that read them."""
+    closed itemsets, mined once for the engines that read them.  Returns
+    the plans (which hold the catalog as ``schema``), the matrix, the
+    configurations and their cost reports."""
     schema, matrix = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     plans = costmodel.WorkloadPlan(schema, matrix.queries)
@@ -75,7 +77,7 @@ def _select(args, engines: list[str]):
                schema, matrix, motifs)}
     configs = [run[e]() for e in engines]
     reports = [costmodel.cost_report(plans, c.attrs) for c in configs]
-    return schema, matrix, configs, reports
+    return plans, matrix, configs, reports
 
 
 def ddl_statements(schema: StarSchema, attrs) -> list[str]:
@@ -107,13 +109,13 @@ def _motif_doc(m: selection.ScoredMotif) -> dict:
             "support": round(m.support, 12), "selected": m.selected}
 
 
-def _config_doc(schema: StarSchema, cfg: selection.Configuration,
+def _config_doc(plans: costmodel.WorkloadPlan, cfg: selection.Configuration,
                 report: dict) -> dict:
     return {
         "engine": cfg.engine,
         "configuration": list(cfg.attrs),
         "notes": list(cfg.notes),
-        "storage_bytes": costmodel.config_storage(schema, cfg.attrs),
+        "storage_bytes": costmodel.config_storage(plans, cfg.attrs),
         "cost": report,
         "trace": [_motif_doc(m) for m in cfg.trace],
     }
@@ -191,14 +193,14 @@ def _write_metadata(out_dir: str, argv) -> None:
     }))
 
 
-def _engine_rows(schema, configs, reports) -> list[dict]:
+def _engine_rows(plans, configs, reports) -> list[dict]:
     rows = [{"engine": "baseline", "total_cost": reports[0]["baseline_total"],
              "storage_bytes": 0, "reduction_rate": 0.0}]
     for cfg, report in zip(configs, reports):
         rows.append({
             "engine": cfg.engine,
             "total_cost": report["total"],
-            "storage_bytes": costmodel.config_storage(schema, cfg.attrs),
+            "storage_bytes": costmodel.config_storage(plans, cfg.attrs),
             "reduction_rate": report["reduction"],
         })
     return rows
@@ -222,15 +224,15 @@ def _rows_csv(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_advise(args, argv) -> int:
-    schema, matrix, configs, reports = _select(args, _parse_engines(args.engine))
+    plans, matrix, configs, reports = _select(args, _parse_engines(args.engine))
     trace = {"matrix": _matrix_doc(matrix),
-             "engines": {c.engine: _config_doc(schema, c, r)
+             "engines": {c.engine: _config_doc(plans, c, r)
                          for c, r in zip(configs, reports)}}
     _write(os.path.join(args.out, "trace.json"), _json_text(trace))
 
     lines = []
     for cfg in configs:
-        ddl = ddl_statements(schema, cfg.attrs)
+        ddl = ddl_statements(plans.schema, cfg.attrs)
         _write(os.path.join(args.out, f"{cfg.engine}.sql"),
                "\n\n".join(ddl) + ("\n" if ddl else ""))
         if cfg.attrs:
@@ -245,7 +247,7 @@ def cmd_advise(args, argv) -> int:
                _json_text({c.engine: list(c.attrs) for c in configs}))
     elif args.format == "csv":
         _write(os.path.join(args.out, "report.csv"),
-               _rows_csv(_engine_rows(schema, configs, reports)))
+               _rows_csv(_engine_rows(plans, configs, reports)))
     else:
         _write(os.path.join(args.out, "report.txt"), "\n".join(lines) + "\n")
     _write_metadata(args.out, argv)
@@ -257,14 +259,14 @@ def cmd_compare(args, argv) -> int:
     engines = _parse_engines(args.engine)
     if len(engines) < 2:
         raise UsageError("compare needs at least two engines")
-    schema, matrix, configs, reports = _select(args, engines)
-    rows = _engine_rows(schema, configs, reports)
+    plans, matrix, configs, reports = _select(args, engines)
+    rows = _engine_rows(plans, configs, reports)
     _write(os.path.join(args.out, "compare.csv"), _rows_csv(rows))
     _write(os.path.join(args.out, "compare.json"), _json_text(
         {"rows": [{**r, "total_cost": round(r["total_cost"], 6),
                    "reduction_rate": round(r["reduction_rate"], 9)}
                   for r in rows],
-         "engines": {c.engine: _config_doc(schema, c, r)
+         "engines": {c.engine: _config_doc(plans, c, r)
                      for c, r in zip(configs, reports)}}))
     _write_metadata(args.out, argv)
     best = min(rows[1:], key=lambda r: (r["total_cost"], r["engine"]))
@@ -280,9 +282,7 @@ def cmd_enumerate(args, argv) -> int:
     schema, matrix = _load_inputs(args)
     h = matrix.hypergraph()
     tms = berge_enumerate(h) if args.all else smallest_transversals(h)
-    # per column id (index 0 unused): name, cardinality, fitness term
-    names = ("", *matrix.columns)
-    cards = selection.column_cardinalities(schema)
+    names, cards = schema.names, schema.cards
     terms = selection.column_terms(schema, matrix)
     out = sys.stdout
     out.write("columns:\n")

@@ -16,8 +16,15 @@ fetching Nt tuples.  Queries that join no dimension scan their referenced
 tables and never use an index (a bitmap join index precomputes a
 fact-dimension join; there is none to use).
 
-Each query is planned once, over catalog column ids: a plan costs a
-configuration given as an id mask.  ``query_cost``, ``workload_cost``,
+Nt is the fact rows times the selectivities of the predicates on the
+usable indexed columns: 1/cardinality for equality, 1/3 for a range or LIKE,
+k/cardinality for an IN list of k values.  Of several predicates on one
+column only the most selective counts, so a cost does not depend on the
+order of the WHERE clause.
+
+Each query is planned once, over catalog column ids, from the catalog's
+per-id tables (``StarSchema.names``, ``cards``, ``on_table``): a plan costs
+a configuration given as an id mask.  ``query_cost``, ``workload_cost``,
 ``cost_report`` and ``config_storage`` take configurations as qualified
 attribute names.
 """
@@ -51,11 +58,6 @@ def index_storage_size(cardinality: int, fact_rows: int,
     return math.ceil((rowid_bits + cardinality) * fact_rows / 8)
 
 
-def _index_size(schema: StarSchema, qualified: str) -> int:
-    return index_storage_size(schema.attribute(qualified).cardinality,
-                              schema.fact.rows, schema.rowid_bits)
-
-
 def index_load_cost(size_bytes: int, page_size: int) -> int:
     """Pages read to scan an index of the given size."""
     if page_size <= 0:
@@ -73,9 +75,6 @@ def tuple_access_cost(n_tuples: float, table_pages: int) -> float:
     if table_pages <= 0 or n_tuples <= 0:
         return 0.0
     return table_pages * (1.0 - math.exp(-n_tuples / table_pages))
-
-
-_SELECTIVE_CLASSES = ("equality", "range", "like", "in-list")
 
 
 def _selectivity(card: int, opclass: str, k: int) -> float:
@@ -121,10 +120,11 @@ class QueryPlan(namedtuple("QueryPlan", "query_id dims no_index usable order "
     ``usable``: the referenced ids on joined dimensions.  ``order``: the
     usable ids in the order their index loads are added, by qualified name,
     which groups them by table.  ``load_pages``: per column id, its index
-    load pages.  ``selectivity``: (id, selectivity) per selective predicate,
-    in predicate order.  ``regroup``: whether some table's qualified names
-    are not contiguous in name order (only a dotted table name does that),
-    so ``cost`` regroups by table.
+    load pages.  ``selectivity``: (id, selectivity) per column with a
+    selective predicate, its most selective one, in the order of the
+    columns' first predicates.  ``regroup``: whether a joined dimension's
+    name holds a dot, the only way a table's qualified names can fail to be
+    contiguous in name order, so ``cost`` regroups by table.
     """
 
     __slots__ = ()
@@ -170,85 +170,66 @@ def _by_table(ids: list[int], dims) -> list[int]:
     return out
 
 
-class _Planner:
-    """The per-column facts of one catalog that plans read, by column id,
-    worked out once per catalog."""
-
-    def __init__(self, schema: StarSchema):
-        self.schema = schema
-        attrs = schema.attributes
-        self.names = ("", *(a.qualified for a in attrs))
-        self.tables = ("", *(a.table for a in attrs))
-        self.cards = (0, *(a.cardinality for a in attrs))
-        self.on_table: dict[str, int] = {}
-        for i, t in enumerate(self.tables[1:], 1):
-            self.on_table[t] = self.on_table.get(t, 0) | 1 << i
-        rows, rowid_bits, page = \
-            schema.fact.rows, schema.rowid_bits, schema.page_size
-        self.load_pages = (0, *(
-            index_load_cost(index_storage_size(c, rows, rowid_bits), page)
-            for c in self.cards[1:]))
-        self.fact_pages = schema.table_pages(schema.fact.name)
-        self.regroup = any("." in t for t in schema.tables)
-
-    def plan(self, query: ParsedQuery) -> QueryPlan:
-        schema, fact_pages = self.schema, self.fact_pages
-        ref = query.referenced
-        dims = []
-        usable = 0
-        for d in joined_dimensions(schema, query):
-            on_dim = ref & self.on_table[d]
-            dims.append((d, schema.table_pages(d), on_dim))
-            usable |= on_dim
-        if dims:
-            no_index = float(sum([hash_join_cost(fact_pages, pages)
-                                  for _, pages, _ in dims]))
-        else:
-            tables = {self.tables[i] for i in bits(ref)}
-            no_index = float(sum([schema.table_pages(t) for t in tables]))
-        cards = self.cards
-        return QueryPlan(
-            query_id=query.id, dims=tuple(dims), no_index=no_index,
-            usable=usable,
-            order=tuple(sorted(bits(usable), key=self.names.__getitem__)),
-            load_pages=self.load_pages,
-            selectivity=tuple([(i, _selectivity(cards[i], opclass, k))
-                               for i, opclass, k in query.predicates
-                               if opclass in _SELECTIVE_CLASSES]),
-            fact_rows=schema.fact.rows, fact_pages=fact_pages,
-            regroup=self.regroup)
-
-
-def plan_query(schema: StarSchema, query: ParsedQuery) -> QueryPlan:
-    return _Planner(schema).plan(query)
-
-
 def _config_mask(schema: StarSchema, config: Iterable[str]) -> int:
     """The id mask of a configuration given as qualified names."""
     return mask(schema.column_id(a) for a in config)
 
 
-def query_cost(schema: StarSchema, query: ParsedQuery,
-               config: Iterable[str] = ()) -> float:
-    """Cost of one query under ``config``: its plan, costed."""
-    return plan_query(schema, query).cost(_config_mask(schema, config))
-
-
 class WorkloadPlan:
     """The plans of a workload's queries, built once per run, and which
     queries can use an index on each column id (only their costs change
-    when that attribute joins a configuration)."""
+    when that attribute joins a configuration).  Per column id (index 0
+    unused): ``index_bytes``, the size of its index, and ``load_pages``,
+    the pages read to load it."""
 
     def __init__(self, schema: StarSchema, queries: Sequence[ParsedQuery]):
         self.schema = schema
-        planner = _Planner(schema)
-        self.plans = tuple(planner.plan(q) for q in queries)
+        rows, rowid_bits = schema.fact.rows, schema.rowid_bits
+        self.index_bytes = (0, *(index_storage_size(c, rows, rowid_bits)
+                                 for c in schema.cards[1:]))
+        self.load_pages = tuple(index_load_cost(b, schema.page_size)
+                                for b in self.index_bytes)
+        self.plans = tuple(self.plan(q) for q in queries)
         self.users: dict[int, list[int]] = {}
         for k, plan in enumerate(self.plans):
             for i in plan.order:
                 self.users.setdefault(i, []).append(k)
         self.no_index = tuple(p.no_index for p in self.plans)
         self.baseline = sum(self.no_index)
+
+    def plan(self, query: ParsedQuery) -> QueryPlan:
+        """The cost plan of one query.  Of the predicates on one column,
+        the most selective counts, at the column's first predicate."""
+        schema = self.schema
+        fact_pages = schema.table_pages(schema.fact.name)
+        ref = query.referenced
+        dims = []
+        usable = 0
+        for d in joined_dimensions(schema, query):
+            on_dim = ref & schema.on_table[d]
+            dims.append((d, schema.table_pages(d), on_dim))
+            usable |= on_dim
+        if dims:
+            no_index = float(sum([hash_join_cost(fact_pages, pages)
+                                  for _, pages, _ in dims]))
+        else:
+            no_index = float(sum([schema.table_pages(t)
+                                  for t, on_t in schema.on_table.items()
+                                  if ref & on_t]))
+        cards = schema.cards
+        best: dict[int, float] = {}
+        for i, opclass, k in query.predicates:
+            s = _selectivity(cards[i], opclass, k)
+            if s < best.setdefault(i, s):
+                best[i] = s
+        return QueryPlan(
+            query_id=query.id, dims=tuple(dims), no_index=no_index,
+            usable=usable,
+            order=tuple(sorted(bits(usable), key=schema.names.__getitem__)),
+            load_pages=self.load_pages,
+            selectivity=tuple([(i, s) for i, s in best.items() if s < 1.0]),
+            fact_rows=schema.fact.rows, fact_pages=fact_pages,
+            regroup=any(["." in d for d, _, _ in dims]))
 
     def costs(self, config: int) -> list[float]:
         """Cost of each query under the id mask ``config``, in query order."""
@@ -262,6 +243,13 @@ class WorkloadPlan:
         for k in self.users.get(attr, ()):
             out[k] = self.plans[k].cost(config)
         return out
+
+
+def query_cost(schema: StarSchema, query: ParsedQuery,
+               config: Iterable[str] = ()) -> float:
+    """Cost of one query under ``config``: its plan, costed."""
+    return WorkloadPlan(schema, (query,)).costs(
+        _config_mask(schema, config))[0]
 
 
 def workload_cost(schema: StarSchema, queries: Sequence[ParsedQuery],
@@ -286,9 +274,10 @@ def cost_report(plans: WorkloadPlan, config: Iterable[str]) -> dict:
     }
 
 
-def config_storage(schema: StarSchema, config: Iterable[str]) -> int:
+def config_storage(plans: WorkloadPlan, config: Iterable[str]) -> int:
     """Total bytes of the mono-attribute indexes in a configuration."""
-    return sum(_index_size(schema, a) for a in set(config))
+    return sum([plans.index_bytes[i]
+                for i in bits(_config_mask(plans.schema, config))])
 
 
 def reduction_rate(baseline: float, improved: float) -> float:

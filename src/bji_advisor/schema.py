@@ -89,6 +89,11 @@ class StarSchema:
     per link (from table, to table, mask of the join's two endpoint ids);
     ``ids_by_name``, lowercase name -> column id for the names only one
     table has; ``ids_by_column``, (declared table, lowercase name) -> id.
+
+    The per-column tables every later stage reads by column id: ``names``,
+    the qualified names, and ``cards``, the cardinalities (index 0 unused);
+    ``on_table``, table -> mask of its column ids; ``indexable``, the mask
+    of the ids ``is_indexable`` holds for.
     """
 
     def __init__(self, tables: dict[str, TableStats],
@@ -112,6 +117,8 @@ class StarSchema:
         index: dict[str, int] = {}      # lowercase qualified name -> id
         by_name: dict[str, list[AttributeStats]] = {}
         by_column: dict[tuple[str, str], int] = {}
+        on_table = dict.fromkeys(tables, 0)
+        indexable = 0
         for i, a in enumerate(attributes, 1):
             if a.table not in tables:
                 raise CatalogError(f"attribute {a.qualified}: unknown table {a.table}")
@@ -120,6 +127,9 @@ class StarSchema:
             index[a.qualified.lower()] = i
             by_name.setdefault(a.name.lower(), []).append(a)
             by_column[a.table, a.name.lower()] = i
+            on_table[a.table] |= 1 << i
+            if self.is_indexable(a):
+                indexable |= 1 << i
             owner = tables[a.table]
             if owner.rows > 0 and a.cardinality > owner.rows:
                 # the worked-example catalog legitimately exceeds this bound
@@ -159,6 +169,9 @@ class StarSchema:
         self.ids_by_name = {name: by_column[a.table, name]
                             for name, (a, *more) in by_name.items() if not more}
         self.ids_by_column, self._paths = by_column, paths
+        self.names = ("", *(a.qualified for a in attributes))
+        self.cards = (0, *(a.cardinality for a in attributes))
+        self.on_table, self.indexable = on_table, indexable
         self._by_qualified, self._by_name, self._table_names = \
             index, by_name, table_names
         self._pages = {key: pages_of(t, page_size) for key, t in tables.items()}

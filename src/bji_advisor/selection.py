@@ -48,19 +48,13 @@ def _page_ratio(schema: StarSchema, table: str) -> float:
     return schema.table_pages(table) / fact_pages
 
 
-def _indexable(schema: StarSchema, ids: Iterable[int]) -> list[int]:
-    """The ids whose column is indexable, in the given order."""
-    return [i for i in ids if schema.is_indexable(schema.attributes[i - 1])]
-
-
 def column_terms(schema: StarSchema,
                  matrix: ContextMatrix) -> dict[int, float]:
     """Each indexable column's fitness term, marginal support x page ratio,
     by column id; the columns that are not indexable are absent."""
-    ids = range(1, len(matrix.columns) + 1)
     return {i: matrix.marginal_support[i]
             * _page_ratio(schema, schema.attributes[i - 1].table)
-            for i in _indexable(schema, ids)}
+            for i in bits(schema.indexable)}
 
 
 def fitness_tm(terms: dict[int, float], ids: Iterable[int]) -> float:
@@ -74,19 +68,23 @@ def fitness_dynaclose(terms: dict[int, float], ids: Sequence[int]) -> float:
     return sum(own) / len(own) if own else 0.0
 
 
-def column_cardinalities(schema: StarSchema) -> tuple[int, ...]:
-    """Per column id, its attribute's cardinality (index 0 unused)."""
-    return (0, *(a.cardinality for a in schema.attributes))
-
-
 def afc_sum(cards: Sequence[int], ids: Iterable[int]) -> int:
-    """Summed ``column_cardinalities`` of all attributes in the motif."""
+    """Summed ``cards`` (cardinalities by column id) of the motif's ids."""
     return sum([cards[i] for i in ids])
 
 
-def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
-                  ids: Iterable[int]) -> tuple[str, ...]:
-    return tuple(sorted(matrix.name_of(i) for i in _indexable(schema, ids)))
+def _indexable_of(schema: StarSchema, ids: Iterable[int]) -> tuple[str, ...]:
+    """The sorted qualified names of the indexable ids."""
+    return tuple(sorted([schema.names[i] for i in ids
+                         if schema.indexable >> i & 1]))
+
+
+def _motif(schema: StarSchema, ids: tuple[int, ...], fitness: float,
+           support: float, selected: bool) -> ScoredMotif:
+    """The trace record of one candidate."""
+    return ScoredMotif(ids=ids, attrs=tuple([schema.names[i] for i in ids]),
+                       fitness=fitness, afc=afc_sum(schema.cards, ids),
+                       support=support, selected=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +93,17 @@ def _indexable_of(schema: StarSchema, matrix: ContextMatrix,
 
 def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
-    terms, cards = column_terms(schema, matrix), column_cardinalities(schema)
+    terms = column_terms(schema, matrix)
     # candidates arrive as sorted id tuples of one size, in id order
-    scored = [(fitness_tm(terms, ids), afc_sum(cards, ids), ids)
+    scored = [(fitness_tm(terms, ids), afc_sum(schema.cards, ids), ids)
               for ids in smallest_transversals(matrix.hypergraph())]
     # max fitness, then min cardinality sum, then lexicographic
     winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))
-    trace = tuple(
-        ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=fit, afc=afc, support=matrix.support(mask(ids)),
-                    selected=(ids == winner[2]))
-        for fit, afc, ids in scored)
-    attrs = _indexable_of(schema, matrix, winner[2])
-    dropped = sorted({matrix.name_of(i) for i in winner[2]} - set(attrs))
+    trace = tuple(_motif(schema, ids, fit, matrix.support(mask(ids)),
+                         ids == winner[2])
+                  for fit, _, ids in scored)
+    attrs = _indexable_of(schema, winner[2])
+    dropped = sorted({schema.names[i] for i in winner[2]} - set(attrs))
     notes = ("non-indexable members dropped: " + ", ".join(dropped),) \
         if dropped else ()
     return Configuration(engine="tm-ijb", attrs=attrs, trace=trace,
@@ -154,24 +150,27 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
     Indexable attributes of the frequent closed itemsets ``motifs`` are
     ranked by marginal support (ties by name) and added one by one while the
     modeled workload cost strictly decreases, starting from the no-index
-    baseline; non-improving candidates are skipped.  ``plans`` holds the
-    cost plans of ``matrix.queries``, built once by the caller.  A trial
-    re-costs only the queries that can use the candidate, then sums every
-    query's cost in query order, the same additions ``workload_cost`` makes,
-    so an equal cost never passes for a smaller one.
+    baseline; non-improving candidates are skipped, and so are those that
+    would take the summed ``plans.index_bytes`` over ``storage_budget``.
+    ``plans`` holds the cost plans of ``matrix.queries``, built once by the
+    caller.  A trial re-costs only the queries that can use the candidate,
+    then sums every query's cost in query order, the same additions
+    ``workload_cost`` makes, so an equal cost never passes for a smaller
+    one.
     """
+    names = schema.names
     in_motifs = mask(i for ids, _ in motifs for i in ids)
-    ranked = sorted(_indexable(schema, bits(in_motifs)),
-                    key=lambda i: (-matrix.marginal_support[i], matrix.name_of(i)))
+    ranked = sorted(bits(in_motifs & schema.indexable),
+                    key=lambda i: (-matrix.marginal_support[i], names[i]))
     chosen = 0                      # id mask
     notes: list[str] = []
     costs = plans.no_index
     current = plans.baseline
     for i in ranked:
-        attr = matrix.name_of(i)
+        attr = names[i]
         trial = chosen | 1 << i
-        if storage_budget is not None and costmodel.config_storage(
-                schema, map(matrix.name_of, bits(trial))) > storage_budget:
+        if storage_budget is not None and sum(
+                [plans.index_bytes[j] for j in bits(trial)]) > storage_budget:
             notes.append(f"{attr} skipped: storage budget exceeded")
             continue
         trial_costs = plans.recost(costs, trial, i)
@@ -181,14 +180,10 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
             costs, current = trial_costs, cost
         else:
             notes.append(f"{attr} skipped: no cost improvement")
-    cards = column_cardinalities(schema)
-    trace = tuple(
-        ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=0.0, afc=afc_sum(cards, ids), support=sup,
-                    selected=any(chosen >> i & 1 for i in ids))
-        for ids, sup in motifs)
+    trace = tuple(_motif(schema, ids, 0.0, sup, bool(chosen & mask(ids)))
+                  for ids, sup in motifs)
     return Configuration(engine="close",
-                         attrs=tuple(sorted(map(matrix.name_of, bits(chosen)))),
+                         attrs=tuple(sorted([names[i] for i in bits(chosen)])),
                          trace=trace, notes=tuple(notes))
 
 
@@ -204,11 +199,7 @@ def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
     scored = [(fitness_dynaclose(terms, ids), ids, sup)
               for ids, sup in motifs]
     winner = max(scored, key=lambda s: (s[0], [-i for i in s[1]]))
-    cards = column_cardinalities(schema)
-    trace = tuple(
-        ScoredMotif(ids=ids, attrs=tuple(matrix.name_of(i) for i in ids),
-                    fitness=fit, afc=afc_sum(cards, ids), support=sup,
-                    selected=(ids == winner[1]))
-        for fit, ids, sup in sorted(scored, key=lambda s: s[1]))
-    attrs = _indexable_of(schema, matrix, winner[1])
+    trace = tuple(_motif(schema, ids, fit, sup, ids == winner[1])
+                  for fit, ids, sup in sorted(scored, key=lambda s: s[1]))
+    attrs = _indexable_of(schema, winner[1])
     return Configuration(engine="dynaclose", attrs=attrs, trace=trace)

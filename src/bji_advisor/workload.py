@@ -32,8 +32,8 @@ class ParseError(ValueError):
 
 
 # one query: ``referenced`` is the mask of its column ids, and ``predicates``
-# holds (column id, opclass, in-list length) for the first predicate on each
-# column; opclass is one of equality, range, in-list, like, join, subquery, ref
+# holds (column id, opclass, in-list length) for every predicate, in order;
+# opclass is one of equality, range, in-list, like, join, subquery, ref
 ParsedQuery = namedtuple("ParsedQuery", "id referenced predicates")
 
 
@@ -114,7 +114,6 @@ class _Extractor:
         self.derived: set[str] = set()        # derived/view column + alias names
         self.referenced = 0                   # mask of column ids
         self.predicates: list[tuple[int, str, int]] = []
-        self._pred_seen = 0                   # mask of the ids in predicates
 
     def _name_at(self, i: int) -> bool:
         """Whether token i exists and is an identifier but not a keyword."""
@@ -354,9 +353,7 @@ class _Extractor:
                 if resolved:
                     opclass = "join"
                     rid, used = resolved
-                    if not self._pred_seen >> rid & 1:
-                        self._pred_seen |= 1 << rid
-                        self.predicates.append((rid, "join", 0))
+                    self.predicates.append((rid, "join", 0))
                     # resume after it; the scan would resolve it again
                     self.referenced |= 1 << rid
                     resume = rhs + used
@@ -387,9 +384,7 @@ class _Extractor:
                                          or _is_number(toks[p])):
                             k += 1
                         p += 1
-        if not self._pred_seen >> cid & 1:
-            self._pred_seen |= 1 << cid
-            self.predicates.append((cid, opclass, k))
+        self.predicates.append((cid, opclass, k))
         return resume
 
 
@@ -456,9 +451,6 @@ class ContextMatrix(namedtuple("ContextMatrix", "queries columns rows")):
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot set {name!r}: ContextMatrix is immutable")
 
-    def name_of(self, col_id: int) -> str:
-        return self.columns[col_id - 1]
-
     def hypergraph(self) -> Hypergraph:
         return Hypergraph.from_edges(self.rows)
 
@@ -502,5 +494,5 @@ def build_context_matrix(schema: StarSchema,
     if not kept:
         raise ParseError("workload is empty after dropping attribute-free queries")
     return ContextMatrix(queries=tuple(kept),
-                         columns=tuple(a.qualified for a in schema.attributes),
+                         columns=schema.names[1:],
                          rows=tuple(q.referenced for q in kept))

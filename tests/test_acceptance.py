@@ -265,11 +265,12 @@ def test_criterion_4_tpch_end_to_end(tpch):
     # top-fitness sets share one indexable part, so the tie-breaks (smallest
     # cardinality sum, then ids) cannot change the pick.
     def fitness(t):
-        return sum(fitness_term(schema, m, m.name_of(i)) for i in sorted(t)
-                   if is_indexable(schema, m.name_of(i)))
+        return sum(fitness_term(schema, m, m.columns[i - 1]) for i in sorted(t)
+                   if is_indexable(schema, m.columns[i - 1]))
 
     def indexable_part(t):
-        return {m.name_of(i) for i in t if is_indexable(schema, m.name_of(i))}
+        return {m.columns[i - 1] for i in t
+                if is_indexable(schema, m.columns[i - 1])}
 
     fits = {t: fitness(t) for t in berge_smallest}
     best = max(fits.values())

@@ -6,11 +6,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bji_advisor import cli, costmodel, data_path, selection
 from bji_advisor.hypergraph import bits, mask
 from bji_advisor.schema import load_catalog, load_catalog_file
-from bji_advisor.workload import build_context_matrix, parse_workload
+from bji_advisor.workload import (build_context_matrix, parse_query,
+                                  parse_workload)
 
 
 def load(cat, wl, gen=None):
@@ -154,11 +156,73 @@ def test_partially_covered_join_uses_shrunken_fact_side():
 def test_estimate_fact_tuples_selectivities():
     schema, m = load("ssb.json", "ssb.sql")
     by_id = {q.id: q for q in m.queries}
-    plan = costmodel.plan_query(schema, by_id[1])
+    (plan,) = costmodel.WorkloadPlan(schema, [by_id[1]]).plans
     # only predicates on the given attributes filter
     assert plan.fact_tuples(0) == schema.fact.rows
     nt = plan.fact_tuples(ids_of(schema, ["dates.d_year"]))
     assert nt == pytest.approx(schema.fact.rows / 7)
+
+
+SSB = load_catalog_file(data_path("ssb.json"))
+
+
+def test_repeated_predicates_cost_their_most_selective():
+    """Of two predicates on one column, the more selective filters, wherever
+    each stands: the range's 1/3 and the subquery's 1 lose to 1/7."""
+    head = ("select sum(lo_revenue) from lineorder, dates "
+            "where lo_orderdate = d_datekey and ")
+    for where in ("d_year > 1990 and d_year = 1993",
+                  "d_year = 1993 and d_year > 1990",
+                  "d_year in (select d_year from dates) and d_year = 1993"):
+        q = parse_query(head + where, SSB)
+        assert costmodel.query_cost(SSB, q, ["dates.d_year"]) == \
+            130990.91271591333, where
+
+
+def _ssb_filter(column):
+    """One SQL filter on ``column``, in each operator form the parser
+    classes differently."""
+    return st.one_of(
+        st.integers(1990, 1999).map(lambda v: f"{column} = {v}"),
+        st.integers(1990, 1999).map(lambda v: f"{column} < {v}"),
+        st.integers(1990, 1999).map(
+            lambda v: f"{column} between {v} and {v + 2}"),
+        st.lists(st.integers(1990, 1999), min_size=1, max_size=4).map(
+            lambda vs: f"{column} in ({', '.join(map(str, vs))})"),
+        st.just(f"{column} like '19%'"),
+        st.just(f"{column} in (select {column} from dates)"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_conjunct_order_leaves_query_cost_unchanged(data):
+    """Permuting a query's conjuncts leaves its cost unchanged under every
+    configuration of the dimension columns it references.  The draw puts
+    2-4 filters on one dates column, and at most one on a second, so that
+    at most two selectivities multiply and their product is exact in any
+    order; a fact-column filter never meets an index."""
+    columns = [a.name for a in SSB.attributes
+               if a.table == "dates" and not a.is_key]
+    first, second = data.draw(st.lists(st.sampled_from(columns), min_size=2,
+                                       max_size=2, unique=True))
+    conjuncts = ["lo_orderdate = d_datekey"]
+    conjuncts += data.draw(st.lists(_ssb_filter(first), min_size=2,
+                                    max_size=4))
+    conjuncts += data.draw(st.lists(_ssb_filter(second), max_size=1))
+    conjuncts += data.draw(st.lists(st.just("lo_quantity < 25"), max_size=1))
+    shuffled = data.draw(st.permutations(conjuncts))
+
+    def parse(parts):
+        return parse_query("select count(*) from lineorder, dates where "
+                           + " and ".join(parts), SSB)
+
+    q, p = parse(conjuncts), parse(shuffled)
+    assert p.referenced == q.referenced
+    dims = [SSB.names[i] for i in bits(q.referenced & SSB.on_table["dates"])]
+    for r in range(len(dims) + 1):
+        for config in itertools.combinations(dims, r):
+            assert costmodel.query_cost(SSB, p, config) == \
+                costmodel.query_cost(SSB, q, config), (shuffled, config)
 
 
 def test_workload_cost_monotone_under_more_indexes_ssb():
@@ -206,7 +270,8 @@ def oracle_query_cost(schema, query, config):
     """The page-cost model evaluated from scratch: the joined-dimension
     fixpoint, then the scan, hash-only or (partly) covered branch, with the
     unit formulas inlined.  Attributes are read by name, through
-    ``schema.attributes[i - 1]``."""
+    ``schema.attributes[i - 1]``.  Of several predicates on one attribute,
+    the one with the smallest selectivity filters."""
     referenced = {schema.attributes[i - 1].qualified
                   for i in bits(query.referenced)}
     predicates = [(schema.attributes[i - 1].qualified, opclass, in_count)
@@ -235,16 +300,24 @@ def oracle_query_cost(schema, query, config):
         return float(sum(3 * (fact_pages + schema.table_pages(d))
                          for d in dims))
     index_attrs = [a for attrs in used.values() for a in attrs]
-    rows, sel = schema.fact.rows, 1.0
+    # of the predicates on one attribute the most selective counts, taken
+    # in the order of each attribute's first predicate
+    smallest = {}
     for attr, opclass, in_count in predicates:
+        card = schema.attribute(attr).cardinality
+        if opclass == "equality":
+            s = 1.0 / card
+        elif opclass in ("range", "like"):
+            s = 1.0 / 3.0
+        elif opclass == "in-list":
+            s = min(1.0, max(in_count, 1) / card)
+        else:
+            s = 1.0
+        smallest[attr] = min(smallest.get(attr, s), s)
+    rows, sel = schema.fact.rows, 1.0
+    for attr, s in smallest.items():
         if attr in index_attrs:
-            card = schema.attribute(attr).cardinality
-            if opclass == "equality":
-                sel *= 1.0 / card
-            elif opclass in ("range", "like"):
-                sel *= 1.0 / 3.0
-            elif opclass == "in-list":
-                sel *= min(1.0, max(in_count, 1) / card)
+            sel *= s
     nt = min(float(rows), max(0.0, rows * sel))
     cl = fact_pages * (1.0 - math.exp(-nt / fact_pages)) \
         if fact_pages > 0 and nt > 0 else 0.0
@@ -294,11 +367,11 @@ def oracle_close(schema, m, minsup, budget):
     motifs = selection.mine_closed_frequent_itemsets(m, minsup)
     members = sorted({i for ids, _ in motifs for i in ids
                       if schema.is_indexable(schema.attributes[i - 1])},
-                     key=lambda i: (-m.marginal_support[i], m.name_of(i)))
+                     key=lambda i: (-m.marginal_support[i], m.columns[i - 1]))
     chosen, notes = [], []
     current = oracle_workload_cost(schema, m.queries, ())
     for i in members:
-        attr = m.name_of(i)
+        attr = m.columns[i - 1]
         trial = chosen + [attr]
         if budget is not None and sum(
                 math.ceil((schema.rowid_bits + schema.attribute(a).cardinality)

@@ -42,6 +42,40 @@ def test_load_small_catalog():
     assert not s.is_indexable(s.attribute("F.fk"))
 
 
+def test_per_column_tables():
+    """``names``, ``cards``, ``on_table`` and ``indexable`` read per column
+    id what ``attributes`` and ``is_indexable`` say, on a catalog declared
+    out of name order, with a dotted table name next to its prefix table."""
+    s = load_catalog(json.dumps({
+        "page_size": 4096,
+        "tables": [
+            {"name": "d.b", "role": "dimension", "rows": 50, "tuple_width": 8},
+            {"name": "F", "role": "fact", "rows": 1000, "tuple_width": 40},
+            {"name": "d", "role": "dimension", "rows": 20, "tuple_width": 8}],
+        "attributes": [
+            {"table": "d", "name": "z", "cardinality": 9},
+            {"table": "F", "name": "fk2", "cardinality": 50},
+            {"table": "d.b", "name": "c", "cardinality": 4},
+            {"table": "d", "name": "k1", "is_key": True},
+            {"table": "F", "name": "fk1", "cardinality": 20},
+            {"table": "F", "name": "amount", "cardinality": 300},
+            {"table": "d.b", "name": "k2", "is_key": True},
+            {"table": "d", "name": "a", "cardinality": 3}],
+        "joins": [{"fact_attr": "F.fk1", "dim_attr": "d.k1"},
+                  {"fact_attr": "F.fk2", "dim_attr": "d.b.k2"}]}))
+    assert s.names == ("", "d.z", "F.fk2", "d.b.c", "d.k1", "F.fk1",
+                       "F.amount", "d.b.k2", "d.a")
+    assert s.cards == (0, 9, 50, 4, 20, 20, 300, 50, 3)
+    assert s.on_table == {"d.b": 0b10001000, "F": 0b01100100,
+                          "d": 0b100010010}
+    assert s.indexable == 0b100001010
+    for i, a in enumerate(s.attributes, 1):
+        assert (s.names[i], s.cards[i]) == (a.qualified, a.cardinality)
+        assert s.on_table[a.table] >> i & 1
+        assert (s.indexable >> i & 1) == s.is_indexable(a)
+    assert sum(m.bit_count() for m in s.on_table.values()) == 8
+
+
 def test_pages_explicit_wins():
     t = TableStats("T", "dimension", rows=100, tuple_width=10, pages=7)
     assert pages_of(t, 4096) == 7

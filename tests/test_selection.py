@@ -124,7 +124,7 @@ def test_fitness_tm_values():
 
 def test_afc_sums():
     schema, _ = example()
-    cards = selection.column_cardinalities(schema)
+    cards = schema.cards
     assert cards[1:] == tuple(a.cardinality for a in schema.attributes)
     assert selection.afc_sum(cards, (3, 4)) == 50_005
     assert selection.afc_sum(cards, (3, 5)) == 16_310_336
