@@ -9,7 +9,7 @@ dimensions is charged one of three ways:
   selected fact tuples, sum(index_pages) + CL(Nt);
 * usable indexes on a strict subset: the covered phase as above, then one
   hash join per uncovered dimension with the shrunken fact side,
-  3 * (CL + dim_pages) each.
+  3 * (ceil(CL) + dim_pages) each.
 
 CL(Nt) = pages * (1 - e^(-Nt / pages)) estimates distinct pages touched when
 fetching Nt tuples.  Queries that join no dimension scan their referenced
@@ -19,8 +19,10 @@ fact-dimension join; there is none to use).
 Nt is the fact rows times the selectivities of the predicates on the
 usable indexed columns: 1/cardinality for equality, 1/3 for a range or LIKE,
 k/cardinality for an IN list of k values.  Of several predicates on one
-column only the most selective counts, so a cost does not depend on the
-order of the WHERE clause.
+column only the most selective counts; the columns' selectivities multiply
+in qualified-name order.  Every other term is whole pages, summed as an int
+and added to CL once, so no cost depends on the order of the WHERE clause,
+of the catalog's declarations or of the joins found.
 
 Each query is planned once, over catalog column ids, from the catalog's
 per-id tables (``StarSchema.names``, ``cards``, ``on_table``): a plan costs
@@ -53,16 +55,14 @@ def index_storage_size(cardinality: int, fact_rows: int,
         raise ValueError("fact_rows must be >= 0")
     if rowid_bits < 0:
         raise ValueError("rowid_bits must be >= 0")
-    if fact_rows == 0:
-        return 0
-    return math.ceil((rowid_bits + cardinality) * fact_rows / 8)
+    return -(-(rowid_bits + cardinality) * fact_rows // 8)
 
 
 def index_load_cost(size_bytes: int, page_size: int) -> int:
     """Pages read to scan an index of the given size."""
     if page_size <= 0:
         raise ValueError("page size must be positive")
-    return math.ceil(size_bytes / page_size)
+    return -(-size_bytes // page_size)
 
 
 def hash_join_cost(pages_left: int, pages_right: int) -> int:
@@ -109,22 +109,16 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     return order
 
 
-class QueryPlan(namedtuple("QueryPlan", "query_id dims no_index usable order "
-                           "load_pages selectivity fact_rows fact_pages "
-                           "regroup")):
+class QueryPlan(namedtuple("QueryPlan", "query_id dims no_index usable "
+                           "load_pages selectivity fact_rows fact_pages")):
     """The facts of one query that costing it under any configuration
     needs, worked out once.  Attributes are column ids.
 
-    ``dims``: the joined dimensions in order, as (table, pages, mask of its
-    usable ids).  ``no_index``: the cost when no index is usable.
-    ``usable``: the referenced ids on joined dimensions.  ``order``: the
-    usable ids in the order their index loads are added, by qualified name,
-    which groups them by table.  ``load_pages``: per column id, its index
-    load pages.  ``selectivity``: (id, selectivity) per column with a
-    selective predicate, its most selective one, in the order of the
-    columns' first predicates.  ``regroup``: whether a joined dimension's
-    name holds a dot, the only way a table's qualified names can fail to be
-    contiguous in name order, so ``cost`` regroups by table.
+    ``dims``: the joined dimensions, as (table, pages, mask of its usable
+    ids).  ``no_index``: the cost when no index is usable.  ``usable``: the
+    referenced ids on joined dimensions.  ``load_pages``: per column id, its
+    index load pages.  ``selectivity``: (id, selectivity) per column with a
+    selective predicate, its most selective one, in qualified-name order.
     """
 
     __slots__ = ()
@@ -140,34 +134,19 @@ class QueryPlan(namedtuple("QueryPlan", "query_id dims no_index usable order "
         return min(float(rows), max(0.0, rows * sel))
 
     def cost(self, config: int) -> float:
-        """Cost under the configuration with id mask ``config``."""
+        """Cost under the configuration with id mask ``config``: CL plus
+        the int sum of the index loads and the uncovered hash joins."""
         # the configured indexes the query can use: indexed attributes of a
         # joined dimension that the query references
         hit = config & self.usable
         if not hit:
             return self.no_index
         cl = tuple_access_cost(self.fact_tuples(hit), self.fact_pages)
-        cost = cl
-        ids = [i for i in self.order if hit >> i & 1]
-        if self.regroup:
-            ids = _by_table(ids, self.dims)
-        for i in ids:
-            cost += self.load_pages[i]
-        for _, pages, on_dim in self.dims:
+        pages = sum([self.load_pages[i] for i in bits(hit)])
+        for _, dim_pages, on_dim in self.dims:
             if not hit & on_dim:
-                cost += hash_join_cost(math.ceil(cl), pages)
-        return cost
-
-
-def _by_table(ids: list[int], dims) -> list[int]:
-    """``ids``, in name order, grouped by dimension, each dimension where
-    its first id is."""
-    out: list[int] = []
-    for i in ids:
-        if i not in out:
-            on_dim = next(m for _, _, m in dims if m >> i & 1)
-            out += [j for j in ids if on_dim >> j & 1]
-    return out
+                pages += hash_join_cost(math.ceil(cl), dim_pages)
+        return cl + pages
 
 
 def _config_mask(schema: StarSchema, config: Iterable[str]) -> int:
@@ -192,14 +171,14 @@ class WorkloadPlan:
         self.plans = tuple(self.plan(q) for q in queries)
         self.users: dict[int, list[int]] = {}
         for k, plan in enumerate(self.plans):
-            for i in plan.order:
+            for i in bits(plan.usable):
                 self.users.setdefault(i, []).append(k)
         self.no_index = tuple(p.no_index for p in self.plans)
         self.baseline = sum(self.no_index)
 
     def plan(self, query: ParsedQuery) -> QueryPlan:
         """The cost plan of one query.  Of the predicates on one column,
-        the most selective counts, at the column's first predicate."""
+        the most selective counts."""
         schema = self.schema
         fact_pages = schema.table_pages(schema.fact.name)
         ref = query.referenced
@@ -224,12 +203,10 @@ class WorkloadPlan:
                 best[i] = s
         return QueryPlan(
             query_id=query.id, dims=tuple(dims), no_index=no_index,
-            usable=usable,
-            order=tuple(sorted(bits(usable), key=schema.names.__getitem__)),
-            load_pages=self.load_pages,
-            selectivity=tuple([(i, s) for i, s in best.items() if s < 1.0]),
-            fact_rows=schema.fact.rows, fact_pages=fact_pages,
-            regroup=any(["." in d for d, _, _ in dims]))
+            usable=usable, load_pages=self.load_pages,
+            selectivity=tuple([(i, best[i]) for i in sorted(
+                best, key=schema.names.__getitem__) if best[i] < 1.0]),
+            fact_rows=schema.fact.rows, fact_pages=fact_pages)
 
     def costs(self, config: int) -> list[float]:
         """Cost of each query under the id mask ``config``, in query order."""

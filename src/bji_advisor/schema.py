@@ -14,7 +14,6 @@ attributes by these ids, and sets of them as int masks (bit ``i``).
 from __future__ import annotations
 
 import json
-import math
 from collections import namedtuple
 
 DEFAULT_ROWID_BITS = 80  # 10-byte row identifier
@@ -75,9 +74,7 @@ def pages_of(t: TableStats, page_size: int) -> int:
         raise CatalogError("page size must be positive")
     if t.pages is not None:
         return t.pages
-    if t.rows == 0:
-        return 0
-    return math.ceil(t.rows * t.tuple_width / page_size)
+    return -(-t.rows * t.tuple_width // page_size)
 
 
 class StarSchema:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from bji_advisor import cli, costmodel, data_path, selection
 from bji_advisor.hypergraph import bits, mask
-from bji_advisor.schema import load_catalog, load_catalog_file
+from bji_advisor.schema import (MAX_CATALOG_INT, load_catalog,
+                                load_catalog_file)
 from bji_advisor.workload import (build_context_matrix, parse_query,
                                   parse_workload)
 
@@ -40,6 +41,9 @@ def test_storage_size_examples():
     assert costmodel.index_storage_size(8, 1000, 64) == 9000
     assert costmodel.index_storage_size(7, 6_000_000, 80) == 65_250_000
     assert costmodel.index_storage_size(5, 0, 80) == 0
+    # past the 2**53 a float holds exactly: rounded up on ints
+    assert costmodel.index_storage_size(1, 2**60 + 1, 80) == \
+        11673330234144325643
 
 
 def test_storage_size_rounds_up():
@@ -58,8 +62,21 @@ def test_index_load_cost():
     assert costmodel.index_load_cost(0, 4096) == 0
     assert costmodel.index_load_cost(1, 4096) == 1
     assert costmodel.index_load_cost(4097, 4096) == 2
+    assert costmodel.index_load_cost(2**60 + 1, 4096) == 2**48 + 1
     with pytest.raises(ValueError):
         costmodel.index_load_cost(10, 0)
+
+
+@given(card=st.integers(1, MAX_CATALOG_INT),
+       rows=st.integers(0, MAX_CATALOG_INT),
+       page_size=st.integers(1, MAX_CATALOG_INT))
+def test_index_size_and_load_are_least_whole_units(card, rows, page_size):
+    """Over the catalog's signed 64-bit range, an index's bytes and load
+    pages are the fewest whole units that hold it."""
+    size = costmodel.index_storage_size(card, rows, 80)
+    assert (size - 1) * 8 < (80 + card) * rows <= size * 8
+    pages = costmodel.index_load_cost(size, page_size)
+    assert (pages - 1) * page_size < size <= pages * page_size
 
 
 def test_hash_join_cost_pinned():
@@ -196,19 +213,21 @@ def _ssb_filter(column):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_conjunct_order_leaves_query_cost_unchanged(data):
-    """Permuting a query's conjuncts leaves its cost unchanged under every
-    configuration of the dimension columns it references.  The draw puts
-    2-4 filters on one dates column, and at most one on a second, so that
-    at most two selectivities multiply and their product is exact in any
-    order; a fact-column filter never meets an index."""
+    """Permuting a query's conjuncts leaves its plan unchanged, and so its
+    cost under every configuration of the dimension columns it references.
+    The draw puts 2-4 filters on one dates column and 1-2 on each of up to
+    three more; a fact-column filter never meets an index."""
     columns = [a.name for a in SSB.attributes
                if a.table == "dates" and not a.is_key]
-    first, second = data.draw(st.lists(st.sampled_from(columns), min_size=2,
-                                       max_size=2, unique=True))
+    n = data.draw(st.integers(1, 4))
+    first, *more = data.draw(st.lists(st.sampled_from(columns), min_size=n,
+                                      max_size=n, unique=True))
     conjuncts = ["lo_orderdate = d_datekey"]
     conjuncts += data.draw(st.lists(_ssb_filter(first), min_size=2,
                                     max_size=4))
-    conjuncts += data.draw(st.lists(_ssb_filter(second), max_size=1))
+    for column in more:
+        conjuncts += data.draw(st.lists(_ssb_filter(column), min_size=1,
+                                        max_size=2))
     conjuncts += data.draw(st.lists(st.just("lo_quantity < 25"), max_size=1))
     shuffled = data.draw(st.permutations(conjuncts))
 
@@ -218,11 +237,29 @@ def test_conjunct_order_leaves_query_cost_unchanged(data):
 
     q, p = parse(conjuncts), parse(shuffled)
     assert p.referenced == q.referenced
+    # the plans are equal, the selectivities in the same order included
+    assert costmodel.WorkloadPlan(SSB, [p]).plans == \
+        costmodel.WorkloadPlan(SSB, [q]).plans
     dims = [SSB.names[i] for i in bits(q.referenced & SSB.on_table["dates"])]
     for r in range(len(dims) + 1):
         for config in itertools.combinations(dims, r):
             assert costmodel.query_cost(SSB, p, config) == \
                 costmodel.query_cost(SSB, q, config), (shuffled, config)
+
+
+def test_three_selectivities_multiply_in_one_order():
+    """Three filtered columns under their indexes: swapping two filters
+    leaves the product of the selectivities, and so the cost, unchanged."""
+    head = ("select count(*) from lineorder, dates where "
+            "lo_orderdate = d_datekey and d_dayofweek = 1 and ")
+    config = ["dates.d_dayofweek", "dates.d_lastdayinmonthfl",
+              "dates.d_sellingseason"]
+    costs = [costmodel.query_cost(SSB, parse_query(head + where, SSB), config)
+             for where in ("d_lastdayinmonthfl < 5 and "
+                           "d_sellingseason in (1, 2)",
+                           "d_sellingseason in (1, 2) and "
+                           "d_lastdayinmonthfl < 5")]
+    assert costs[0] == costs[1]
 
 
 def test_workload_cost_monotone_under_more_indexes_ssb():
@@ -300,8 +337,8 @@ def oracle_query_cost(schema, query, config):
         return float(sum(3 * (fact_pages + schema.table_pages(d))
                          for d in dims))
     index_attrs = [a for attrs in used.values() for a in attrs]
-    # of the predicates on one attribute the most selective counts, taken
-    # in the order of each attribute's first predicate
+    # of the predicates on one attribute the most selective counts; the
+    # attributes' selectivities multiply in name order
     smallest = {}
     for attr, opclass, in_count in predicates:
         card = schema.attribute(attr).cardinality
@@ -315,21 +352,22 @@ def oracle_query_cost(schema, query, config):
             s = 1.0
         smallest[attr] = min(smallest.get(attr, s), s)
     rows, sel = schema.fact.rows, 1.0
-    for attr, s in smallest.items():
+    for attr in sorted(smallest):
         if attr in index_attrs:
-            sel *= s
+            sel *= smallest[attr]
     nt = min(float(rows), max(0.0, rows * sel))
     cl = fact_pages * (1.0 - math.exp(-nt / fact_pages)) \
         if fact_pages > 0 and nt > 0 else 0.0
-    cost = cl
+    # every other term is whole pages, summed as an int and added to CL once
+    pages = 0
     for a in index_attrs:
         card = schema.attribute(a).cardinality
         size = math.ceil((schema.rowid_bits + card) * rows / 8) if rows else 0
-        cost += math.ceil(size / schema.page_size)
+        pages += math.ceil(size / schema.page_size)
     for d in dims:
         if d not in used:
-            cost += 3 * (math.ceil(cl) + schema.table_pages(d))
-    return cost
+            pages += 3 * (math.ceil(cl) + schema.table_pages(d))
+    return cl + pages
 
 
 def oracle_workload_cost(schema, queries, config):
@@ -399,36 +437,56 @@ def test_close_select_equals_full_recost_loop(cat, wl):
                                                           budget)
 
 
-def test_index_loads_add_by_table_in_name_order():
-    """Under a configuration, a query's index loads are added to CL grouped
-    by table, tables in the order of their first name, each table's in name
-    order.  Table ``d.b`` puts ``d.b.c`` between ``d.a`` and ``d.z`` in name
-    order, and the columns are declared in another order again; the
-    statistics are picked so that adding the loads in name order or in id
-    order gives a different float from the oracle's order."""
-    doc = {"page_size": 4096, "tables": [
-        {"name": "F", "role": "fact", "rows": 61445735, "tuple_width": 100,
-         "pages": 562302},
-        {"name": "d.b", "role": "dimension", "rows": 1000, "tuple_width": 50},
-        {"name": "d", "role": "dimension", "rows": 1000, "tuple_width": 50}],
-        "attributes": [
-            {"table": "F", "name": "fk1", "is_key": True},
-            {"table": "F", "name": "fk2", "is_key": True},
-            {"table": "d.b", "name": "c", "cardinality": 239},
-            {"table": "d.b", "name": "k2", "is_key": True},
-            {"table": "d", "name": "z", "cardinality": 879},
-            {"table": "d", "name": "k1", "is_key": True},
-            {"table": "d", "name": "a", "cardinality": 136}],
-        "joins": [{"fact_attr": "F.fk1", "dim_attr": "d.k1"},
-                  {"fact_attr": "F.fk2", "dim_attr": "d.b.k2"}]}
+# a dotted table name: ``d.b.c`` falls between ``d.a`` and ``d.z`` in name
+# order, so a table's qualified names need not be contiguous
+DOTTED = ({"page_size": 4096, "tables": [
+    {"name": "F", "role": "fact", "rows": 61445735, "tuple_width": 100,
+     "pages": 562302},
+    {"name": "d.b", "role": "dimension", "rows": 1000, "tuple_width": 50},
+    {"name": "d", "role": "dimension", "rows": 1000, "tuple_width": 50}],
+    "attributes": [
+        {"table": "F", "name": "fk1", "is_key": True},
+        {"table": "F", "name": "fk2", "is_key": True},
+        {"table": "d.b", "name": "c", "cardinality": 239},
+        {"table": "d.b", "name": "k2", "is_key": True},
+        {"table": "d", "name": "z", "cardinality": 879},
+        {"table": "d", "name": "k1", "is_key": True},
+        {"table": "d", "name": "a", "cardinality": 136}],
+    "joins": [{"fact_attr": "F.fk1", "dim_attr": "d.k1"},
+              {"fact_attr": "F.fk2", "dim_attr": "d.b.k2"}]},
+    "Q1 - select 1 from F where fk1 = k1 and fk2 = k2 and a = 1 and c = 2 "
+    "and z = 3\n")
+
+
+def _declared(cat):
+    if cat == "dotted":
+        return DOTTED
+    return (json.loads(data_path(f"{cat}.json").read_text()),
+            data_path(f"{cat}.sql").read_text())
+
+
+@pytest.mark.parametrize("cat", ["dotted", "ssb", "tpch"])
+def test_costs_do_not_depend_on_declaration_order(cat):
+    """Shuffling the catalog's tables, attributes and joins lists changes
+    every column id and the order the joins are found in, but no cost:
+    under each configuration of the indexes a query can use, its cost is
+    the unshuffled one and the oracle's."""
+    doc, sql = _declared(cat)
     schema = load_catalog(json.dumps(doc))
-    queries = parse_workload(
-        "Q1 - select 1 from F where fk1 = k1 and fk2 = k2 and a = 1 "
-        "and c = 2 and z = 3\n", schema)
-    plans = costmodel.WorkloadPlan(schema, queries)
-    names = ["d.a", "d.b.c", "d.z", "d.k1"]
-    for r in range(len(names) + 1):
-        for config in itertools.combinations(names, r):
-            want = oracle_query_cost(schema, queries[0], config)
-            assert costmodel.query_cost(schema, queries[0], config) == want
-            assert plans.costs(ids_of(schema, config)) == [want]
+    queries = parse_workload(sql, schema)
+    cases = []      # (query position, configuration)
+    for k, plan in enumerate(costmodel.WorkloadPlan(schema, queries).plans):
+        names = [schema.names[i] for i in bits(plan.usable & schema.indexable)]
+        cases += [(k, config) for r in range(len(names) + 1)
+                  for config in itertools.combinations(names, r)]
+    want = [costmodel.query_cost(schema, queries[k], c) for k, c in cases]
+    rng = random.Random(11)
+    for _ in range(3):
+        shuffled = {**doc, **{key: rng.sample(doc[key], len(doc[key]))
+                              for key in ("tables", "attributes", "joins")}}
+        schema = load_catalog(json.dumps(shuffled))
+        queries = parse_workload(sql, schema)
+        assert [costmodel.query_cost(schema, queries[k], c)
+                for k, c in cases] == want
+        assert [oracle_query_cost(schema, queries[k], c)
+                for k, c in cases] == want

@@ -6,12 +6,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bji_advisor import cli, data_path
-from bji_advisor.schema import (AttributeStats, CatalogError, Join, StarSchema,
-                                TableStats, load_catalog, load_catalog_file,
-                                pages_of)
+from bji_advisor.schema import (MAX_CATALOG_INT, AttributeStats, CatalogError,
+                                Join, StarSchema, TableStats, load_catalog,
+                                load_catalog_file, pages_of)
 
 
 def small_catalog(**overrides):
@@ -83,8 +83,9 @@ def test_pages_explicit_wins():
     assert pages_of(t2, 4096) == 0
 
 
-@given(rows=st.integers(1, 10**7), width=st.integers(1, 512),
+@given(rows=st.integers(1, MAX_CATALOG_INT), width=st.integers(1, 512),
        ps=st.integers(1, 10**6))
+@example(rows=2**60 + 1, width=1, ps=4096)   # past float precision
 def test_pages_of_bounds(rows, width, ps):
     t = TableStats("T", "dimension", rows=rows, tuple_width=width)
     p = pages_of(t, ps)
