@@ -26,9 +26,11 @@ of the catalog's declarations or of the joins found.
 
 Each query is planned once, over catalog column ids, from the catalog's
 per-id tables (``StarSchema.names``, ``cards``, ``on_table``): a plan costs
-a configuration given as an id mask.  ``query_cost``, ``workload_cost``,
-``cost_report`` and ``config_storage`` take configurations as qualified
-attribute names.
+a configuration given as an id mask.  The joined dimensions and the no-index
+cost of a join depend only on the join endpoints a query references, so
+they are worked out once per such join shape.  ``query_cost``,
+``workload_cost``, ``cost_report`` and ``config_storage`` take
+configurations as qualified attribute names.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class QueryPlan(namedtuple("QueryPlan", "query_id dims no_index usable "
     """The facts of one query that costing it under any configuration
     needs, worked out once.  Attributes are column ids.
 
-    ``dims``: the joined dimensions, as (table, pages, mask of its usable
+    ``dims``: the joined dimensions, as (table, pages, mask of its column
     ids).  ``no_index``: the cost when no index is usable.  ``usable``: the
     referenced ids on joined dimensions.  ``load_pages``: per column id, its
     index load pages.  ``selectivity``: (id, selectivity) per column with a
@@ -168,6 +170,11 @@ class WorkloadPlan:
                                  for c in schema.cards[1:]))
         self.load_pages = tuple(index_load_cost(b, schema.page_size)
                                 for b in self.index_bytes)
+        self._fact_pages = schema.table_pages(schema.fact.name)
+        self._link_ends = 0
+        for _, _, ends in schema.link_masks:
+            self._link_ends |= ends
+        self._shapes: dict[int, tuple] = {}
         self.plans = tuple(self.plan(q) for q in queries)
         self.users: dict[int, list[int]] = {}
         for k, plan in enumerate(self.plans):
@@ -176,22 +183,31 @@ class WorkloadPlan:
         self.no_index = tuple(p.no_index for p in self.plans)
         self.baseline = sum(self.no_index)
 
+    def _join_shape(self, query: ParsedQuery) -> tuple:
+        """The joined dimensions of ``query``, as (table, pages, mask of
+        its column ids); the mask of their ids; and, if any dimension is
+        joined, the cost when no index is usable.  They depend only on the
+        join endpoints the query references."""
+        dims, on_dims, no_index = [], 0, 0
+        for d in joined_dimensions(self.schema, query):
+            pages, on_d = self.schema.table_pages(d), self.schema.on_table[d]
+            dims.append((d, pages, on_d))
+            on_dims |= on_d
+            no_index += hash_join_cost(self._fact_pages, pages)
+        return tuple(dims), on_dims, float(no_index)
+
     def plan(self, query: ParsedQuery) -> QueryPlan:
-        """The cost plan of one query.  Of the predicates on one column,
+        """The cost plan of one query: its join shape, worked out once per
+        shape, and its selectivities.  Of the predicates on one column,
         the most selective counts."""
         schema = self.schema
-        fact_pages = schema.table_pages(schema.fact.name)
         ref = query.referenced
-        dims = []
-        usable = 0
-        for d in joined_dimensions(schema, query):
-            on_dim = ref & schema.on_table[d]
-            dims.append((d, schema.table_pages(d), on_dim))
-            usable |= on_dim
-        if dims:
-            no_index = float(sum([hash_join_cost(fact_pages, pages)
-                                  for _, pages, _ in dims]))
-        else:
+        key = ref & self._link_ends
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = self._join_shape(query)
+        dims, on_dims, no_index = shape
+        if not dims:
             no_index = float(sum([schema.table_pages(t)
                                   for t, on_t in schema.on_table.items()
                                   if ref & on_t]))
@@ -199,14 +215,13 @@ class WorkloadPlan:
         best: dict[int, float] = {}
         for i, opclass, k in query.predicates:
             s = _selectivity(cards[i], opclass, k)
-            if s < best.setdefault(i, s):
+            if s < best.get(i, 1.0):  # a selectivity of 1 filters nothing
                 best[i] = s
         return QueryPlan(
-            query_id=query.id, dims=tuple(dims), no_index=no_index,
-            usable=usable, load_pages=self.load_pages,
-            selectivity=tuple([(i, best[i]) for i in sorted(
-                best, key=schema.names.__getitem__) if best[i] < 1.0]),
-            fact_rows=schema.fact.rows, fact_pages=fact_pages)
+            query.id, dims, no_index, ref & on_dims, self.load_pages,
+            tuple([(i, best[i])
+                   for i in sorted(best, key=schema.names.__getitem__)]),
+            schema.fact.rows, self._fact_pages)
 
     def costs(self, config: int) -> list[float]:
         """Cost of each query under the id mask ``config``, in query order."""

@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
 
-from .hypergraph import Hypergraph, bits
+from .hypergraph import Hypergraph, bits, mask
 from .schema import CatalogError, StarSchema
 
 
@@ -38,15 +38,17 @@ ParsedQuery = namedtuple("ParsedQuery", "id referenced predicates")
 
 
 _TOKEN = r"""
-      '(?:[^']|'')*'
+      [A-Za-z_][A-Za-z_0-9]*
     | \d+(?:\.\d+)?|\.\d+
-    | [A-Za-z_][A-Za-z_0-9]*
+    | '(?:[^']|'')*'
     | <>|<=|>=|!=|[=<>(),.;*+\-/]
 """
 _TOKEN_RE = re.compile(_TOKEN, re.VERBOSE)
-# every token; from the first character that starts none, the rest of the
-# text as one last token, so one findall both splits and finds the error
-_SCAN_RE = re.compile(_TOKEN + r"| \S[\s\S]*", re.VERBOSE)
+# each token after the whitespace before it; from the first character that
+# starts none, the rest of the text as one last token, so one findall both
+# splits and finds the error.  The text's trailing whitespace is stripped
+# first: the scan would try it again from each of its characters.
+_SCAN_RE = re.compile(r"\s*(" + _TOKEN + r"| \S[\s\S]*)", re.VERBOSE)
 
 _IDENT_START = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -59,8 +61,11 @@ _KEYWORDS = {
     "union",
 }
 
-_COMPARE_OPS = {"<", ">", "<=", ">=", "<>", "!="}
-_COMPARISONS = _COMPARE_OPS | {"="}
+_COMPARISONS = {"<", ">", "<=", ">=", "<>", "!=", "="}
+
+# the class of each operator whose right-hand side the class ignores
+_OPCLASS = {"<": "range", ">": "range", "<=": "range", ">=": "range",
+            "<>": "range", "!=": "range", "between": "range", "like": "like"}
 
 # bare arguments of T-SQL scalar helpers (dateadd/datepart parts, cast types);
 # one that names a column is that column next to a comparison operator
@@ -81,6 +86,8 @@ _SELECT_MARKERS = {
 
 
 def tokenize(sql: str) -> list[str]:
+    """The tokens of ``sql`` as written."""
+    sql = sql.rstrip()
     tokens = _SCAN_RE.findall(sql)
     if tokens and not _TOKEN_RE.fullmatch(tokens[-1]):
         pos = len(sql) - len(tokens[-1])
@@ -88,36 +95,50 @@ def tokenize(sql: str) -> list[str]:
     return tokens
 
 
-# The predicates below read only a token's first character: they are called
-# on tokenize's output, where that character decides the token's kind.
-
-def _is_ident(tok: str) -> bool:
-    return tok[0] in _IDENT_START
+def _lowered_tokens(sql: str) -> list[str]:
+    """``tokenize(sql)`` with each token lowercased, from one scan of
+    ``sql.lower()``.  Lowering keeps every token's boundaries, kind and
+    offset, except for two code points: U+0130 lowers to two characters
+    and U+212A (the Kelvin sign) to an ASCII letter, so text that holds
+    either is tokenized as written.  On an error, ``tokenize`` scans the
+    text as written, so the message quotes the character as written."""
+    if "\u0130" in sql or "\u212a" in sql:
+        return [t.lower() for t in tokenize(sql)]
+    lows = _SCAN_RE.findall(sql.lower().rstrip())
+    if lows and not _TOKEN_RE.fullmatch(lows[-1]):
+        tokenize(sql)  # raises at the same offset
+    return lows
 
 
 def _is_number(tok: str) -> bool:
+    """Whether a token of ``tokenize``'s output is a number: its first
+    character decides its kind."""
     return tok[0].isdecimal() or (tok[0] == "." and len(tok) > 1)
 
 
 class _Extractor:
     """Single-statement-block scanner; shared symbol tables across subqueries.
 
-    ``toks`` holds the tokens as written (for messages and catalog lookups),
-    ``lows`` the same tokens lowercased once.
+    ``lows`` holds the tokens lowercased, and ``toks`` the same tokens as
+    written; the text is scanned again for ``toks`` only when a message
+    quotes one.
     """
 
-    def __init__(self, schema: StarSchema, tokens: list[str]):
+    def __init__(self, schema: StarSchema, sql: str):
         self.schema = schema
-        self.toks = tokens
-        self.lows = [t.lower() for t in tokens]
+        self.sql = sql
+        self.lows = _lowered_tokens(sql)
         self.aliases: dict[str, str] = {}     # alias/table (lower) -> table name
         self.derived: set[str] = set()        # derived/view column + alias names
-        self.referenced = 0                   # mask of column ids
         self.predicates: list[tuple[int, str, int]] = []
+
+    @cached_property
+    def toks(self) -> list[str]:
+        return tokenize(self.sql)
 
     def _name_at(self, i: int) -> bool:
         """Whether token i exists and is an identifier but not a keyword."""
-        return i < len(self.toks) and _is_ident(self.toks[i]) \
+        return i < len(self.lows) and self.lows[i][0] in _IDENT_START \
             and self.lows[i] not in _KEYWORDS
 
     # ------------------------------------------------------------------
@@ -141,15 +162,15 @@ class _Extractor:
                     f"unsupported statement starting at {self.toks[i]!r}")
 
     def _create_view(self, i: int) -> int:
-        toks, lows = self.toks, self.lows
+        lows = self.lows
         if lows[i + 1] != "view":
             raise ParseError("only CREATE VIEW is supported")
         self.derived.add(lows[i + 2])
         i += 3
-        if toks[i] == "(":
+        if lows[i] == "(":
             i += 1
-            while toks[i] != ")":
-                if toks[i] != ",":
+            while lows[i] != ")":
+                if lows[i] != ",":
                     self.derived.add(lows[i])
                 i += 1
             i += 1
@@ -165,10 +186,15 @@ class _Extractor:
         """Scan one SELECT statement starting at token i == 'select'.
 
         Returns the index just after the statement (end of input, unbalanced
-        ')' or ';').  Collects attributes from WHERE/ON clauses only.
+        ')' or ';').  Collects attributes from WHERE/ON clauses only, in
+        one loop: a column's catalog lookups are made here, and only a
+        name they miss goes to ``_resolve``.
         """
-        toks, lows = self.toks, self.lows
+        lows = self.lows
         n = len(lows)
+        aliases, derived = self.aliases, self.derived
+        ids_by_name = self.schema.ids_by_name
+        ids_by_column = self.schema.ids_by_column
         clause = "select"
         depth = 0  # non-subquery parentheses inside this statement
         i += 1
@@ -176,26 +202,20 @@ class _Extractor:
             low = lows[i]
             if low in _SELECT_MARKERS:
                 if low == ")":
-                    if depth > 0:
-                        depth -= 1
-                        i += 1
-                        continue
-                    return i  # caller consumes
-                if low == ";":
+                    if not depth:
+                        return i  # caller consumes
+                    depth -= 1
+                    i += 1
+                elif low == ";" or low == "select" and clause != "select":
+                    # the end, or a new top-level statement in the same
+                    # block (annex Q15 style)
                     return i
-                if low == "select":
-                    if clause != "select":
-                        # a new top-level statement in the same block
-                        # (annex Q15 style)
-                        return i
                 elif low in ("where", "from", "having", "on"):
                     clause = low
                     i += 1
-                    continue
                 elif low in ("group", "order"):
                     clause = low
                     i += 2 if i + 1 < n and lows[i + 1] == "by" else 1
-                    continue
                 elif low == "(":
                     if i + 1 < n and lows[i + 1] == "select":
                         j = self._select(i + 1)
@@ -207,67 +227,85 @@ class _Extractor:
                     else:
                         depth += 1
                         i += 1
-                    continue
-                elif low == "exists":
-                    i += 1
-                    continue
-                elif clause in ("from", "on"):
-                    # left, right, inner, outer, join
-                    if low == "join":
+                else:
+                    # exists, a join keyword, a select in the select list
+                    if low == "join" and clause == "on":
                         clause = "from"
                     i += 1
-                    continue
-            if clause == "from":
-                i = self._from_item(i)
-            elif clause in ("where", "on") and toks[i][0] in _IDENT_START \
-                    and (low not in _NOT_COLUMNS or self._compared_column(i)):
-                i = self._where_token(i)
-            else:
-                # select/group/order/having, and WHERE/ON tokens that name
-                # no column: skip, but still descend into the token stream
-                # naturally (subqueries handled by '(')
+            elif clause == "from":
+                # a table and its alias, or a ','
+                i = self._from_item(i) if low[0] in _IDENT_START else i + 1
+            elif clause != "where" and clause != "on":
+                # select/group/order/having name no column: on to the next
+                # marker (subqueries are handled by '(')
                 i += 1
+                while i < n and lows[i] not in _SELECT_MARKERS:
+                    i += 1
+            elif low[0] not in _IDENT_START or low in _NOT_COLUMNS and (
+                    low not in _SCALAR_ARGS or not self._compared_column(i)):
+                i += 1
+            elif i + 1 < n and lows[i + 1] == "(":
+                i += 1  # a call: its arguments are scanned next
+            else:
+                if i + 2 < n and lows[i + 1] == ".":
+                    j = i + 3
+                    table = aliases.get(low)
+                    cid = ids_by_column.get((table, lows[i + 2]))
+                    if cid is None or derived and table.lower() in derived:
+                        cid = self._resolve(i)
+                else:
+                    j = i + 1
+                    cid = ids_by_name.get(low)
+                    if cid is None or low in aliases or low in derived:
+                        cid = self._resolve(i)
+                if cid is None:  # a derived or alias name
+                    i = j
+                elif j < n and lows[j] in _OPCLASS:
+                    self.predicates.append((cid, _OPCLASS[lows[j]], 0))
+                    i = j + 1
+                else:
+                    i = self._classify(j, cid)
         return i
 
     # ------------------------------------------------------------------
     def _from_item(self, i: int) -> int:
-        tok = self.toks[i]
-        if tok == "," or not _is_ident(tok):
-            return i + 1
+        """Scan the table named at i and its alias, if any."""
+        lows = self.lows
         table = self._lookup_table(i)
         if table is None:
-            raise ParseError(f"unknown table {tok!r} in FROM")
-        self.aliases[self.lows[i]] = table
+            raise ParseError(f"unknown table {self.toks[i]!r} in FROM")
+        self.aliases[lows[i]] = table
         j = i + 1
-        if j < len(self.lows) and self.lows[j] == "as":
+        if j < len(lows) and lows[j] == "as":
             j += 1
         if self._name_at(j):
-            self.aliases[self.lows[j]] = table
+            self.aliases[lows[j]] = table
             j += 1
         return j
 
     def _derived_alias(self, i: int) -> int:
-        toks, lows = self.toks, self.lows
-        n = len(toks)
+        lows = self.lows
+        n = len(lows)
         if i < n and lows[i] == "as":
             i += 1
         if self._name_at(i):
             self.derived.add(lows[i])
             i += 1
-            if i < n and toks[i] == "(":
+            if i < n and lows[i] == "(":
                 i += 1
-                while i < n and toks[i] != ")":
-                    if toks[i] != ",":
+                while i < n and lows[i] != ")":
+                    if lows[i] != ",":
                         self.derived.add(lows[i])
                     i += 1
                 i += 1
         return i
 
     def _lookup_table(self, i: int) -> str | None:
-        table = self.schema.find_table(self.toks[i])
-        if table is None and self.lows[i] in self.derived:
+        low = self.lows[i]
+        table = self.schema.find_table(low)
+        if table is None and low in self.derived:
             # derived relation/view: columns resolve to nothing
-            return self.toks[i]
+            return low
         return table
 
     def _compared_column(self, i: int) -> bool:
@@ -276,31 +314,16 @@ class _Extractor:
         Inside a call, as in ``dateadd(dd, ...)`` or ``cast(... as date)``,
         it is an argument."""
         lows = self.lows
-        return lows[i] in _SCALAR_ARGS and lows[i] in self.schema.ids_by_name \
+        return lows[i] in self.schema.ids_by_name \
             and (lows[i - 1] in _COMPARISONS
                  or i + 1 < len(lows) and lows[i + 1] in _COMPARISONS)
 
     # ------------------------------------------------------------------
-    def _where_token(self, i: int) -> int:
-        """Scan a WHERE/ON identifier that is not a keyword."""
-        toks = self.toks
-        n = len(toks)
-        # function call: skip the name, descend into its parens via main loop
-        if i + 1 < n and toks[i + 1] == "(":
-            return i + 1
-        attr = self._resolve(i)
-        if attr is None:
-            # qualified name consumes 3 tokens, bare name 1
-            return i + (3 if i + 2 < n and toks[i + 1] == "." else 1)
-        cid, consumed = attr
-        self.referenced |= 1 << cid
-        return self._classify(i + consumed, cid)
-
-    def _resolve(self, i: int) -> tuple[int, int] | None:
-        """Resolve an identifier at i to (column id, tokens consumed); None
-        if it is a derived/alias name."""
-        toks, lows, schema = self.toks, self.lows, self.schema
-        if i + 2 < len(toks) and toks[i + 1] == ".":
+    def _resolve(self, i: int) -> int | None:
+        """The column id of the name at i, qualified by it when a '.' and
+        a name follow; None if it is a derived or alias name."""
+        lows, schema = self.lows, self.schema
+        if i + 2 < len(lows) and lows[i + 1] == ".":
             table = self.aliases.get(lows[i])
             if table is None:
                 table = self._lookup_table(i)
@@ -309,79 +332,75 @@ class _Extractor:
             cid = schema.ids_by_column.get((table, lows[i + 2]))
             if cid is None:
                 try:
-                    a = schema.find_attribute(toks[i + 2], table)
+                    a = schema.find_attribute(self.toks[i + 2], table)
                 except CatalogError as exc:
                     raise ParseError(str(exc)) from exc
                 cid = schema.column_id(a.qualified)
-            return cid, 3
+            return cid
         low = lows[i]
         if low in self.derived or low in self.aliases:
             return None
         cid = schema.ids_by_name.get(low)
         if cid is None:
             try:
-                a = schema.find_attribute(toks[i])
+                a = schema.find_attribute(low)
             except CatalogError as exc:
-                raise ParseError(f"unresolvable column {toks[i]!r}") from exc
+                raise ParseError(
+                    f"unresolvable column {self.toks[i]!r}") from exc
             cid = schema.column_id(a.qualified)
-        return cid, 1
+        return cid
 
     def _classify(self, j: int, cid: int) -> int:
         """Record the operator class of the predicate starting at j, after
-        the column ``cid``; return where the scan resumes: j, or after a
-        join's right-hand side, which is resolved here once."""
-        toks, lows = self.toks, self.lows
-        n = len(toks)
+        the column ``cid``; return where the scan resumes: after a range,
+        BETWEEN or LIKE operator, after a join's right-hand side, which is
+        resolved here once, else at j."""
+        lows = self.lows
+        n = len(lows)
         resume = j
         nxt = lows[j] if j < n else ""
         opclass, k = "ref", 0
         if nxt == "not" and j + 1 < n:
             nxt = lows[j + 1]
             j += 1
-        if nxt == "=":
+        if nxt in _OPCLASS:
+            opclass = _OPCLASS[nxt]
+            resume = j + 1
+        elif nxt == "=":
             # join when the right-hand side resolves to another attribute
             rhs = j + 1
-            if rhs < n and toks[rhs] == "(" and rhs + 1 < n \
-                    and lows[rhs + 1] == "select":
+            if rhs + 1 < n and lows[rhs] == "(" and lows[rhs + 1] == "select":
                 opclass = "subquery"
-            elif self._name_at(rhs) and \
-                    (rhs + 1 >= n or toks[rhs + 1] != "("):
+            elif self._name_at(rhs) and (rhs + 1 >= n or lows[rhs + 1] != "("):
                 try:
-                    resolved = self._resolve(rhs)
+                    rid = self._resolve(rhs)
                 except ParseError:
-                    resolved = None
-                if resolved:
+                    rid = None
+                if rid is None:
+                    opclass = "equality"
+                else:
                     opclass = "join"
-                    rid, used = resolved
                     self.predicates.append((rid, "join", 0))
                     # resume after it; the scan would resolve it again
-                    self.referenced |= 1 << rid
-                    resume = rhs + used
-                else:
-                    opclass = "equality"
+                    qualified = rhs + 2 < n and lows[rhs + 1] == "."
+                    resume = rhs + (3 if qualified else 1)
             else:
                 opclass = "equality"
-        elif nxt in _COMPARE_OPS:
-            opclass = "range"
-        elif nxt == "between":
-            opclass = "range"
-        elif nxt == "like":
-            opclass = "like"
         elif nxt == "in":
             rhs = j + 1
-            if rhs < n and toks[rhs] == "(":
+            if rhs < n and lows[rhs] == "(":
                 if rhs + 1 < n and lows[rhs + 1] == "select":
                     opclass = "subquery"
                 else:
-                    opclass, k = "in-list", 0
+                    opclass = "in-list"
                     d, p = 1, rhs + 1
                     while p < n and d > 0:
-                        if toks[p] == "(":
+                        tok = lows[p]
+                        if tok == "(":
                             d += 1
-                        elif toks[p] == ")":
+                        elif tok == ")":
                             d -= 1
-                        elif d == 1 and (toks[p].startswith("'")
-                                         or _is_number(toks[p])):
+                        elif d == 1 and (tok[0] == "'" or _is_number(tok)):
                             k += 1
                         p += 1
         self.predicates.append((cid, opclass, k))
@@ -391,7 +410,7 @@ class _Extractor:
 def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
     """Collect WHERE/ON attribute references of one query block."""
     try:
-        ex = _Extractor(schema, tokenize(sql))
+        ex = _Extractor(schema, sql)
         ex.run()
     except ParseError as exc:
         raise ParseError(f"query {qid}: {exc}") from exc
@@ -399,7 +418,7 @@ def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
         raise ParseError(f"query {qid}: truncated statement") from exc
     except RecursionError as exc:
         raise ParseError(f"query {qid}: subqueries nested too deeply") from exc
-    return ParsedQuery(id=qid, referenced=ex.referenced,
+    return ParsedQuery(id=qid, referenced=mask([p[0] for p in ex.predicates]),
                        predicates=tuple(ex.predicates))
 
 

@@ -400,6 +400,48 @@ def test_plans_equal_oracle_under_random_configs(cat, wl, gen):
     assert plans.baseline == oracle_workload_cost(schema, m.queries, ())
 
 
+# two TPC-H queries with one join shape, LINEITEM-SUPPLIER-NATION-REGION,
+# that filter on different NATION and REGION columns
+TPCH_ONE_SHAPE = "".join(
+    f"Q{k} - SELECT 1 FROM LINEITEM, SUPPLIER, NATION, REGION "
+    "WHERE L_SUPPKEY = S_SUPPKEY AND S_NATIONKEY = N_NATIONKEY "
+    f"AND N_REGIONKEY = R_REGIONKEY AND {where}\n"
+    for k, where in enumerate(["N_NAME = 'FRANCE'", "R_NAME = 'ASIA'"], 1))
+
+
+def _planned_workloads(gen):
+    """(name, schema, queries) for the workloads the plan-reuse test
+    covers."""
+    for cat, wl in BUNDLED:
+        schema = load_catalog_file(data_path(cat))
+        yield cat, schema, parse_workload(data_path(wl).read_text(), schema)
+    for inst in (gen.synth_search(1)[0], gen.synth_templates(1)[0]):
+        schema = load_catalog(json.dumps(inst.catalog))
+        yield inst.name, schema, parse_workload(inst.sql, schema)
+    schema = load_catalog_file(data_path("tpch.json"))
+    yield "tpch-one-shape", schema, parse_workload(TPCH_ONE_SHAPE, schema)
+
+
+def test_join_shape_reuse_gives_the_plans_made_alone(gen):
+    """A workload's plans are its queries planned one by one, although a
+    join shape is worked out once and reused, and ``users`` is the
+    queries whose plan can use each column's index."""
+    for name, schema, queries in _planned_workloads(gen):
+        plans = costmodel.WorkloadPlan(schema, queries)
+        alone = [costmodel.WorkloadPlan(schema, [q]).plans[0] for q in queries]
+        assert list(plans.plans) == alone, name
+        users = {}
+        for k, plan in enumerate(plans.plans):
+            for i in bits(plan.usable):
+                users.setdefault(i, []).append(k)
+        assert plans.users == users, name
+    # the crafted pair: one shape, different usable columns
+    first, second = plans.plans
+    assert first.dims == second.dims
+    assert [schema.names[i] for i in bits(first.usable ^ second.usable)] == \
+        ["NATION.N_NAME", "REGION.R_NAME"]
+
+
 def oracle_close(schema, m, minsup, budget):
     """close_select's greedy loop, costing the whole workload per trial."""
     motifs = selection.mine_closed_frequent_itemsets(m, minsup)

@@ -180,6 +180,30 @@ def test_unknown_table_is_error():
                     ssb_schema(), 9)
 
 
+@pytest.mark.parametrize("sql, message", [
+    ("select 1 from NoWhere where lo_quantity = 3",
+     "unknown table 'NoWhere' in FROM"),
+    ("select 1 from lineorder where No_Such = 3",
+     "unresolvable column 'No_Such'"),
+    ("select 1 from lineorder L where L.No_Such = 3",
+     "unknown attribute lineorder.No_Such"),
+    ("UPDATE lineorder set x = 1",
+     "unsupported statement starting at 'UPDATE'"),
+    # U+212A, the Kelvin sign, lowercases to an ASCII 'k'
+    ("select 1 from lineorder where lo_quantity = 3 \u212a",
+     "unexpected character '\u212a' at offset 46"),
+    ("select \u212a from lineorder where lo_quantity = 3",
+     "unexpected character '\u212a' at offset 7"),
+    # U+0130 lowercases to two characters
+    ("select 1 from lineorder where lo_quantity = '\u0130\u0130' @",
+     "unexpected character '@' at offset 49"),
+])
+def test_input_errors_quote_the_text_as_written(sql, message):
+    with pytest.raises(ParseError) as exc:
+        parse_query(sql, ssb_schema(), 7)
+    assert str(exc.value) == f"query 7: {message}"
+
+
 def test_in_list_counting():
     sql = ("SELECT 1 FROM LINEITEM, PART WHERE L_PARTKEY = P_PARTKEY "
            "AND P_SIZE IN (1, 2, 3) AND L_SHIPMODE IN ('AIR', 'AIR REG')")
@@ -220,6 +244,31 @@ def test_view_block_and_derived_columns():
     # view columns must not leak as schema attributes
     assert all(a.split(".")[1] not in ("SUPPLIER_NO", "TOTAL_REVENUE")
                for a in names(schema, q.referenced))
+
+
+def _flip_case(rng, sql):
+    """``sql`` with each ASCII letter outside its string literals in a
+    random case."""
+    return "".join(
+        part if part.startswith("'") else "".join(
+            rng.choice((c.lower(), c.upper())) if c.isascii() else c
+            for c in part)
+        for part in re.split(r"('(?:[^']|'')*')", sql))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32))
+def test_keywords_and_names_match_in_any_case(seed):
+    """Flipping the case of the bundled workloads' keywords and names
+    leaves every parsed query as it was."""
+    rng = random.Random(seed)
+    for cat, wl in (("example_star.json", "example_star.sql"),
+                    ("ssb.json", "ssb.sql"), ("tpch.json", "tpch.sql")):
+        schema = load_catalog_file(data_path(cat))
+        for qid, sql in split_workload(data_path(wl).read_text()):
+            flipped = _flip_case(rng, sql)
+            assert parse_query(flipped, schema, qid) == \
+                parse_query(sql, schema, qid), flipped
 
 
 def test_full_annex_workloads_parse():
@@ -418,10 +467,13 @@ def tokens_or_error(tokenizer, text):
 
 
 # SQL characters, quotes, whitespace (also non-ASCII), '@', a non-ASCII
-# digit and non-ASCII letters; any other character now and then
+# digit and non-ASCII letters, among them the two whose lowercase is not
+# one character of the same kind (U+0130, U+212A); any other character now
+# and then
 _SQL_TEXT = st.text(alphabet=st.one_of(
     st.sampled_from(list("selctfromwhrandSELCTAND_xyz0129.'=<>!(),;*+-/"
-                         " \t\n\u00a0\u2003@\u0663\u00e9\u00c4\u00df\u03a3")),
+                         " \t\n\u00a0\u2003@\u0663\u00e9\u00c4\u00df\u03a3"
+                         "\u0130\u212a")),
     st.characters()), max_size=60)
 
 
