@@ -112,7 +112,7 @@ class StarSchema:
             if table_names.setdefault(t.lower(), t) != t:
                 raise CatalogError(f"duplicate table {t}")
         index: dict[str, int] = {}      # lowercase qualified name -> id
-        by_name: dict[str, list[AttributeStats]] = {}
+        by_name: dict[str, list[int]] = {}  # lowercase name -> ids
         by_column: dict[tuple[str, str], int] = {}
         on_table = dict.fromkeys(tables, 0)
         indexable = 0
@@ -122,7 +122,7 @@ class StarSchema:
             if a.qualified.lower() in index:
                 raise CatalogError(f"duplicate attribute {a.qualified}")
             index[a.qualified.lower()] = i
-            by_name.setdefault(a.name.lower(), []).append(a)
+            by_name.setdefault(a.name.lower(), []).append(i)
             by_column[a.table, a.name.lower()] = i
             on_table[a.table] |= 1 << i
             if self.is_indexable(a):
@@ -163,14 +163,13 @@ class StarSchema:
                     f"no join path from fact table {facts[0].name} to {t}")
         self.fact, self.links, self.link_masks = \
             facts[0], tuple(links), tuple(link_masks)
-        self.ids_by_name = {name: by_column[a.table, name]
-                            for name, (a, *more) in by_name.items() if not more}
+        self.ids_by_name = {name: i for name, (i, *more) in by_name.items()
+                            if not more}
         self.ids_by_column, self._paths = by_column, paths
         self.names = ("", *(a.qualified for a in attributes))
         self.cards = (0, *(a.cardinality for a in attributes))
         self.on_table, self.indexable = on_table, indexable
-        self._by_qualified, self._by_name, self._table_names = \
-            index, by_name, table_names
+        self._by_qualified, self._table_names = index, table_names
         self._pages = {key: pages_of(t, page_size) for key, t in tables.items()}
 
     # -- lookups -----------------------------------------------------------
@@ -182,18 +181,6 @@ class StarSchema:
 
     def attribute(self, qualified: str) -> AttributeStats:
         return self.attributes[self.column_id(qualified) - 1]
-
-    def find_attribute(self, name: str, table: str | None = None) -> AttributeStats:
-        """Resolve a (possibly unqualified) column name, case-insensitively."""
-        if table is not None:
-            return self.attribute(f"{table}.{name}")
-        hits = self._by_name.get(name.lower())
-        if not hits:
-            raise CatalogError(f"unknown attribute {name}")
-        if len(hits) > 1:
-            raise CatalogError(
-                f"ambiguous attribute {name}: " + ", ".join(a.qualified for a in hits))
-        return hits[0]
 
     def find_table(self, name: str) -> str | None:
         """The declared name of a table, matched case-insensitively."""

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from .hypergraph import Hypergraph, bits, mask
-from .schema import CatalogError, StarSchema
+from .schema import StarSchema
 
 
 class ParseError(ValueError):
@@ -187,14 +187,10 @@ class _Extractor:
 
         Returns the index just after the statement (end of input, unbalanced
         ')' or ';').  Collects attributes from WHERE/ON clauses only, in
-        one loop: a column's catalog lookups are made here, and only a
-        name they miss goes to ``_resolve``.
+        one loop.
         """
         lows = self.lows
         n = len(lows)
-        aliases, derived = self.aliases, self.derived
-        ids_by_name = self.schema.ids_by_name
-        ids_by_column = self.schema.ids_by_column
         clause = "select"
         depth = 0  # non-subquery parentheses inside this statement
         i += 1
@@ -247,17 +243,7 @@ class _Extractor:
             elif i + 1 < n and lows[i + 1] == "(":
                 i += 1  # a call: its arguments are scanned next
             else:
-                if i + 2 < n and lows[i + 1] == ".":
-                    j = i + 3
-                    table = aliases.get(low)
-                    cid = ids_by_column.get((table, lows[i + 2]))
-                    if cid is None or derived and table.lower() in derived:
-                        cid = self._resolve(i)
-                else:
-                    j = i + 1
-                    cid = ids_by_name.get(low)
-                    if cid is None or low in aliases or low in derived:
-                        cid = self._resolve(i)
+                cid, j = self._resolve(i)
                 if cid is None:  # a derived or alias name
                     i = j
                 elif j < n and lows[j] in _OPCLASS:
@@ -319,36 +305,30 @@ class _Extractor:
                  or i + 1 < len(lows) and lows[i + 1] in _COMPARISONS)
 
     # ------------------------------------------------------------------
-    def _resolve(self, i: int) -> int | None:
+    def _resolve(self, i: int) -> tuple[int | None, int]:
         """The column id of the name at i, qualified by it when a '.' and
-        a name follow; None if it is a derived or alias name."""
-        lows, schema = self.lows, self.schema
+        a name follow, and the index just after the name.  The id is None
+        for a derived or alias name; a name the catalog lacks is an error.
+        This is the only place a WHERE/ON name becomes a column id."""
+        lows, derived = self.lows, self.derived
+        low = lows[i]
         if i + 2 < len(lows) and lows[i + 1] == ".":
-            table = self.aliases.get(lows[i])
+            table = self.aliases.get(low)
             if table is None:
                 table = self._lookup_table(i)
-            if table is None or table.lower() in self.derived:
-                return None
-            cid = schema.ids_by_column.get((table, lows[i + 2]))
+            if table is None or derived and table.lower() in derived:
+                return None, i + 3
+            cid = self.schema.ids_by_column.get((table, lows[i + 2]))
             if cid is None:
-                try:
-                    a = schema.find_attribute(self.toks[i + 2], table)
-                except CatalogError as exc:
-                    raise ParseError(str(exc)) from exc
-                cid = schema.column_id(a.qualified)
-            return cid
-        low = lows[i]
-        if low in self.derived or low in self.aliases:
-            return None
-        cid = schema.ids_by_name.get(low)
-        if cid is None:
-            try:
-                a = schema.find_attribute(low)
-            except CatalogError as exc:
                 raise ParseError(
-                    f"unresolvable column {self.toks[i]!r}") from exc
-            cid = schema.column_id(a.qualified)
-        return cid
+                    f"unknown attribute {table}.{self.toks[i + 2]}")
+            return cid, i + 3
+        if low in derived or low in self.aliases:
+            return None, i + 1
+        cid = self.schema.ids_by_name.get(low)
+        if cid is None:
+            raise ParseError(f"unresolvable column {self.toks[i]!r}")
+        return cid, i + 1
 
     def _classify(self, j: int, cid: int) -> int:
         """Record the operator class of the predicate starting at j, after
@@ -373,7 +353,7 @@ class _Extractor:
                 opclass = "subquery"
             elif self._name_at(rhs) and (rhs + 1 >= n or lows[rhs + 1] != "("):
                 try:
-                    rid = self._resolve(rhs)
+                    rid, after = self._resolve(rhs)
                 except ParseError:
                     rid = None
                 if rid is None:
@@ -381,9 +361,7 @@ class _Extractor:
                 else:
                     opclass = "join"
                     self.predicates.append((rid, "join", 0))
-                    # resume after it; the scan would resolve it again
-                    qualified = rhs + 2 < n and lows[rhs + 1] == "."
-                    resume = rhs + (3 if qualified else 1)
+                    resume = after  # the scan would resolve it again
             else:
                 opclass = "equality"
         elif nxt == "in":
@@ -422,15 +400,15 @@ def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
                        predicates=tuple(ex.predicates))
 
 
-_HEADER_RE = re.compile(r"^\s*Q(\d+)\s*[-:]\s*", re.MULTILINE)
+_HEADER_RE = re.compile(r"^\s*[Qq](\d+)\s*[-:]\s*", re.MULTILINE)
 
 
 def split_workload(text: str) -> list[tuple[int, str]]:
     """Split a workload file into (id, sql) blocks.
 
-    Two styles are accepted: ``Qn -`` or ``Qn :`` headers, or queries
-    separated by a line containing only ``;``.  With headers, text before
-    the first one and a repeated query id are errors.
+    Two styles are accepted: ``Qn -`` or ``Qn :`` headers, with ``q`` or
+    ``Q``, or queries separated by a line containing only ``;``.  With
+    headers, text before the first one and a repeated query id are errors.
     """
     headers = list(_HEADER_RE.finditer(text))
     if headers:

@@ -174,12 +174,15 @@ def test_cardinality_above_rows_warns_not_raises(caplog):
     assert s.attribute("F.fk").cardinality == 10**9
 
 
-def test_find_attribute_case_insensitive_and_ambiguity():
+def test_names_resolve_case_insensitively():
     s = load_catalog_file(data_path("tpch.json"))
-    assert s.find_attribute("n_name").qualified == "NATION.N_NAME"
-    assert s.find_attribute("L_SHIPDATE").table == "LINEITEM"
-    with pytest.raises(CatalogError):
-        s.find_attribute("no_such_column")
+    assert s.names[s.ids_by_name["n_name"]] == "NATION.N_NAME"
+    i = s.ids_by_column["LINEITEM", "l_shipdate"]
+    assert s.names[i] == "LINEITEM.L_SHIPDATE"
+    assert s.attribute("lineitem.L_shipdate") is s.attributes[i - 1]
+    assert "no_such_column" not in s.ids_by_name
+    with pytest.raises(CatalogError, match="unknown attribute LINEITEM.nope"):
+        s.attribute("LINEITEM.nope")
 
 
 def test_join_path_snowflake():
@@ -252,26 +255,26 @@ def test_resolved_lookups_match_linear_scans(data):
     a = data.draw(st.sampled_from(s.attributes))
     name, table = recased(data, a.name), recased(data, a.table)
     assert s.attribute(f"{table}.{name}") is a
-    assert s.find_attribute(name, table) is a
     assert s.find_table(table) == scan_table(s, table) == a.table
+    i = s.ids_by_column[s.find_table(table), name.lower()]
+    assert s.attributes[i - 1] is a
     hits = scan_attributes(s, name)
-    if len(hits) == 1:
-        assert s.find_attribute(name) is hits[0] is a
-    else:
-        with pytest.raises(CatalogError) as err:
-            s.find_attribute(name)
-        assert str(err.value) == f"ambiguous attribute {name}: " + \
-            ", ".join(h.qualified for h in hits)
+    assert s.ids_by_name.get(name.lower()) == (i if len(hits) == 1 else None)
     assert s.table_pages(a.table) == pages_of(s.tables[a.table], s.page_size)
     assert s.join_path(a.table) == bfs_join_path(s, a.table)
 
 
 def test_ambiguous_names_exist_in_example_catalog():
+    """``ids_by_name`` holds exactly the bare names only one table has, so
+    the example catalog's shared CUST_ID is not in it."""
     s = BUNDLED["example_star"]
     assert [a.qualified for a in scan_attributes(s, "CUST_ID")] == \
         ["SALES.cust_id", "CUSTOMERS.cust_id"]
-    with pytest.raises(CatalogError, match="SALES.cust_id, CUSTOMERS.cust_id"):
-        s.find_attribute("CUST_ID")
+    assert "cust_id" not in s.ids_by_name
+    for s in BUNDLED.values():
+        assert s.ids_by_name == {
+            a.name.lower(): i for i, a in enumerate(s.attributes, 1)
+            if len(scan_attributes(s, a.name)) == 1}
 
 
 def test_catalog_names_match_case_insensitively():
@@ -279,7 +282,9 @@ def test_catalog_names_match_case_insensitively():
     doc["attributes"][2]["table"] = "d"
     doc["joins"] = [{"fact_attr": "f.FK", "dim_attr": "d.K"}]
     s = load_catalog(json.dumps(doc))
-    assert s.find_attribute("COLOR").qualified == "D.color"
+    assert s.names[s.ids_by_name["color"]] == "D.color"
+    assert s.attribute("d.COLOR") is \
+        s.attributes[s.ids_by_column["D", "color"] - 1]
     assert s.join_path("D") == [Join("F.fk", "D.k")]
     doc["tables"].append({"name": "d", "role": "dimension", "rows": 1,
                           "tuple_width": 1})

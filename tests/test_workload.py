@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bji_advisor import costmodel, data_path
+from bji_advisor import costmodel, data_path, workload
 from bji_advisor.hypergraph import bits, mask
 from bji_advisor.schema import load_catalog, load_catalog_file
 from bji_advisor.workload import (ContextMatrix, ParseError, ParsedQuery,
@@ -46,12 +46,17 @@ def predicates_by_name(schema, q):
 def test_split_headers():
     blocks = split_workload("Q1 - select 1\n\nQ2 - select 2\nmore\n")
     assert blocks == [(1, "select 1"), (2, "select 2\nmore")]
+    # a header's q may be lowercase, alone or mixed with uppercase ones
+    assert split_workload("Q1 - select 1\n\nq2 - select 2\nmore\n") == blocks
+    assert split_workload("q1 - select 1\n\nq2 - select 2\nmore\n") == blocks
 
 
 def test_split_colon_headers():
     text = "Q1 : select 1\n\nQ2: select 2\nmore\nQ10 :select 3\n"
     blocks = split_workload(text)
     assert blocks == [(1, "select 1"), (2, "select 2\nmore"), (10, "select 3")]
+    assert split_workload(text.replace("Q2", "q2")) == blocks
+    assert split_workload(text.replace("Q", "q")) == blocks
 
 
 def test_split_rejects_text_before_the_first_header():
@@ -59,6 +64,7 @@ def test_split_rejects_text_before_the_first_header():
         split_workload("select x from t where a = 1\n\nQ1 - select 2\n")
     # blank lines before it are fine
     assert split_workload("\n  \nQ1 - select 2\n") == [(1, "select 2")]
+    assert split_workload("\n  \nq1: select 2\n") == [(1, "select 2")]
 
 
 def test_split_rejects_a_repeated_query_id():
@@ -67,6 +73,9 @@ def test_split_rejects_a_repeated_query_id():
     # 1 and 01 are one id
     with pytest.raises(ParseError, match="Q1 appears more than once"):
         split_workload("Q1 - select 1\nQ01 - select 2\n")
+    # q1 and Q1 are one id
+    with pytest.raises(ParseError, match="Q1 appears more than once"):
+        split_workload("q1 - select 1\nQ1 : select 2\n")
 
 
 def test_split_semicolon_lines():
@@ -202,6 +211,45 @@ def test_input_errors_quote_the_text_as_written(sql, message):
     with pytest.raises(ParseError) as exc:
         parse_query(sql, ssb_schema(), 7)
     assert str(exc.value) == f"query 7: {message}"
+
+
+_CATALOGS = {name: load_catalog_file(data_path(name + ".json"))
+             for name in ("example_star", "ssb", "tpch")}
+
+
+def _recased(data, text):
+    """``text`` with the case of each letter drawn at random."""
+    flips = data.draw(st.lists(st.booleans(), min_size=len(text),
+                               max_size=len(text)))
+    return "".join(c.upper() if f else c.lower() for c, f in zip(text, flips))
+
+
+@given(data=st.data())
+def test_names_resolve_as_a_linear_scan_does(data):
+    """A WHERE name, qualified by its table or an alias, or bare, resolves
+    to the column a scan of the catalog finds; a bare name two tables share
+    and a name its table lacks are errors that quote it as written."""
+    s = _CATALOGS[data.draw(st.sampled_from(sorted(_CATALOGS)))]
+    i = data.draw(st.sampled_from([
+        i for i, a in enumerate(s.attributes, 1)
+        if a.name.lower() not in workload._KEYWORDS | workload._SCALAR_ARGS]))
+    a = s.attributes[i - 1]
+    table, name = _recased(data, a.table), _recased(data, a.name)
+    alias, bad = _recased(data, "t_alias"), _recased(data, "no_such_col")
+    head = f"select * from {table} {alias} where "
+    for where in (f"{table}.{name}", f"{alias}.{name}"):
+        q = parse_query(f"{head}{where} = 1", s)
+        assert q.referenced == 1 << i and q.predicates == ((i, "equality", 0),)
+    hits = [h for h in s.attributes if h.name.lower() == a.name.lower()]
+    if len(hits) == 1:
+        assert parse_query(f"{head}{name} = 1", s).referenced == 1 << i
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse_query(f"{head}{name} = 1", s)
+        assert str(exc.value) == f"query 0: unresolvable column {name!r}"
+    with pytest.raises(ParseError) as exc:
+        parse_query(f"{head}{table}.{bad} = 1", s)
+    assert str(exc.value) == f"query 0: unknown attribute {a.table}.{bad}"
 
 
 def test_in_list_counting():
