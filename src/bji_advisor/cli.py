@@ -284,16 +284,28 @@ def cmd_enumerate(args, argv) -> int:
     tms = berge_enumerate(h) if args.all else smallest_transversals(h)
     names, cards = schema.names, schema.cards
     terms = selection.column_terms(schema, matrix)
+    # per vertex: its fitness term (0.0 when not indexable, which leaves a
+    # float sum as it was), its cardinality, its id as text and its name
+    info = {v: (terms.get(v, 0.0), cards[v], str(v), names[v])
+            for v in h.vertices}
     out = sys.stdout
     out.write("columns:\n")
     out.writelines(f"  {v}: {names[v]}\n" for v in h.vertices)
     out.write(f"{'all' if args.all else 'smallest'} minimal transversals: "
               f"{len(tms)}\n")
-    out.writelines(f"  {ids} fitness={selection.fitness_tm(terms, ids):.6f} "
-                   f"afc={selection.afc_sum(cards, ids)} "
-                   f"[{', '.join([names[i] for i in ids])}]\n"
-                   for ids in tms)
+    out.writelines(_listing(info, tms))     # streamed: no list of every line
     return EXIT_OK
+
+
+def _listing(info: dict, sets):
+    """One line per set, as ``selection`` scores it: the ids as the tuple
+    prints, the fitness summed in member order as ``fitness_tm`` sums it,
+    the summed cardinality and the qualified names."""
+    for ids in sets:
+        fits, cards, ids_text, names = zip(*[info[i] for i in ids])
+        yield (f"  ({', '.join(ids_text)}{',' if len(ids) == 1 else ''}) "
+               f"fitness={sum(fits, 0.0):.6f} afc={sum(cards)} "
+               f"[{', '.join(names)}]\n")
 
 
 def cmd_demo(args, argv) -> int:

@@ -36,8 +36,11 @@ def mask(ids: Iterable[int]) -> int:
 
 
 def _canon(masks: Iterable[int]) -> list[tuple[int, ...]]:
-    """Vertex sets as sorted tuples, by size then ids."""
-    return sorted(map(bits, masks), key=lambda t: (len(t), t))
+    """Vertex sets as sorted tuples, by size then ids: sorted by ids, then
+    by size in a stable sort, with no key tuple per set."""
+    out = sorted(map(bits, masks))
+    out.sort(key=len)
+    return out
 
 
 class Hypergraph(namedtuple("Hypergraph",

@@ -308,7 +308,8 @@ class _Extractor:
     def _resolve(self, i: int) -> tuple[int | None, int]:
         """The column id of the name at i, qualified by it when a '.' and
         a name follow, and the index just after the name.  The id is None
-        for a derived or alias name; a name the catalog lacks is an error.
+        for a derived or alias name; a name the catalog lacks, or a
+        qualifier that is no alias, table or derived name, is an error.
         This is the only place a WHERE/ON name becomes a column id."""
         lows, derived = self.lows, self.derived
         low = lows[i]
@@ -316,7 +317,9 @@ class _Extractor:
             table = self.aliases.get(low)
             if table is None:
                 table = self._lookup_table(i)
-            if table is None or derived and table.lower() in derived:
+                if table is None:
+                    raise ParseError(f"unknown table {self.toks[i]!r}")
+            if derived and table.lower() in derived:
                 return None, i + 3
             cid = self.schema.ids_by_column.get((table, lows[i + 2]))
             if cid is None:

@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, reports, determinism, DDL."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bji_advisor import cli, data_path, selection
 from bji_advisor.hypergraph import berge_enumerate, smallest_transversals
@@ -154,6 +157,24 @@ def test_malformed_headers_input_error(text, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("query, qualifier", [
+    ("select 1 from lineorder L where zz.lo_quantity = 3 and lo_discount = 1",
+     "zz"),
+    ("select 1 from lineorder where lineordr.lo_quantity = 3", "lineordr"),
+    ("select 1 from lineorder join dates on lo_orderdate = dats.d_datekey",
+     "dats")])
+def test_unknown_qualifier_input_error(query, qualifier, tmp_path, capsys):
+    # a mistyped alias or table once dropped its predicate without a word
+    bad = tmp_path / "w.sql"
+    bad.write_text(f"Q1 - {query}\n")
+    out = tmp_path / "o"
+    assert run(["advise", "--catalog", CAT, "--workload", str(bad),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: query 1: unknown table '{qualifier}'\n"
+    assert not out.exists()
+
+
 def test_empty_workload_input_error(tmp_path):
     bad = tmp_path / "w.sql"
     bad.write_text("Q1 - select count(*) from lineorder\n")
@@ -286,6 +307,44 @@ def test_enumerate_listing_matches_oracle(name, all_, capsys):
     assert run(["enumerate", "--catalog", cat, "--workload", wl]
                + ["--all"] * all_) == 0
     assert capsys.readouterr().out == listing_oracle(cat, wl, all_)
+
+
+def listing(cat, wl, all_) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["enumerate", "--catalog", cat, "--workload", wl]
+                   + ["--all"] * all_) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_enumerate_listing_matches_oracle_on_random_stars(random_stars, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cat, wl = data.draw(random_stars).write(tmp)
+        for all_ in (False, True):
+            assert listing(cat, wl, all_) == listing_oracle(cat, wl, all_)
+
+
+def test_enumerate_listing_one_member_and_unindexable_sets(tmp_path):
+    # edges {SALES.channel_id (5), CHANNELS.channel_id (4), channel_desc (6)}
+    # and {SALES.cust_id (1), CUSTOMERS.cust_id (2), SALES.channel_id}: the
+    # fact column 5 alone hits both, and only 6 of the members is indexable
+    cat = str(data_path("example_star.json"))
+    wl = tmp_path / "w.sql"
+    wl.write_text(
+        "Q1 - select count(*) from SALES S, CHANNELS C\n"
+        "where S.channel_id = C.channel_id and C.channel_desc = 'Internet'\n\n"
+        "Q2 - select count(*) from SALES S, CUSTOMERS C\n"
+        "where S.cust_id = C.cust_id and S.channel_id = 2\n")
+    one = "  (5,) fitness=0.000000 afc=16260336 [SALES.channel_id]\n"
+    for all_ in (False, True):
+        printed = listing(cat, str(wl), all_)
+        assert printed == listing_oracle(cat, str(wl), all_)
+        assert one in printed
+    assert "  (1, 6) fitness=" in printed and "  (2, 4) fitness=0.000000 " \
+        in printed
+    assert "all minimal transversals: 5\n" in printed
 
 
 def test_enumerate_smallest(tmp_path, capsys):

@@ -5,36 +5,11 @@ output checks: ``advise`` with the three engines, ``compare`` and
 import contextlib
 import io
 import os
-import random
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from bji_advisor import cli
-
-
-@st.composite
-def star_shapes(draw, gen):
-    """Sizes of a star and its queries, each referencing some attribute."""
-    dims, attrs, fact_cols = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
-                              draw(st.integers(1, 5)))
-
-    @st.composite
-    def shape(draw):
-        joins = draw(st.lists(st.integers(1, dims), unique=True))
-        # one column may carry several filters
-        dim_filters = draw(st.lists(
-            st.tuples(st.sampled_from(joins), st.integers(1, attrs),
-                      st.sampled_from(gen.OPERATORS)))) if joins else []
-        fact_filters = draw(st.lists(
-            st.tuples(st.integers(1, fact_cols),
-                      st.sampled_from(gen.OPERATORS)),
-            min_size=0 if joins else 1))
-        return gen.QueryShape(tuple(joins), tuple(dim_filters),
-                              tuple(fact_filters))
-
-    return dims, attrs, fact_cols, draw(st.lists(shape(), min_size=1,
-                                                 max_size=12))
 
 
 def run(argv) -> tuple[int, str]:
@@ -47,17 +22,12 @@ def run(argv) -> tuple[int, str]:
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_pipeline_passes_the_benchmark_checks(gen, checks, data):
-    dims, attrs, fact_cols, shapes = data.draw(star_shapes(gen))
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    catalog = gen.star_catalog(rng, dims, attrs, fact_cols)
-    sql = "\n".join(gen.render_query(rng, qid, shape)
-                    for qid, shape in enumerate(shapes, start=1))
-    referenced = {qid: shape.referenced()
-                  for qid, shape in enumerate(shapes, start=1)}
+def test_pipeline_passes_the_benchmark_checks(checks, random_stars, data):
+    star = data.draw(random_stars)
+    catalog, referenced = star.catalog, star.referenced
     edges = list(dict.fromkeys(referenced.values()))
     with tempfile.TemporaryDirectory() as tmp:
-        cat, wl = gen.Instance("star", catalog, sql, referenced).write(tmp)
+        cat, wl = star.write(tmp)
         inputs = ["--catalog", cat, "--workload", wl]
         out = os.path.join(tmp, "advise")
         assert run(["advise", "--engine", "tm-ijb,close,dynaclose",

@@ -396,3 +396,13 @@ def test_bits_inverts_mask(s):
 @given(st.integers(0, 2**130))
 def test_bits_lists_set_bits_lowest_first(m):
     assert bits(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+@given(st.lists(st.one_of(
+    st.just(0), st.integers(0, 2**12),
+    # equal low bits, sets that differ only past bit 100
+    st.builds(lambda low, high: low | high << 100,
+              st.integers(0, 15), st.integers(0, 7)))))
+def test_canon_orders_by_size_then_ids(masks):
+    assert hypergraph._canon(masks) == sorted(
+        map(bits, masks), key=lambda t: (len(t), t))

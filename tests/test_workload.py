@@ -196,6 +196,13 @@ def test_unknown_table_is_error():
      "unresolvable column 'No_Such'"),
     ("select 1 from lineorder L where L.No_Such = 3",
      "unknown attribute lineorder.No_Such"),
+    # a qualifier that is no alias, table or derived name
+    ("select 1 from lineorder L where Zz.lo_quantity = 3 and lo_discount = 1",
+     "unknown table 'Zz'"),
+    ("select 1 from lineorder where LineOrdr.lo_quantity = 3",
+     "unknown table 'LineOrdr'"),
+    ("select 1 from lineorder join dates on lo_orderdate = Dats.d_datekey",
+     "unknown table 'Dats'"),
     ("UPDATE lineorder set x = 1",
      "unsupported statement starting at 'UPDATE'"),
     # U+212A, the Kelvin sign, lowercases to an ASCII 'k'
@@ -227,8 +234,9 @@ def _recased(data, text):
 @given(data=st.data())
 def test_names_resolve_as_a_linear_scan_does(data):
     """A WHERE name, qualified by its table or an alias, or bare, resolves
-    to the column a scan of the catalog finds; a bare name two tables share
-    and a name its table lacks are errors that quote it as written."""
+    to the column a scan of the catalog finds; a bare name two tables share,
+    a name its table lacks and a qualifier that is no alias or table are
+    errors that quote it as written."""
     s = _CATALOGS[data.draw(st.sampled_from(sorted(_CATALOGS)))]
     i = data.draw(st.sampled_from([
         i for i, a in enumerate(s.attributes, 1)
@@ -250,6 +258,13 @@ def test_names_resolve_as_a_linear_scan_does(data):
     with pytest.raises(ParseError) as exc:
         parse_query(f"{head}{table}.{bad} = 1", s)
     assert str(exc.value) == f"query 0: unknown attribute {a.table}.{bad}"
+    known = {t.lower() for t in s.tables} | {"t_alias"} | workload._NOT_COLUMNS
+    stray = _recased(data, data.draw(st.from_regex(
+        r"[a-z_][a-z0-9_]{0,11}", fullmatch=True).filter(
+            lambda q: q not in known)))
+    with pytest.raises(ParseError) as exc:
+        parse_query(f"{head}{stray}.{name} = 1", s)
+    assert str(exc.value) == f"query 0: unknown table {stray!r}"
 
 
 def test_in_list_counting():
