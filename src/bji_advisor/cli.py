@@ -103,22 +103,43 @@ def ddl_statements(schema: StarSchema, attrs) -> list[str]:
     return out
 
 
-def _motif_doc(m: selection.ScoredMotif) -> dict:
-    return {"ids": list(m.ids), "attrs": list(m.attrs),
-            "fitness": round(m.fitness, 12), "afc": m.afc,
-            "support": round(m.support, 12), "selected": m.selected}
+class _Lines(tuple):
+    """JSON lines that ``_emit`` writes as they are, one per list item."""
 
 
-def _config_doc(plans: costmodel.WorkloadPlan, cfg: selection.Configuration,
-                report: dict) -> dict:
-    return {
+def _column_json(names) -> tuple[list[str], list[str]]:
+    """Per column id (index 0 unused), its id and its name as JSON text."""
+    encode = json.encoder.encode_basestring_ascii
+    return [str(i) for i in range(len(names))], [encode(q) for q in names]
+
+
+def _trace_lines(columns: tuple[list[str], list[str]], trace) -> _Lines:
+    """Each ``ScoredMotif`` of ``trace`` as the line ``_encode_line`` writes
+    for its record: ids, attrs, afc, selected, and fitness and support
+    rounded to 12 places.  ``columns`` is ``_column_json`` of the catalog:
+    a record's attrs are the names of its ids, as every engine builds it."""
+    id_text, name_json = columns
+    return _Lines([
+        f'{{"afc": {m.afc}, '
+        f'"attrs": [{", ".join([name_json[i] for i in m.ids])}], '
+        f'"fitness": {_encode_line(round(m.fitness, 12))}, '
+        f'"ids": [{", ".join([id_text[i] for i in m.ids])}], '
+        f'"selected": {"true" if m.selected else "false"}, '
+        f'"support": {_encode_line(round(m.support, 12))}}}'
+        for m in trace])
+
+
+def _engine_docs(plans: costmodel.WorkloadPlan, configs, reports) -> dict:
+    """Each configuration's document, by engine name."""
+    columns = _column_json(plans.schema.names)
+    return {cfg.engine: {
         "engine": cfg.engine,
         "configuration": list(cfg.attrs),
         "notes": list(cfg.notes),
         "storage_bytes": costmodel.config_storage(plans, cfg.attrs),
         "cost": report,
-        "trace": [_motif_doc(m) for m in cfg.trace],
-    }
+        "trace": _trace_lines(columns, cfg.trace),
+    } for cfg, report in zip(configs, reports)}
 
 
 def _matrix_doc(matrix: ContextMatrix) -> dict:
@@ -155,7 +176,8 @@ def _json_text(doc) -> str:
     """``doc`` laid out as ``json.dumps(doc, indent=2, sort_keys=True)``
     lays it out, except that each object in a list is one line: a record
     per line, written by the C encoder (``indent`` runs the pure-Python
-    one).  Both encoders write floats with ``float.__repr__``."""
+    one), or as it is when the list is ``_Lines``.  Both encoders write
+    floats with ``float.__repr__``."""
     out: list[str] = []
     _emit(doc, "\n", out)
     out.append("\n")
@@ -171,6 +193,8 @@ def _emit(value, newline: str, out: list[str]) -> None:
             _emit(value[key], inner, out)
             opener = ","
         out += (newline, "}")
+    elif isinstance(value, _Lines) and value:
+        out += ("[", inner, ("," + inner).join(value), newline, "]")
     elif isinstance(value, (list, tuple)) and value:
         opener = "["
         for item in value:
@@ -226,8 +250,7 @@ def _rows_csv(rows: list[dict]) -> str:
 def cmd_advise(args, argv) -> int:
     plans, matrix, configs, reports = _select(args, _parse_engines(args.engine))
     trace = {"matrix": _matrix_doc(matrix),
-             "engines": {c.engine: _config_doc(plans, c, r)
-                         for c, r in zip(configs, reports)}}
+             "engines": _engine_docs(plans, configs, reports)}
     _write(os.path.join(args.out, "trace.json"), _json_text(trace))
 
     lines = []
@@ -266,8 +289,7 @@ def cmd_compare(args, argv) -> int:
         {"rows": [{**r, "total_cost": round(r["total_cost"], 6),
                    "reduction_rate": round(r["reduction_rate"], 9)}
                   for r in rows],
-         "engines": {c.engine: _config_doc(plans, c, r)
-                     for c, r in zip(configs, reports)}}))
+         "engines": _engine_docs(plans, configs, reports)}))
     _write_metadata(args.out, argv)
     best = min(rows[1:], key=lambda r: (r["total_cost"], r["engine"]))
     for r in rows:
@@ -364,50 +386,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_INPUTS = (("--catalog", {"required": True}),
+           ("--workload", {"required": True}))
+_COMMON = _INPUTS + (("--minsup", {"type": float, "default": 0.1}),
+                     ("--storage-budget", {"type": int, "default": None}),
+                     ("--out", {"default": "."}))
+
+# (name, help, arguments as (flag, keywords), function), in --help order
+_COMMANDS = (
+    ("advise", "select an index configuration", _COMMON + (
+        ("--format", {"choices": ("csv", "json", "text"), "default": "text"}),
+        ("--engine", {"default": "tm-ijb",
+                      "help": "engine name(s), comma separated"})),
+     cmd_advise),
+    ("compare", "compare engines by modeled cost", _COMMON + (
+        ("--engine", {"default": "tm-ijb,close,dynaclose"}),), cmd_compare),
+    ("enumerate", "list minimal transversals", _INPUTS + (
+        ("--all", {"action": "store_true"}),), cmd_enumerate),
+    ("demo", "bitmap join index walkthrough", (
+        ("--rows", {"type": int, "default": 12}),), cmd_demo),
+)
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser, with only the subparser of the command ``argv`` starts
+    with; with all of them when it starts with none, so that the top-level
+    help and the unknown-command message list every command."""
     p = _Parser(prog="bji-advisor",
                 description="Bitmap join index advisor for star schemas")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def inputs(sp):
-        sp.add_argument("--catalog", required=True)
-        sp.add_argument("--workload", required=True)
-
-    def common(sp):
-        inputs(sp)
-        sp.add_argument("--minsup", type=float, default=0.1)
-        sp.add_argument("--storage-budget", type=int, default=None)
-        sp.add_argument("--out", default=".")
-
-    sp = sub.add_parser("advise", help="select an index configuration")
-    common(sp)
-    sp.add_argument("--format", choices=("csv", "json", "text"),
-                    default="text")
-    sp.add_argument("--engine", default="tm-ijb",
-                    help="engine name(s), comma separated")
-    sp.set_defaults(func=cmd_advise)
-
-    sp = sub.add_parser("compare", help="compare engines by modeled cost")
-    common(sp)
-    sp.add_argument("--engine", default="tm-ijb,close,dynaclose")
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("enumerate", help="list minimal transversals")
-    inputs(sp)
-    sp.add_argument("--all", action="store_true")
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser("demo", help="bitmap join index walkthrough")
-    sp.add_argument("--rows", type=int, default=12)
-    sp.set_defaults(func=cmd_demo)
+    named = [c for c in _COMMANDS if argv and argv[0] == c[0]]
+    for name, help_, arguments, func in named or _COMMANDS:
+        sp = sub.add_parser(name, help=help_)
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         if not 0.0 < getattr(args, "minsup", 0.1) <= 1.0:
             raise UsageError("--minsup must be in (0, 1]")
         budget = getattr(args, "storage_budget", None)

@@ -94,19 +94,21 @@ def _motif(schema: StarSchema, ids: tuple[int, ...], fitness: float,
 def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
     terms = column_terms(schema, matrix)
-    # candidates arrive as sorted id tuples of one size, in id order
-    scored = [(fitness_tm(terms, ids), afc_sum(schema.cards, ids), ids)
-              for ids in smallest_transversals(matrix.hypergraph())]
-    # max fitness, then min cardinality sum, then lexicographic
-    winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))
-    trace = tuple(_motif(schema, ids, fit, matrix.support(mask(ids)),
-                         ids == winner[2])
-                  for fit, _, ids in scored)
-    attrs = _indexable_of(schema, winner[2])
-    dropped = sorted({schema.names[i] for i in winner[2]} - set(attrs))
+    names, cards, support = schema.names, schema.cards, matrix.support
+    trace = [ScoredMotif(ids, tuple([names[i] for i in ids]),
+                         fitness_tm(terms, ids), afc_sum(cards, ids),
+                         support(ids), False)
+             for ids in smallest_transversals(matrix.hypergraph())]
+    # max fitness, then min cardinality sum, then lexicographic: candidates
+    # arrive as sorted id tuples of one size, in id order, so the first of
+    # the best is the lexicographically smallest
+    winner = max(trace, key=lambda m: (m.fitness, -m.afc))
+    trace[trace.index(winner)] = winner._replace(selected=True)
+    attrs = _indexable_of(schema, winner.ids)
+    dropped = sorted(set(winner.attrs) - set(attrs))
     notes = ("non-indexable members dropped: " + ", ".join(dropped),) \
         if dropped else ()
-    return Configuration(engine="tm-ijb", attrs=attrs, trace=trace,
+    return Configuration(engine="tm-ijb", attrs=attrs, trace=tuple(trace),
                          notes=notes)
 
 
@@ -134,9 +136,10 @@ def mine_closed_frequent_itemsets(
         closed |= frontier
     out = []
     for c in closed:
-        sup = matrix.support(c)
+        ids = bits(c)
+        sup = matrix.support(ids)
         if sup >= minsup:
-            out.append((bits(c), sup))
+            out.append((ids, sup))
     out.sort(key=lambda cs: (-cs[1], len(cs[0]), cs[0]))
     return out
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from functools import cached_property
 
 from .hypergraph import Hypergraph, bits, mask
@@ -454,31 +454,33 @@ class ContextMatrix(namedtuple("ContextMatrix", "queries columns rows")):
     def hypergraph(self) -> Hypergraph:
         return Hypergraph.from_edges(self.rows)
 
-    def support(self, attrs: int) -> float:
-        """Share of the queries whose row holds every id in the mask
-        ``attrs``."""
-        unknown = attrs & ~((1 << len(self.columns) + 1) - 2)
-        if unknown:
-            raise ValueError(f"unknown columns {list(bits(unknown))}")
+    def support(self, ids: Collection[int]) -> float:
+        """Share of the queries whose row holds every column id in ``ids``."""
+        column_rows = self._column_rows
         hit = (1 << len(self.rows)) - 1
-        for i in bits(attrs):
-            hit &= self._column_rows[i]
+        try:
+            for i in ids:
+                hit &= column_rows[i]
+        except KeyError:
+            unknown = sorted({i for i in ids if i not in column_rows})
+            raise ValueError(f"unknown columns {unknown}") from None
         return hit.bit_count() / len(self.rows)
 
     @cached_property
-    def _column_rows(self) -> tuple[int, ...]:
-        """Per column id, the mask of the rows that hold it: bit ``k`` is
-        ``rows[k]`` (index 0 unused)."""
-        masks = [0] * (len(self.columns) + 1)
+    def _column_rows(self) -> dict[int, int]:
+        """Per column id, from 1 to ``len(columns)``, the mask of the rows
+        that hold it: bit ``k`` is ``rows[k]``."""
+        masks = dict.fromkeys(range(1, len(self.columns) + 1), 0)
         for k, row in enumerate(self.rows):
             for i in bits(row):
                 masks[i] |= 1 << k
-        return tuple(masks)
+        return masks
 
     @cached_property
     def marginal_support(self) -> tuple[float, ...]:
-        """Per column id, ``support(1 << id)`` (index 0 unused)."""
-        return tuple(m.bit_count() / len(self.rows) for m in self._column_rows)
+        """Per column id, ``support((id,))`` (index 0 unused)."""
+        n = len(self.rows)
+        return (0.0, *[m.bit_count() / n for m in self._column_rows.values()])
 
 
 def build_context_matrix(schema: StarSchema,

@@ -101,6 +101,63 @@ def test_unknown_engine_usage_error(tmp_path):
                 "--engine", "wat", "--out", str(tmp_path)]) == 1
 
 
+def parse(parser, argv) -> str:
+    """What ``parser`` makes of ``argv``: its help text, its usage error
+    message, or the command it would run."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return parser.parse_args(argv).command
+    except SystemExit:
+        return out.getvalue()
+    except cli.UsageError as exc:
+        return f"usage error: {exc}"
+
+
+INPUTS = ["--catalog", "c.json", "--workload", "w.sql"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["advise", "-h"], ["compare", "--help"], ["enumerate", "-h"],
+    ["demo", "-h"],
+    ["advise"], ["compare", "--catalog", "c.json"], ["enumerate"],
+    ["advise", *INPUTS, "--minsup", "x"],
+    ["compare", *INPUTS, "--minsup", ""],
+    ["advise", *INPUTS, "--storage-budget", "1.5"],
+    ["advise", *INPUTS, "--format", "xml"],
+    ["demo", "--rows", "x"], ["demo", "--rows"],
+    ["advise", *INPUTS, "--bogus"], ["compare", *INPUTS, "--format", "json"],
+    ["enumerate", *INPUTS, "--minsup", "0.5"], ["demo", "extra"],
+    ["advise", *INPUTS], ["enumerate", *INPUTS, "--all"], ["demo"],
+])
+def test_one_command_parser_acts_as_the_full_parser(argv):
+    one, full = cli._build_parser(argv), cli._build_parser()
+    got = parse(one, argv)
+    assert got == parse(full, argv)
+    assert got.startswith(("usage", argv[0]))
+    # the one-command parser holds that command only
+    other = next(c for c in ("advise", "demo") if c != argv[0])
+    rejected = parse(one, [other])
+    assert rejected.startswith("usage error: argument command: invalid "
+                               f"choice: '{other}'")
+    assert argv[0] in rejected.partition("choose from")[2]
+    assert other not in rejected.partition("choose from")[2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["wat"], "invalid choice: 'wat' (choose from "),
+])
+def test_no_command_lists_every_command(argv, message, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if argv:
+        assert all(c in err for c in ("advise", "compare", "enumerate", "demo"))
+    help_text = parse(cli._build_parser(["-h"]), ["-h"])
+    assert "{advise,compare,enumerate,demo}" in help_text
+
+
 def test_bad_minsup_usage_error(tmp_path):
     assert run(["advise", "--catalog", CAT, "--workload", WL,
                 "--minsup", "0", "--out", str(tmp_path)]) == 1
@@ -277,6 +334,49 @@ def test_encode_line_with_and_without_c_encoder(doc):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(json.encoder, "c_make_encoder", None)
         assert cli._make_encode_line()(doc) == want
+
+
+# JSON text escapes: quotes, backslashes, control and non-ASCII characters
+_NAMES = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "caf\u00e9", "\u2028",
+     "\U0001f600", "\ud800"])
+# both signs of zero, tiny and huge values, subnormals and non-finite ones
+_FLOATS = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e300, 5e-324,
+                           2.2250738585072014e-308 / 3]) | st.floats()
+
+
+@st.composite
+def scored_motifs(draw):
+    """A per-column name table (index 0 unused) and trace records over it."""
+    names = ["", *draw(st.lists(_NAMES, min_size=1, max_size=6))]
+    ids = st.lists(st.integers(1, len(names) - 1), max_size=40).map(tuple)
+    trace = draw(st.lists(st.builds(
+        lambda i, fit, afc, sup, sel: selection.ScoredMotif(
+            i, tuple(names[k] for k in i), fit, afc, sup, sel),
+        ids, _FLOATS, st.integers(), _FLOATS, st.booleans()), max_size=4))
+    return names, trace
+
+
+@given(scored_motifs())
+def test_trace_lines_are_what_the_encoder_writes(drawn):
+    names, trace = drawn
+    want = [json.dumps({"ids": list(m.ids), "attrs": list(m.attrs),
+                        "fitness": round(m.fitness, 12), "afc": m.afc,
+                        "support": round(m.support, 12),
+                        "selected": m.selected}, sort_keys=True)
+            for m in trace]
+    assert list(cli._trace_lines(cli._column_json(names), trace)) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "c_make_encoder", None)
+        mp.setattr(json.encoder, "encode_basestring_ascii",
+                   json.encoder.py_encode_basestring_ascii)
+        mp.setattr(cli, "_encode_line", cli._make_encode_line())
+        assert list(cli._trace_lines(cli._column_json(names), trace)) == want
+    # in a document, the lines are the list's items, an empty one included
+    text = cli._json_text({"trace": cli._trace_lines(cli._column_json(names),
+                                                     trace)})
+    assert json.dumps(json.loads(text)) == \
+        json.dumps({"trace": [json.loads(line) for line in want]})
 
 
 def listing_oracle(cat, wl, all_):

@@ -52,7 +52,7 @@ def test_keyword_construction_and_defaults():
     assert h == Hypergraph(vertices=(1, 2), edges=(0b010,), vertex_mask=0b110,
                            incidence=(0, 1, 0))
     m = ContextMatrix(queries=(q,), columns=("T.a",), rows=(2,))
-    assert m.support(2) == 1.0
+    assert m.support((1,)) == 1.0
 
 
 @pytest.mark.parametrize("build, message", [

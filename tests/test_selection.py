@@ -1,13 +1,16 @@
 """Selection engines: miner oracle, fitness scores, pipelines."""
 
 import itertools
+import json
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bji_advisor import costmodel, data_path, selection
-from bji_advisor.hypergraph import mask
-from bji_advisor.schema import load_catalog_file
+from bji_advisor.hypergraph import bits, mask, smallest_transversals
+from bji_advisor.schema import load_catalog, load_catalog_file
 from bji_advisor.workload import (ContextMatrix, ParsedQuery,
                                   build_context_matrix, parse_workload)
 
@@ -135,7 +138,7 @@ def test_fitness_dynaclose_single_indexable():
     schema, m = example()
     terms = selection.column_terms(schema, m)
     one = selection.fitness_dynaclose(terms, (3,))
-    assert one == pytest.approx(m.support(mask([3])) *
+    assert one == pytest.approx(m.support([3]) *
                                 selection._page_ratio(schema, "CUSTOMERS"))
     # averaging over indexable members only
     assert selection.fitness_dynaclose(terms, (2, 3)) == pytest.approx(one)
@@ -166,6 +169,76 @@ def test_tm_ijb_deterministic():
     a = selection.tm_ijb(schema, m)
     b = selection.tm_ijb(schema, m)
     assert a == b
+
+
+def tm_ijb_oracle(schema, m) -> tuple[tuple[int, ...], tuple]:
+    """The winner and trace of ``tm_ijb`` as the engine once made them:
+    the winner by the key (fitness, -afc, [-i for i in ids]), each support
+    by a scan of the rows."""
+    terms = selection.column_terms(schema, m)
+    rows = [set(bits(r)) for r in m.rows]
+    scored = [(selection.fitness_tm(terms, ids),
+               sum(schema.attributes[i - 1].cardinality for i in ids), ids)
+              for ids in smallest_transversals(m.hypergraph())]
+    winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))[2]
+    trace = tuple(selection.ScoredMotif(
+        ids, tuple(m.columns[i - 1] for i in ids), fit, afc,
+        sum(1 for r in rows if set(ids) <= r) / len(rows), ids == winner)
+        for fit, afc, ids in scored)
+    return winner, trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tm_ijb_matches_the_old_key_and_a_row_scan(random_stars, data):
+    star = data.draw(random_stars)
+    with tempfile.TemporaryDirectory() as tmp:
+        cat, wl = star.write(tmp)
+        schema = load_catalog_file(cat)
+        with open(wl, encoding="utf-8") as fh:
+            m = build_context_matrix(schema, parse_workload(fh.read(), schema))
+    cfg = selection.tm_ijb(schema, m)
+    winner, trace = tm_ijb_oracle(schema, m)
+    assert cfg.trace == trace
+    assert [t.ids for t in cfg.trace if t.selected] == [winner]
+
+
+# two empty dimensions (no pages, so every fitness term is 0.0) with two
+# attributes each, all of one cardinality
+TIED_CATALOG = {
+    "page_size": 8192,
+    "tables": [
+        {"name": "F", "role": "fact", "rows": 100, "tuple_width": 16},
+        {"name": "D1", "role": "dimension", "rows": 0, "tuple_width": 8},
+        {"name": "D2", "role": "dimension", "rows": 0, "tuple_width": 8}],
+    "attributes": [
+        {"table": "F", "name": "k1", "cardinality": 7},
+        {"table": "D1", "name": "k", "is_key": True},
+        {"table": "D1", "name": "a", "cardinality": 7},
+        {"table": "D1", "name": "b", "cardinality": 7},
+        {"table": "F", "name": "k2", "cardinality": 7},
+        {"table": "D2", "name": "k", "is_key": True},
+        {"table": "D2", "name": "c", "cardinality": 7},
+        {"table": "D2", "name": "d", "cardinality": 7}],
+    "joins": [{"fact_attr": "F.k1", "dim_attr": "D1.k"},
+              {"fact_attr": "F.k2", "dim_attr": "D2.k"}],
+}
+
+
+def test_tm_ijb_all_tied_picks_the_smallest_ids():
+    schema = load_catalog(json.dumps(TIED_CATALOG))
+    rows = [{3, 4}, {7, 8}, {3, 4}]
+    queries = tuple(ParsedQuery(id=k, predicates=(), referenced=mask(r))
+                    for k, r in enumerate(rows, start=1))
+    m = ContextMatrix(queries=queries, columns=schema.names[1:],
+                      rows=tuple(mask(r) for r in rows))
+    cfg = selection.tm_ijb(schema, m)
+    assert [t.ids for t in cfg.trace] == [(3, 7), (3, 8), (4, 7), (4, 8)]
+    assert {(t.fitness, t.afc) for t in cfg.trace} == {(0.0, 14)}
+    assert [t.selected for t in cfg.trace] == [True, False, False, False]
+    assert [t.support for t in cfg.trace] == [0.0] * 4
+    assert cfg.attrs == ("D1.a", "D2.c")
+    assert cfg.trace == tm_ijb_oracle(schema, m)[1]
 
 
 def test_dynaclose_worked_example():

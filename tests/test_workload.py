@@ -405,11 +405,21 @@ def test_example_matrix_shape():
 
 def test_support_values():
     m = example_matrix()
-    assert m.support(mask({3})) == pytest.approx(0.4)
-    assert m.support(mask(set())) == 1.0
-    assert m.support(mask({3, 6})) == 0.0
+    assert m.support((3,)) == pytest.approx(0.4)
+    assert m.support(()) == 1.0
+    assert m.support({3, 6}) == 0.0
     with pytest.raises(ValueError):
-        m.support(mask({99}))
+        m.support((99,))
+
+
+@pytest.mark.parametrize("ids, unknown", [
+    ((0,), [0]), ((-1,), [-1]), ((7,), [7]), ((7, 3, 0, 7), [0, 7])])
+def test_support_rejects_ids_outside_the_columns(ids, unknown):
+    m = example_matrix()
+    assert len(m.columns) + 1 == 7
+    with pytest.raises(ValueError,
+                       match=re.escape(f"unknown columns {unknown}")):
+        m.support(ids)
 
 
 @given(st.data())
@@ -418,7 +428,7 @@ def test_support_antitone(data):
     ids = list(range(1, len(m.columns) + 1))
     a = data.draw(st.sets(st.sampled_from(ids), max_size=4))
     extra = data.draw(st.sets(st.sampled_from(ids), max_size=4))
-    assert m.support(mask(a)) >= m.support(mask(a | extra))
+    assert m.support(a) >= m.support(a | extra)
 
 
 def drawn_matrix(rows) -> ContextMatrix:
@@ -436,23 +446,26 @@ def test_marginal_support_is_single_column_support(rows):
     assert drawn.marginal_support == tuple(
         sum(1 for r in rows if i in r) / len(rows) for i in range(7))
     assert drawn.marginal_support[1:] == tuple(
-        drawn.support(1 << i) for i in range(1, len(drawn.columns) + 1))
+        drawn.support((i,)) for i in range(1, len(drawn.columns) + 1))
 
 
-# rows over four of the six columns, so that rows repeat; ids 0, 7 and 8
-# name no column
+# rows over four of the six columns, so that rows repeat; ids -1, 0, 7 and
+# 8 name no column
 @given(st.lists(st.sets(st.integers(1, 4), min_size=1), min_size=1,
                 max_size=12),
-       st.sets(st.integers(0, 8), max_size=3))
+       st.sets(st.integers(-1, 8), max_size=3))
 def test_support_equals_row_scan(rows, attrs):
     drawn = drawn_matrix(rows)
-    assert drawn.support(0) == 1.0
+    assert drawn.support(()) == 1.0
     if attrs <= set(range(1, 7)):
         want = sum(1 for r in rows if attrs <= r) / len(rows)
-        assert drawn.support(mask(attrs)) == want
+        assert drawn.support(attrs) == want
+        assert drawn.support(sorted(attrs)) == want
     else:
-        with pytest.raises(ValueError, match="unknown columns"):
-            drawn.support(mask(attrs))
+        unknown = sorted(attrs - set(range(1, 7)))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown columns {unknown}")):
+            drawn.support(sorted(attrs))
 
 
 def indexable_attributes(schema, attrs):
