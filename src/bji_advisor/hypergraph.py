@@ -4,10 +4,11 @@ Vertices are small nonnegative integers.  A vertex set is an int mask: bit
 ``v`` is vertex ``v``; bit ``i`` of an edge mask is ``edges[i]``.  Results
 leave as sorted vertex tuples, smallest sets first.  Berge's edge-by-edge
 construction with a private-edge minimality test enumerates every minimal
-transversal; a depth-first branch and bound with critical-edge pruning
-(MMCS) finds the smallest ones, capped first at one below a greedy upper
-bound on the transversality number and then, if that finds none, at the
-bound.
+transversal.  The smallest ones are found by iterative deepening (Korf, AIJ
+1985): a depth-first search with critical-edge pruning (MMCS) lists every
+minimal transversal up to a size cap, and the cap rises by one from a
+packing of pairwise-disjoint edges, a lower bound on the transversality
+number, until the search finds a set.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def are_minimal_transversals(h: Hypergraph,
     edge).  One pass over the edges checks the whole family: bit ``i`` of
     ``holders[v]`` says set ``i`` holds ``v``, and per edge ``once`` and
     ``twice`` mark the sets hitting it at least once and at least twice."""
+    if not family:
+        return True
     holders = [0] * h.vertex_mask.bit_length()
     try:
         for i, t in enumerate(family):
@@ -166,36 +169,30 @@ def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
 
 
 def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
-    """The minimal transversals of minimum size if that size is at most
-    ``size_cap``, else ``[]``.
+    """Every minimal transversal of at most ``size_cap`` vertices.
 
     A depth-first search with uncov/crit bookkeeping (Murakami & Uno, DAM
-    2014), run as a branch and bound.  ``uncov`` is the mask of uncovered
-    edges and ``crit[k]`` the mask of edges whose only chosen vertex is the
-    k-th chosen one; a branch dies when some chosen vertex loses its last
-    critical edge.  A node is cut when its chosen vertices plus a greedy
-    packing of uncovered edges pairwise disjoint on the remaining candidates
-    (each needs a vertex of its own) exceed the cap, and the cap shrinks to
-    the best size found so far.  A node one vertex short of the cap enters
-    no child: only a vertex hitting every uncovered edge can complete it,
-    and each such vertex that keeps every chosen one critical does.  The
-    results are checked in one pass before they are returned.
+    2014), which reaches each minimal transversal once.  ``uncov`` is the
+    mask of uncovered edges and ``crit[k]`` the mask of edges whose only
+    chosen vertex is the k-th chosen one; a branch dies when some chosen
+    vertex loses its last critical edge.  A node is cut when its chosen
+    vertices plus a greedy packing of uncovered edges pairwise disjoint on
+    the remaining candidates (each needs a vertex of its own) exceed the cap.
+    A node one vertex short of the cap enters no child: only a vertex hitting
+    every uncovered edge can complete it, and each such vertex that keeps
+    every chosen one critical does.  The results are checked in one pass
+    before they are returned.
     """
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
     edges, vert_edges = h.edges, h.incidence
     out: list[int] = []
-    cap = size_cap
 
     def recurse(chosen: int, cand: int, uncov: int, crit: list[int]) -> None:
-        nonlocal cap
         if not uncov:
-            if len(crit) < cap:
-                out.clear()
-                cap = len(crit)
             out.append(chosen)
             return
-        room = cap - len(crit)
+        room = size_cap - len(crit)
         if room == 1:
             common = cand
             for i in bits(uncov):
@@ -232,50 +229,39 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
 
 
 def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
-    """Greedy upper bound on the transversality number.
-
-    For every start vertex: repeatedly drop covered edges and add the vertex
-    hitting most remaining edges (ties by lowest id).  Returns the smallest
-    cover found; the count is an upper bound on the true tau(H).  After the
-    start vertex the picks depend only on the remaining edges, so each
-    continuation is memoised on that mask and shared between starts.
-    """
+    """Greedy upper bound on the transversality number: repeatedly add the
+    vertex hitting most uncovered edges, ties by lowest id.  Returns the
+    cover's size and its vertices."""
     vertices, vert_edges = h.vertices, h.incidence
-    picks_from = {0: 0}     # remaining-edge mask -> vertex mask greedy adds
-    best: tuple[int, ...] | None = None
-    for start in vertices:
-        remaining = ((1 << len(h.edges)) - 1) & ~vert_edges[start]
-        path: list[tuple[int, int]] = []
-        while remaining not in picks_from:
-            counts = [(vert_edges[x] & remaining).bit_count() for x in vertices]
-            # index finds the first, lowest-id vertex among ties
-            v = vertices[counts.index(max(counts))]
-            path.append((remaining, v))
-            remaining &= ~vert_edges[v]
-        picked = picks_from[remaining]
-        for r, v in reversed(path):
-            picked |= 1 << v
-            picks_from[r] = picked
-        t = bits(picked | 1 << start)
-        if best is None or (len(t), t) < (len(best), best):
-            best = t
-    assert best is not None
-    return len(best), best
+    remaining, picked = (1 << len(h.edges)) - 1, 0
+    while remaining:
+        counts = [(vert_edges[x] & remaining).bit_count() for x in vertices]
+        # index finds the first, lowest-id vertex among ties
+        v = vertices[counts.index(max(counts))]
+        picked |= 1 << v
+        remaining &= ~vert_edges[v]
+    cover = bits(picked)
+    return len(cover), cover
 
 
 def smallest_transversals(h: Hypergraph) -> list[tuple[int, ...]]:
-    """All minimal transversals of minimum cardinality (exact)."""
-    k0, _ = get_min_transversality(h)
-    # the greedy cover contains a minimal transversal of at most k0 vertices,
-    # so the search capped at k0 finds every smallest one.  Probe one below
-    # first: where greedy overshoots, the cap then never lists size-k0 sets;
-    # where it is exact, the probe finds nothing and the search runs at k0.
-    found = mmcs(h, k0 - 1) if k0 > 1 else []
-    if not found:
-        found = mmcs(h, k0)
-    if len(found[0]) < k0:
-        import logging
-        logging.getLogger(__name__).warning(
-            "greedy transversality bound %d overshoots exact %d",
-            k0, len(found[0]))
-    return found
+    """All minimal transversals of minimum cardinality (exact).
+
+    Pairwise-disjoint edges each need a vertex of their own, so a greedy
+    packing of them, smallest edges first, is a lower bound on the minimum
+    size; the greedy cover contains a minimal transversal, so its size is
+    an upper bound.  The search runs capped at each size from the lower
+    bound up; every smaller size has found nothing, so the first level that
+    finds a set holds exactly the smallest ones.
+    """
+    level = used = 0
+    for e in h.edges:
+        if not e & used:
+            used |= e
+            level += 1
+    top, _ = get_min_transversality(h)
+    for cap in range(level, top):
+        found = mmcs(h, cap)
+        if found:
+            return found
+    return mmcs(h, top)

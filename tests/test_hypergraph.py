@@ -1,5 +1,6 @@
 """Combinatorial core: oracle equivalence and pinned small instances."""
 
+import contextlib
 import itertools
 import logging
 import random
@@ -86,38 +87,42 @@ def prune_minimal(sets):
     return kept
 
 
-# no edge contains another; greedy picks 4 vertices from every start, and
-# the exact minimum is 3
+# no edge contains another; the greedy cover has 4 vertices, and the exact
+# minimum is 3
 OVERSHOOT_EDGES = [mask(e) for e in (
     {8, 11}, {0, 1, 6}, {0, 2, 8}, {1, 7}, {3, 10}, {0, 4, 10})]
 OVERSHOOT = Hypergraph.from_edges(OVERSHOOT_EDGES)
 
-# greedy over all these edges picks 4 vertices from every start, but three
-# of them contain {7}; over the minimal edges it picks 3, the exact minimum
+# three of these edges contain {7}; over the minimal edges the greedy cover
+# has 4 vertices, and the exact minimum is 3
 NESTED_OVERSHOOT_EDGES = [mask(e) for e in (
     {7}, {1, 6, 7}, {2, 3, 5}, {1, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 6}, {0, 4},
     {2, 4, 6, 7})]
 
 
-def greedy_per_start(edges):
-    """The greedy bound over the minimal edges, run afresh from every start
-    vertex without sharing continuations: after the start, repeatedly add
-    the vertex hitting most uncovered edges (ties by lowest id); keep the
-    smallest cover, ties by ids."""
-    verts = bits(union(edges))
-    best = None
-    for start in verts:
-        picked = {start}
-        remaining = [e for e in prune_minimal(edges) if not e >> start & 1]
-        while remaining:
-            v = min(verts,
-                    key=lambda x: (-sum(e >> x & 1 for e in remaining), x))
-            picked.add(v)
-            remaining = [e for e in remaining if not e >> v & 1]
-        t = tuple(sorted(picked))
-        if best is None or (len(t), t) < (len(best), best):
-            best = t
-    return len(best), best
+def greedy_once(edges):
+    """The greedy bound over the minimal edges: repeatedly add the vertex
+    hitting most uncovered edges (ties by lowest id)."""
+    remaining = prune_minimal(edges)
+    verts = bits(union(remaining))
+    picked = set()
+    while remaining:
+        v = min(verts,
+                key=lambda x: (-sum(e >> x & 1 for e in remaining), x))
+        picked.add(v)
+        remaining = [e for e in remaining if not e >> v & 1]
+    return len(picked), tuple(sorted(picked))
+
+
+def packing_bound(edges) -> int:
+    """How many minimal edges, smallest first (ties in first-seen order),
+    can be taken pairwise disjoint: each needs a vertex of its own."""
+    used = count = 0
+    for e in prune_minimal(edges):
+        if not e & used:
+            used |= e
+            count += 1
+    return count
 
 
 @st.composite
@@ -247,21 +252,24 @@ def test_from_edges_drops_supersets():
     assert h.edges == tuple(mask(e) for e in (
         {7}, {1, 4}, {0, 4}, {2, 3, 5}, {0, 1, 2, 6}))
     assert h.vertices == tuple(range(8))
-    assert get_min_transversality(h) == (3, (2, 4, 7))
+    assert get_min_transversality(h) \
+        == greedy_once(NESTED_OVERSHOOT_EDGES) == (4, (0, 1, 2, 7))
     assert smallest_transversals(h) == [
         t for t in oracle_berge(NESTED_OVERSHOOT_EDGES) if len(t) == 3]
 
 
 def test_greedy_overshoot_shrinks_cap(caplog):
+    # the search stops at the exact size, below the greedy bound, and an
+    # overshooting bound is no event worth a log record
     berge = oracle_berge(OVERSHOOT_EDGES)
     assert sorted(OVERSHOOT.edges) == sorted(OVERSHOOT_EDGES)
     assert get_min_transversality(OVERSHOOT) \
-        == greedy_per_start(OVERSHOOT_EDGES) == (4, (0, 1, 3, 8))
+        == greedy_once(OVERSHOOT_EDGES) == (4, (0, 1, 3, 8))
     assert min(len(t) for t in berge) == 3
-    with caplog.at_level(logging.WARNING, logger="bji_advisor.hypergraph"):
+    with caplog.at_level(logging.DEBUG):
         assert smallest_transversals(OVERSHOOT) == [
             t for t in berge if len(t) == 3] == [(1, 8, 10)]
-    assert "greedy transversality bound 4 overshoots exact 3" in caplog.text
+    assert not caplog.records
 
 
 @given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
@@ -270,20 +278,18 @@ def test_branch_and_bound_matches_berge(edges):
     berge = oracle_berge(edges)
     k_exact = min(len(t) for t in berge)
     assert smallest_transversals(h) == [t for t in berge if len(t) == k_exact]
-    assert get_min_transversality(h) == greedy_per_start(edges)
+    assert get_min_transversality(h) == greedy_once(edges)
 
 
 @given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
-def test_mmcs_returns_smallest_within_cap(edges):
+def test_mmcs_lists_every_minimal_transversal_within_cap(edges):
     # below the transversality number the packing bound must cut every
-    # branch; above it the search may find larger sets first, and the cap
-    # must shrink past them (caps run past the 10 vertices drawn at most)
+    # branch; the caps run past the 10 vertices drawn at most, so the last
+    # ones list every minimal transversal
     h = Hypergraph.from_edges(edges)
     berge = oracle_berge(edges)
-    k_exact = min(len(t) for t in berge)
     for cap in range(1, 12):
-        want = [t for t in berge if len(t) == k_exact] if cap >= k_exact else []
-        assert mmcs(h, cap) == want
+        assert mmcs(h, cap) == [t for t in berge if len(t) <= cap]
     with pytest.raises(ValueError):
         mmcs(h, 0)
 
@@ -314,7 +320,8 @@ def test_one_pass_check_rejects_a_vertex_outside_the_hypergraph():
     assert not are_minimal_transversals(H8, [(0, 2, 4, 7)])
 
 
-def spy_on_mmcs(monkeypatch) -> list:
+@contextlib.contextmanager
+def mmcs_calls():
     """Record each ``mmcs`` call that ``smallest_transversals`` makes, as
     (cap, result)."""
     calls = []
@@ -325,40 +332,50 @@ def spy_on_mmcs(monkeypatch) -> list:
         calls.append((size_cap, found))
         return found
 
-    monkeypatch.setattr(hypergraph, "mmcs", spy)
-    return calls
+    hypergraph.mmcs = spy
+    try:
+        yield calls
+    finally:
+        hypergraph.mmcs = search
 
 
-@pytest.mark.parametrize("name, k", [("tpch", 5), ("ssb", 3)])
-def test_probe_below_an_exact_greedy_bound_finds_nothing(name, k, monkeypatch,
-                                                          caplog):
+def bundled_edges(name: str) -> list[int]:
     schema = load_catalog_file(str(data_path(name + ".json")))
     queries = parse_workload(data_path(name + ".sql").read_text(), schema)
-    h = build_context_matrix(schema, queries).hypergraph()
-    assert get_min_transversality(h)[0] == k
-    calls = spy_on_mmcs(monkeypatch)
-    with caplog.at_level(logging.WARNING, logger="bji_advisor.hypergraph"):
-        got = smallest_transversals(h)
-    assert got == [t for t in berge_enumerate(h) if len(t) == k]
-    assert calls == [(k - 1, []), (k, got)]
-    assert not caplog.records
+    return list(build_context_matrix(schema, queries).hypergraph().edges)
 
 
-def test_probe_below_a_greedy_bound_two_over_finds_the_smallest(monkeypatch,
-                                                                caplog):
-    # two disjoint copies of OVERSHOOT: greedy picks 4 in each, the exact
-    # minimum is 3 in each
-    edges = OVERSHOOT_EDGES + [e << 12 for e in OVERSHOOT_EDGES]
+# two disjoint 5-cycles: 4 edges pairwise disjoint, 6 vertices needed
+PENTAGONS = [mask({i, (i + 1) % 5}) << shift
+             for shift in (0, 8) for i in range(5)]
+
+
+@pytest.mark.parametrize("edges, caps", [
+    pytest.param(bundled_edges("tpch"), [5], id="tpch"),
+    pytest.param(bundled_edges("ssb"), [3], id="ssb"),
+    # greedy picks 4 in each copy of OVERSHOOT, the exact minimum is 3
+    pytest.param(OVERSHOOT_EDGES + [e << 12 for e in OVERSHOOT_EDGES], [6],
+                 id="overshoot-twice"),
+    pytest.param(PENTAGONS, [4, 5, 6], id="pentagons")])
+def test_deepening_caps_rise_from_the_packing_bound(edges, caps):
     h = Hypergraph.from_edges(edges)
-    assert get_min_transversality(h) == greedy_per_start(edges) \
-        == (8, (0, 1, 3, 8, 12, 13, 15, 20))
-    want = [t for t in oracle_berge(edges) if len(t) == 6]
-    calls = spy_on_mmcs(monkeypatch)
-    with caplog.at_level(logging.WARNING, logger="bji_advisor.hypergraph"):
-        assert smallest_transversals(h) == want == [(1, 8, 10, 13, 20, 22)]
-    assert calls == [(7, want)]
-    assert caplog.messages == [
-        "greedy transversality bound 8 overshoots exact 6"]
+    want = [t for t in berge_enumerate(h) if len(t) == caps[-1]]
+    with mmcs_calls() as calls:
+        assert smallest_transversals(h) == want
+    assert [cap for cap, _ in calls] == caps \
+        == list(range(packing_bound(edges), len(want[0]) + 1))
+    assert [found for _, found in calls] == [[]] * (len(caps) - 1) + [want]
+    assert caps[-1] <= get_min_transversality(h)[0] == greedy_once(edges)[0]
+
+
+@given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
+def test_deepening_starts_at_a_packing_bound_below_the_minimum(edges):
+    k_exact = min(len(t) for t in oracle_berge(edges))
+    with mmcs_calls() as calls:
+        smallest_transversals(Hypergraph.from_edges(edges))
+    assert packing_bound(edges) <= k_exact
+    assert [cap for cap, _ in calls] == list(
+        range(packing_bound(edges), k_exact + 1))
 
 
 def test_from_edges_validation():
@@ -374,11 +391,11 @@ def test_from_edges_rejects_edgeless():
 
 
 def test_greedy_ties_go_to_the_lowest_id():
-    # from start 0 the uncovered edge {2, 3} ties vertices 2 and 3; taking
-    # the highest id would give (0, 3)
+    # the first pick ties all four vertices, the second ties 2 and 3; taking
+    # the highest id would give (1, 3)
     edges = [mask({0, 1}), mask({2, 3})]
     assert get_min_transversality(Hypergraph.from_edges(edges)) \
-        == greedy_per_start(edges) == (2, (0, 2))
+        == greedy_once(edges) == (2, (0, 2))
 
 
 def test_single_edge_trivia():
