@@ -5,10 +5,12 @@ Vertices are small nonnegative integers.  A vertex set is an int mask: bit
 leave as sorted vertex tuples, smallest sets first.  Berge's edge-by-edge
 construction with a private-edge minimality test enumerates every minimal
 transversal.  The smallest ones are found by iterative deepening (Korf, AIJ
-1985): a depth-first search with critical-edge pruning (MMCS) lists every
-minimal transversal up to a size cap, and the cap rises by one from a
+1985): a depth-first hitting-set search branching on uncovered edges lists
+every minimal transversal up to a size cap, and the cap rises by one from a
 packing of pairwise-disjoint edges, a lower bound on the transversality
-number, until the search finds a set.
+number, until the search finds a set.  Below that number no set is reached,
+and at it every set reached is minimal, so no minimality bookkeeping runs
+during the search.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ def mask(ids: Iterable[int]) -> int:
     return m
 
 
-def _canon(masks: Iterable[int]) -> list[tuple[int, ...]]:
-    """Vertex sets as sorted tuples, by size then ids: sorted by ids, then
-    by size in a stable sort, with no key tuple per set."""
-    out = sorted(map(bits, masks))
+def _canon(sets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Sorted vertex tuples by size then ids: sorted by ids, then by size in
+    a stable sort, with no key tuple per set."""
+    out = sorted(sets)
     out.sort(key=len)
     return out
 
@@ -81,24 +83,24 @@ class Hypergraph(namedtuple("Hypergraph",
         return cls(bits(covered), tuple(kept), covered, tuple(incidence))
 
 
-def are_minimal_transversals(h: Hypergraph,
-                             family: list[tuple[int, ...]]) -> bool:
-    """Whether every set of ``family`` is a minimal transversal: it hits
-    every edge, and each member is the lone hitter of some edge (a critical
-    edge).  One pass over the edges checks the whole family: bit ``i`` of
-    ``holders[v]`` says set ``i`` holds ``v``, and per edge ``once`` and
-    ``twice`` mark the sets hitting it at least once and at least twice."""
+def keep_minimal_transversals(
+        h: Hypergraph, family: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The sets of ``family`` that are minimal transversals, in order: each
+    hits every edge, and each of its members is the lone hitter of some
+    edge (a critical edge).  One pass over the edges checks the whole
+    family: bit ``i`` of ``holders[v]`` says set ``i`` holds ``v``, and per
+    edge ``once`` and ``twice`` mark the sets hitting it at least once and
+    at least twice."""
     if not family:
-        return True
+        return []
     holders = [0] * h.vertex_mask.bit_length()
-    try:
-        for i, t in enumerate(family):
-            bit = 1 << i
+    everyone, dropped = (1 << len(family)) - 1, 0
+    for i, t in enumerate(family):
+        try:
             for v in t:
-                holders[v] |= bit
-    except IndexError:      # a vertex past every edge hits none
-        return False
-    everyone = (1 << len(family)) - 1
+                holders[v] |= 1 << i
+        except IndexError:      # a vertex past every edge hits none
+            dropped |= 1 << i
     lone = [0] * len(holders)
     for e in h.edges:
         members = bits(e)
@@ -106,11 +108,12 @@ def are_minimal_transversals(h: Hypergraph,
         for v in members:
             twice |= once & holders[v]
             once |= holders[v]
-        if once != everyone:
-            return False
+        dropped |= everyone & ~once
         for v in members:
             lone[v] |= holders[v] & ~twice
-    return lone == holders
+    for held, alone in zip(holders, lone):
+        dropped |= held & ~alone
+    return [t for i, t in enumerate(family) if not dropped >> i & 1]
 
 
 def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
@@ -165,67 +168,57 @@ def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
                                       | (kept >> at << width | 1 << j) << at)
         sets, privs = next_sets, next_privs
     del privs, next_privs   # free the packed fields before the output is built
-    return _canon(sets)
+    return _canon(map(bits, sets))
 
 
 def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
     """Every minimal transversal of at most ``size_cap`` vertices.
 
-    A depth-first search with uncov/crit bookkeeping (Murakami & Uno, DAM
-    2014), which reaches each minimal transversal once.  ``uncov`` is the
-    mask of uncovered edges and ``crit[k]`` the mask of edges whose only
-    chosen vertex is the k-th chosen one; a branch dies when some chosen
-    vertex loses its last critical edge.  A node is cut when its chosen
-    vertices plus a greedy packing of uncovered edges pairwise disjoint on
-    the remaining candidates (each needs a vertex of its own) exceed the cap.
-    A node one vertex short of the cap enters no child: only a vertex hitting
-    every uncovered edge can complete it, and each such vertex that keeps
-    every chosen one critical does.  The results are checked in one pass
-    before they are returned.
+    A depth-first bounded hitting-set search (Abu-Khzam, JCSS 2010): a node
+    branches on the vertices of its uncovered edge with the fewest remaining
+    candidates, and each child excludes its earlier siblings' vertices, so
+    every set is reached once.  A node carries its uncovered edges cut to
+    its candidates, in edge order.  It is cut when its chosen vertices plus
+    a greedy packing of those edges, pairwise disjoint, exceed the cap (each
+    needs a vertex of its own).  A node one vertex short of the cap enters
+    no child: each vertex in every uncovered edge completes it.  At a cap no
+    larger than the transversality number every set reached is minimal;
+    above it the search also reaches supersets of smaller ones, so the sets
+    found are filtered to the minimal ones in one pass.
     """
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
-    edges, vert_edges = h.edges, h.incidence
-    out: list[int] = []
+    out: list[tuple[int, ...]] = []
 
-    def recurse(chosen: int, cand: int, uncov: int, crit: list[int]) -> None:
-        if not uncov:
+    def recurse(chosen: tuple[int, ...], cand: int, live: list[int]) -> None:
+        if not live:
             out.append(chosen)
             return
-        room = size_cap - len(crit)
+        room = size_cap - len(chosen)
         if room == 1:
-            common = cand
-            for i in bits(uncov):
-                common &= edges[i]
-            for v in bits(common):
-                hit = vert_edges[v]
-                if all(c & ~hit for c in crit):
-                    out.append(chosen | 1 << v)
+            for e in live:
+                cand &= e
+            out.extend([chosen + (v,) for v in bits(cand)])
             return
-        # uncovered edges on the remaining candidates, fewest first, ties by
-        # lowest edge index; the first is the fail-first branching edge
-        live = sorted([edges[i] & cand for i in bits(uncov)], key=int.bit_count)
+        # fewest candidates first, ties by lowest edge index; the first is
+        # the fail-first branching edge
+        order = sorted(live, key=int.bit_count)
         used = 0
-        for e in live:
+        for e in order:
             if not e & used:
                 used |= e
                 room -= 1
                 if room < 0:
                     return
-        for v in bits(live[0]):
-            cand &= ~(1 << v)
-            hit = vert_edges[v]
-            kept = [c & ~hit for c in crit]
-            if all(kept):
-                recurse(chosen | 1 << v, cand, uncov & ~hit,
-                        kept + [uncov & hit])
+        for v in bits(order[0]):
+            vb = 1 << v
+            cand &= ~vb
+            recurse(chosen + (v,), cand,
+                    [e & cand for e in live if not e & vb])
 
-    recurse(0, h.vertex_mask, (1 << len(edges)) - 1, [])
-    found = _canon(out)
-    # the branch-death test prunes non-minimal supersets already, but keep the
-    # guarantee explicit
-    assert are_minimal_transversals(h, found)
-    return found
+    recurse((), h.vertex_mask, list(h.edges))
+    found = _canon([tuple(sorted(t)) for t in out])
+    return keep_minimal_transversals(h, found)
 
 
 def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:

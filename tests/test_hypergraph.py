@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bji_advisor import data_path, hypergraph
-from bji_advisor.hypergraph import (Hypergraph, are_minimal_transversals,
-                                    berge_enumerate, bits,
-                                    get_min_transversality, mask, mmcs,
+from bji_advisor.hypergraph import (Hypergraph, berge_enumerate, bits,
+                                    get_min_transversality,
+                                    keep_minimal_transversals, mask, mmcs,
                                     smallest_transversals)
 from bji_advisor.schema import load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
@@ -258,7 +258,7 @@ def test_from_edges_drops_supersets():
         t for t in oracle_berge(NESTED_OVERSHOOT_EDGES) if len(t) == 3]
 
 
-def test_greedy_overshoot_shrinks_cap(caplog):
+def test_search_stops_at_the_exact_size_below_the_greedy_bound(caplog):
     # the search stops at the exact size, below the greedy bound, and an
     # overshooting bound is no event worth a log record
     berge = oracle_berge(OVERSHOOT_EDGES)
@@ -297,7 +297,8 @@ def test_mmcs_lists_every_minimal_transversal_within_cap(edges):
 @given(st.one_of(small_hypergraphs(), nested_hypergraphs()), st.data())
 def test_one_pass_check_agrees_with_the_per_set_oracle(edges, data):
     # families mix minimal transversals, strict supersets of them and sets
-    # that miss an edge; the empty family passes
+    # that miss an edge; the filter keeps the minimal ones in order, and an
+    # empty family stays empty
     h = Hypergraph.from_edges(edges)
     minimal = [mask(t) for t in oracle_berge(edges)]
     kinds = [st.sampled_from(minimal),
@@ -309,34 +310,37 @@ def test_one_pass_check_agrees_with_the_per_set_oracle(edges, data):
             lambda t: st.sets(st.sampled_from(bits(h.vertex_mask & ~t)),
                               min_size=1).map(lambda extra: t | mask(extra))))
     family = data.draw(st.lists(st.one_of(kinds), max_size=8))
-    assert are_minimal_transversals(h, list(map(bits, family))) == all(
-        is_minimal_transversal(h, t) for t in family)
-    assert are_minimal_transversals(h, list(map(bits, minimal)))
-    assert are_minimal_transversals(h, [])
+    assert keep_minimal_transversals(h, list(map(bits, family))) == [
+        bits(t) for t in family if is_minimal_transversal(h, t)]
+    assert keep_minimal_transversals(h, list(map(bits, minimal))) \
+        == list(map(bits, minimal))
+    assert keep_minimal_transversals(h, []) == []
 
 
 def test_one_pass_check_rejects_a_vertex_outside_the_hypergraph():
-    assert not are_minimal_transversals(H8, [(2, 4, 7), (2, 4, 7, 42)])
-    assert not are_minimal_transversals(H8, [(0, 2, 4, 7)])
+    assert keep_minimal_transversals(H8, [(2, 4, 7), (2, 4, 7, 42)]) \
+        == [(2, 4, 7)]
+    assert keep_minimal_transversals(H8, [(0, 2, 4, 7)]) == []
 
 
 @contextlib.contextmanager
-def mmcs_calls():
-    """Record each ``mmcs`` call that ``smallest_transversals`` makes, as
-    (cap, result)."""
+def calls_to(name):
+    """Record each call of ``hypergraph.<name>(h, arg)`` made through the
+    module global (``smallest_transversals`` calls ``mmcs`` so, and
+    ``mmcs`` calls ``keep_minimal_transversals``), as (arg, result)."""
     calls = []
-    search = hypergraph.mmcs
+    real = getattr(hypergraph, name)
 
-    def spy(h, size_cap):
-        found = search(h, size_cap)
-        calls.append((size_cap, found))
-        return found
+    def spy(h, arg):
+        result = real(h, arg)
+        calls.append((arg, result))
+        return result
 
-    hypergraph.mmcs = spy
+    setattr(hypergraph, name, spy)
     try:
         yield calls
     finally:
-        hypergraph.mmcs = search
+        setattr(hypergraph, name, real)
 
 
 def bundled_edges(name: str) -> list[int]:
@@ -360,7 +364,7 @@ PENTAGONS = [mask({i, (i + 1) % 5}) << shift
 def test_deepening_caps_rise_from_the_packing_bound(edges, caps):
     h = Hypergraph.from_edges(edges)
     want = [t for t in berge_enumerate(h) if len(t) == caps[-1]]
-    with mmcs_calls() as calls:
+    with calls_to("mmcs") as calls:
         assert smallest_transversals(h) == want
     assert [cap for cap, _ in calls] == caps \
         == list(range(packing_bound(edges), len(want[0]) + 1))
@@ -371,11 +375,50 @@ def test_deepening_caps_rise_from_the_packing_bound(edges, caps):
 @given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
 def test_deepening_starts_at_a_packing_bound_below_the_minimum(edges):
     k_exact = min(len(t) for t in oracle_berge(edges))
-    with mmcs_calls() as calls:
+    with calls_to("mmcs") as calls:
         smallest_transversals(Hypergraph.from_edges(edges))
     assert packing_bound(edges) <= k_exact
     assert [cap for cap, _ in calls] == list(
         range(packing_bound(edges), k_exact + 1))
+
+
+def filter_never_drops(edges):
+    """Under ``smallest_transversals`` every level reaches each set once
+    and only minimal ones: below the transversality number it reaches
+    none, and a set at exactly that size has no smaller transversal in it.
+    So the minimality filter gets no repeat and drops nothing."""
+    with calls_to("keep_minimal_transversals") as calls:
+        smallest = smallest_transversals(Hypergraph.from_edges(edges))
+    assert calls[-1] == (smallest, smallest) and smallest
+    for family, kept in calls:
+        assert len(set(family)) == len(family)
+        assert kept == family
+
+
+@pytest.mark.parametrize("edges", [
+    pytest.param(bundled_edges("tpch"), id="tpch"),
+    pytest.param(bundled_edges("ssb"), id="ssb"),
+    pytest.param(OVERSHOOT_EDGES, id="overshoot"),
+    pytest.param(PENTAGONS, id="pentagons")])
+def test_deepening_levels_reach_only_minimal_sets(edges):
+    filter_never_drops(edges)
+
+
+@given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
+def test_deepening_levels_reach_only_minimal_sets_property(edges):
+    filter_never_drops(edges)
+
+
+def test_above_the_transversality_number_the_filter_drops_supersets():
+    # TPC-H's smallest transversals have 5 vertices; at cap 6 the search
+    # also reaches 6-sets that hold a smaller transversal
+    h = Hypergraph.from_edges(bundled_edges("tpch"))
+    with calls_to("keep_minimal_transversals") as calls:
+        found = mmcs(h, 6)
+    [(family, kept)] = calls
+    assert len(set(family)) == len(family) == 818
+    assert found == kept == [t for t in berge_enumerate(h) if len(t) <= 6]
+    assert len(kept) == 664
 
 
 def test_from_edges_validation():
@@ -421,5 +464,5 @@ def test_bits_lists_set_bits_lowest_first(m):
     st.builds(lambda low, high: low | high << 100,
               st.integers(0, 15), st.integers(0, 7)))))
 def test_canon_orders_by_size_then_ids(masks):
-    assert hypergraph._canon(masks) == sorted(
+    assert hypergraph._canon(map(bits, masks)) == sorted(
         map(bits, masks), key=lambda t: (len(t), t))
