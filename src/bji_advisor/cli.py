@@ -5,8 +5,9 @@ separate metadata.json so consecutive runs over identical inputs produce
 byte-identical reports.
 
 Exit codes: 0 success (including an empty configuration), 1 usage error,
-2 input validation error, 3 internal invariant breach, 4 output too large
-for memory, 141 stdout closed by its reader.
+2 input validation error, 3 ``demo``'s bitmap join result disagreeing with
+the naive join oracle, 4 output too large for memory, 141 stdout closed by
+its reader.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def _column_json(names) -> tuple[list[str], list[str]]:
 def _trace_lines(columns: tuple[list[str], list[str]], trace) -> _Lines:
     """Each ``ScoredMotif`` of ``trace`` as the line ``_encode_line`` writes
     for its record: ids, attrs, afc, selected, and fitness and support
-    rounded to 12 places.  ``columns`` is ``_column_json`` of the catalog:
-    a record's attrs are the names of its ids, as every engine builds it."""
+    rounded to 12 places.  ``columns`` is ``_column_json`` of the catalog,
+    whose names give a record's attrs from its ids."""
     id_text, name_json = columns
     return _Lines([
         f'{{"afc": {m.afc}, '
@@ -447,9 +448,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except MemoryError:
         pass    # reported below, once the traceback has let the frames go
     print("out of memory: the output does not fit in memory", file=sys.stderr)

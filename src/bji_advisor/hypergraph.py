@@ -5,12 +5,12 @@ Vertices are small nonnegative integers.  A vertex set is an int mask: bit
 leave as sorted vertex tuples, smallest sets first.  Berge's edge-by-edge
 construction with a private-edge minimality test enumerates every minimal
 transversal.  The smallest ones are found by iterative deepening (Korf, AIJ
-1985): a depth-first hitting-set search branching on uncovered edges lists
-every minimal transversal up to a size cap, and the cap rises by one from a
-packing of pairwise-disjoint edges, a lower bound on the transversality
-number, until the search finds a set.  Below that number no set is reached,
-and at it every set reached is minimal, so no minimality bookkeeping runs
-during the search.
+1985): each level is a depth-first hitting-set search, branching on
+uncovered edges, for the transversals of exactly its size cap.  The cap
+rises by one from a packing of pairwise-disjoint edges, a lower bound on
+the transversality number, until a level finds a set.  Below that number
+no set is reached, and at it every set reached is minimal, so the search
+keeps no minimality bookkeeping.
 """
 
 from __future__ import annotations
@@ -83,39 +83,6 @@ class Hypergraph(namedtuple("Hypergraph",
         return cls(bits(covered), tuple(kept), covered, tuple(incidence))
 
 
-def keep_minimal_transversals(
-        h: Hypergraph, family: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The sets of ``family`` that are minimal transversals, in order: each
-    hits every edge, and each of its members is the lone hitter of some
-    edge (a critical edge).  One pass over the edges checks the whole
-    family: bit ``i`` of ``holders[v]`` says set ``i`` holds ``v``, and per
-    edge ``once`` and ``twice`` mark the sets hitting it at least once and
-    at least twice."""
-    if not family:
-        return []
-    holders = [0] * h.vertex_mask.bit_length()
-    everyone, dropped = (1 << len(family)) - 1, 0
-    for i, t in enumerate(family):
-        try:
-            for v in t:
-                holders[v] |= 1 << i
-        except IndexError:      # a vertex past every edge hits none
-            dropped |= 1 << i
-    lone = [0] * len(holders)
-    for e in h.edges:
-        members = bits(e)
-        once = twice = 0
-        for v in members:
-            twice |= once & holders[v]
-            once |= holders[v]
-        dropped |= everyone & ~once
-        for v in members:
-            lone[v] |= holders[v] & ~twice
-    for held, alone in zip(holders, lone):
-        dropped |= held & ~alone
-    return [t for i, t in enumerate(family) if not dropped >> i & 1]
-
-
 def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
     """All minimal transversals, built edge by edge (Berge).
 
@@ -172,7 +139,9 @@ def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
 
 
 def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
-    """Every minimal transversal of at most ``size_cap`` vertices.
+    """One level of the iterative deepening: every transversal of
+    ``size_cap`` vertices, at a cap no larger than the transversality
+    number, where all of them are minimal.
 
     A depth-first bounded hitting-set search (Abu-Khzam, JCSS 2010): a node
     branches on the vertices of its uncovered edge with the fewest remaining
@@ -181,10 +150,10 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
     its candidates, in edge order.  It is cut when its chosen vertices plus
     a greedy packing of those edges, pairwise disjoint, exceed the cap (each
     needs a vertex of its own).  A node one vertex short of the cap enters
-    no child: each vertex in every uncovered edge completes it.  At a cap no
-    larger than the transversality number every set reached is minimal;
-    above it the search also reaches supersets of smaller ones, so the sets
-    found are filtered to the minimal ones in one pass.
+    no child: each vertex in every uncovered edge completes it.  Below the
+    transversality number no set is reached.  Above it the smallest
+    transversals are completed short of the cap, and the search raises
+    ``ValueError`` at the first such set.
     """
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
@@ -192,8 +161,8 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
 
     def recurse(chosen: tuple[int, ...], cand: int, live: list[int]) -> None:
         if not live:
-            out.append(chosen)
-            return
+            raise ValueError(f"size_cap {size_cap} is above the transversality"
+                             f" number: {len(chosen)} vertices hit every edge")
         room = size_cap - len(chosen)
         if room == 1:
             for e in live:
@@ -217,8 +186,7 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
                     [e & cand for e in live if not e & vb])
 
     recurse((), h.vertex_mask, list(h.edges))
-    found = _canon([tuple(sorted(t)) for t in out])
-    return keep_minimal_transversals(h, found)
+    return sorted([tuple(sorted(t)) for t in out])
 
 
 def get_min_transversality(h: Hypergraph) -> tuple[int, tuple[int, ...]]:

@@ -27,10 +27,9 @@ from .hypergraph import bits, mask, smallest_transversals
 from .schema import StarSchema
 from .workload import ContextMatrix
 
-# one candidate: ``ids`` its sorted column ids, ``attrs`` their qualified
-# names in the same order, ``afc`` their summed attribute cardinality
-ScoredMotif = namedtuple("ScoredMotif",
-                         "ids attrs fitness afc support selected")
+# one candidate: ``ids`` its sorted column ids, ``afc`` their summed
+# attribute cardinality
+ScoredMotif = namedtuple("ScoredMotif", "ids fitness afc support selected")
 
 # an engine's pick: ``attrs`` the sorted qualified names, ``trace`` the
 # ScoredMotif of each candidate
@@ -82,9 +81,9 @@ def _indexable_of(schema: StarSchema, ids: Iterable[int]) -> tuple[str, ...]:
 def _motif(schema: StarSchema, ids: tuple[int, ...], fitness: float,
            support: float, selected: bool) -> ScoredMotif:
     """The trace record of one candidate."""
-    return ScoredMotif(ids=ids, attrs=tuple([schema.names[i] for i in ids]),
-                       fitness=fitness, afc=afc_sum(schema.cards, ids),
-                       support=support, selected=selected)
+    return ScoredMotif(ids=ids, fitness=fitness,
+                       afc=afc_sum(schema.cards, ids), support=support,
+                       selected=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +93,8 @@ def _motif(schema: StarSchema, ids: tuple[int, ...], fitness: float,
 def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
     terms = column_terms(schema, matrix)
-    names, cards, support = schema.names, schema.cards, matrix.support
-    trace = [ScoredMotif(ids, tuple([names[i] for i in ids]),
-                         fitness_tm(terms, ids), afc_sum(cards, ids),
+    cards, support = schema.cards, matrix.support
+    trace = [ScoredMotif(ids, fitness_tm(terms, ids), afc_sum(cards, ids),
                          support(ids), False)
              for ids in smallest_transversals(matrix.hypergraph())]
     # max fitness, then min cardinality sum, then lexicographic: candidates
@@ -105,7 +103,8 @@ def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     winner = max(trace, key=lambda m: (m.fitness, -m.afc))
     trace[trace.index(winner)] = winner._replace(selected=True)
     attrs = _indexable_of(schema, winner.ids)
-    dropped = sorted(set(winner.attrs) - set(attrs))
+    dropped = sorted([schema.names[i] for i in winner.ids
+                      if not schema.indexable >> i & 1])
     notes = ("non-indexable members dropped: " + ", ".join(dropped),) \
         if dropped else ()
     return Configuration(engine="tm-ijb", attrs=attrs, trace=tuple(trace),

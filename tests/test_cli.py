@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bji_advisor import cli, data_path, selection
+from bji_advisor.engine import evaluate
 from bji_advisor.hypergraph import berge_enumerate, smallest_transversals
 from bji_advisor.schema import load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
@@ -351,16 +352,16 @@ def scored_motifs(draw):
     names = ["", *draw(st.lists(_NAMES, min_size=1, max_size=6))]
     ids = st.lists(st.integers(1, len(names) - 1), max_size=40).map(tuple)
     trace = draw(st.lists(st.builds(
-        lambda i, fit, afc, sup, sel: selection.ScoredMotif(
-            i, tuple(names[k] for k in i), fit, afc, sup, sel),
-        ids, _FLOATS, st.integers(), _FLOATS, st.booleans()), max_size=4))
+        selection.ScoredMotif, ids, _FLOATS, st.integers(), _FLOATS,
+        st.booleans()), max_size=4))
     return names, trace
 
 
 @given(scored_motifs())
 def test_trace_lines_are_what_the_encoder_writes(drawn):
     names, trace = drawn
-    want = [json.dumps({"ids": list(m.ids), "attrs": list(m.attrs),
+    want = [json.dumps({"ids": list(m.ids),
+                        "attrs": [names[i] for i in m.ids],
                         "fitness": round(m.fitness, 12), "afc": m.afc,
                         "support": round(m.support, 12),
                         "selected": m.selected}, sort_keys=True)
@@ -539,6 +540,18 @@ def test_demo_exit_zero(capsys, monkeypatch):
     printed = capsys.readouterr().out
     assert "naive join oracle agrees: True" in printed
     assert "selected fact rows: [0, 4, 6]" in printed
+
+
+def test_demo_exits_3_when_the_naive_join_oracle_disagrees(capsys,
+                                                          monkeypatch):
+    # the only exit-3 path: the bitmap result differs from the oracle's;
+    # cmd_demo imports evaluate from the engine module when it runs
+    monkeypatch.delenv("ADVISOR_SEED", raising=False)
+    monkeypatch.setattr("bji_advisor.engine.evaluate",
+                        lambda indexes, conds: evaluate(indexes, conds) ^ 1)
+    assert run(["demo"]) == 3
+    assert capsys.readouterr().out.endswith(
+        "naive join oracle agrees: False\n")
 
 
 def test_demo_zero_rows(capsys, monkeypatch):

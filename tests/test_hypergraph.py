@@ -10,8 +10,7 @@ from hypothesis import given, strategies as st
 
 from bji_advisor import data_path, hypergraph
 from bji_advisor.hypergraph import (Hypergraph, berge_enumerate, bits,
-                                    get_min_transversality,
-                                    keep_minimal_transversals, mask, mmcs,
+                                    get_min_transversality, mask, mmcs,
                                     smallest_transversals)
 from bji_advisor.schema import load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
@@ -283,51 +282,27 @@ def test_branch_and_bound_matches_berge(edges):
 
 @given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
 def test_mmcs_lists_every_minimal_transversal_within_cap(edges):
-    # below the transversality number the packing bound must cut every
-    # branch; the caps run past the 10 vertices drawn at most, so the last
-    # ones list every minimal transversal
+    # one deepening level: below the transversality number the packing
+    # bound cuts every branch, at it the level lists the smallest sets, and
+    # above it (the caps run past the 10 vertices drawn at most) it raises
     h = Hypergraph.from_edges(edges)
     berge = oracle_berge(edges)
+    k_exact = len(berge[0])
     for cap in range(1, 12):
-        assert mmcs(h, cap) == [t for t in berge if len(t) <= cap]
+        if cap > k_exact:
+            with pytest.raises(ValueError, match="above the transversality"):
+                mmcs(h, cap)
+        else:
+            assert mmcs(h, cap) == [t for t in berge if len(t) == cap]
     with pytest.raises(ValueError):
         mmcs(h, 0)
-
-
-@given(st.one_of(small_hypergraphs(), nested_hypergraphs()), st.data())
-def test_one_pass_check_agrees_with_the_per_set_oracle(edges, data):
-    # families mix minimal transversals, strict supersets of them and sets
-    # that miss an edge; the filter keeps the minimal ones in order, and an
-    # empty family stays empty
-    h = Hypergraph.from_edges(edges)
-    minimal = [mask(t) for t in oracle_berge(edges)]
-    kinds = [st.sampled_from(minimal),
-             st.tuples(st.sampled_from(h.edges), st.sets(st.sampled_from(
-                 h.vertices))).map(lambda p: mask(p[1]) & ~p[0])]
-    roomy = [t for t in minimal if h.vertex_mask & ~t]
-    if roomy:
-        kinds.append(st.sampled_from(roomy).flatmap(
-            lambda t: st.sets(st.sampled_from(bits(h.vertex_mask & ~t)),
-                              min_size=1).map(lambda extra: t | mask(extra))))
-    family = data.draw(st.lists(st.one_of(kinds), max_size=8))
-    assert keep_minimal_transversals(h, list(map(bits, family))) == [
-        bits(t) for t in family if is_minimal_transversal(h, t)]
-    assert keep_minimal_transversals(h, list(map(bits, minimal))) \
-        == list(map(bits, minimal))
-    assert keep_minimal_transversals(h, []) == []
-
-
-def test_one_pass_check_rejects_a_vertex_outside_the_hypergraph():
-    assert keep_minimal_transversals(H8, [(2, 4, 7), (2, 4, 7, 42)]) \
-        == [(2, 4, 7)]
-    assert keep_minimal_transversals(H8, [(0, 2, 4, 7)]) == []
 
 
 @contextlib.contextmanager
 def calls_to(name):
     """Record each call of ``hypergraph.<name>(h, arg)`` made through the
-    module global (``smallest_transversals`` calls ``mmcs`` so, and
-    ``mmcs`` calls ``keep_minimal_transversals``), as (arg, result)."""
+    module global (``smallest_transversals`` calls ``mmcs`` so), as (arg,
+    result)."""
     calls = []
     real = getattr(hypergraph, name)
 
@@ -382,17 +357,19 @@ def test_deepening_starts_at_a_packing_bound_below_the_minimum(edges):
         range(packing_bound(edges), k_exact + 1))
 
 
-def filter_never_drops(edges):
+def levels_reach_each_minimal_set_once(edges):
     """Under ``smallest_transversals`` every level reaches each set once
     and only minimal ones: below the transversality number it reaches
-    none, and a set at exactly that size has no smaller transversal in it.
-    So the minimality filter gets no repeat and drops nothing."""
-    with calls_to("keep_minimal_transversals") as calls:
-        smallest = smallest_transversals(Hypergraph.from_edges(edges))
-    assert calls[-1] == (smallest, smallest) and smallest
-    for family, kept in calls:
-        assert len(set(family)) == len(family)
-        assert kept == family
+    none, and a set at exactly that size has no smaller transversal in
+    it."""
+    h = Hypergraph.from_edges(edges)
+    with calls_to("mmcs") as calls:
+        smallest = smallest_transversals(h)
+    assert smallest and calls[-1] == (len(smallest[0]), smallest)
+    assert [found for _, found in calls[:-1]] == [[]] * (len(calls) - 1)
+    for _, found in calls:
+        assert len(set(found)) == len(found)
+        assert all(is_minimal_transversal(h, mask(t)) for t in found)
 
 
 @pytest.mark.parametrize("edges", [
@@ -401,24 +378,22 @@ def filter_never_drops(edges):
     pytest.param(OVERSHOOT_EDGES, id="overshoot"),
     pytest.param(PENTAGONS, id="pentagons")])
 def test_deepening_levels_reach_only_minimal_sets(edges):
-    filter_never_drops(edges)
+    levels_reach_each_minimal_set_once(edges)
 
 
 @given(st.one_of(small_hypergraphs(), nested_hypergraphs()))
 def test_deepening_levels_reach_only_minimal_sets_property(edges):
-    filter_never_drops(edges)
+    levels_reach_each_minimal_set_once(edges)
 
 
-def test_above_the_transversality_number_the_filter_drops_supersets():
-    # TPC-H's smallest transversals have 5 vertices; at cap 6 the search
-    # also reaches 6-sets that hold a smaller transversal
+def test_above_the_transversality_number_mmcs_raises():
+    # TPC-H's smallest transversals have 5 vertices: at cap 6 the search
+    # completes one of them a vertex short of the cap and raises
     h = Hypergraph.from_edges(bundled_edges("tpch"))
-    with calls_to("keep_minimal_transversals") as calls:
-        found = mmcs(h, 6)
-    [(family, kept)] = calls
-    assert len(set(family)) == len(family) == 818
-    assert found == kept == [t for t in berge_enumerate(h) if len(t) <= 6]
-    assert len(kept) == 664
+    assert mmcs(h, 5) == [t for t in berge_enumerate(h) if len(t) == 5]
+    with pytest.raises(ValueError, match="size_cap 6 is above the "
+                       "transversality number: 5 vertices hit every edge"):
+        mmcs(h, 6)
 
 
 def test_from_edges_validation():

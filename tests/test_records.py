@@ -18,8 +18,8 @@ def records():
     schema = load_catalog_file(data_path("example_star.json"))
     queries = parse_workload(data_path("example_star.sql").read_text(), schema)
     matrix = build_context_matrix(schema, queries)
-    motif = ScoredMotif(ids=(1,), attrs=("T.a",), fitness=0.5, afc=3,
-                        support=1.0, selected=True)
+    motif = ScoredMotif(ids=(1,), fitness=0.5, afc=3, support=1.0,
+                        selected=True)
     return [
         matrix.hypergraph(), queries[0], matrix,
         WorkloadPlan(schema, queries).plans[0], motif,

@@ -182,8 +182,8 @@ def tm_ijb_oracle(schema, m) -> tuple[tuple[int, ...], tuple]:
               for ids in smallest_transversals(m.hypergraph())]
     winner = max(scored, key=lambda s: (s[0], -s[1], [-i for i in s[2]]))[2]
     trace = tuple(selection.ScoredMotif(
-        ids, tuple(m.columns[i - 1] for i in ids), fit, afc,
-        sum(1 for r in rows if set(ids) <= r) / len(rows), ids == winner)
+        ids, fit, afc, sum(1 for r in rows if set(ids) <= r) / len(rows),
+        ids == winner)
         for fit, afc, ids in scored)
     return winner, trace
 
