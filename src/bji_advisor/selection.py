@@ -120,27 +120,25 @@ def mine_closed_frequent_itemsets(
     """Closed itemsets with support >= minsup, as (sorted ids, support),
     most frequent first, then by size and ids.
 
-    A closed itemset is the intersection of all rows containing it; the family
-    of closed sets is exactly the intersections of nonempty row subsets,
-    computed to a fixpoint over row masks.  Desk-scale rows (tens) keep this
-    cheap.
+    Each is found by its row mask (bit ``k`` is row ``k``), in a fixpoint of
+    ANDs over the frequent columns' masks that drops the infrequent results:
+    every partial AND toward a frequent mask holds it, so none is lost.
     """
     if not 0.0 < minsup <= 1.0:
         raise ValueError("minsup must be in (0, 1]")
-    rows = set(matrix.rows)
-    closed = set(rows)
-    frontier = rows
+    n = len(matrix.rows)
+    columns = {i: t for i, t in matrix.column_rows.items()
+               if t.bit_count() / n >= minsup}
+    masks = set(columns.values())
+    found = frontier = masks
     while frontier:
-        frontier = {c & r for c in frontier for r in rows} - closed - {0}
-        closed |= frontier
-    out = []
-    for c in closed:
-        ids = bits(c)
-        sup = matrix.support(ids)
-        if sup >= minsup:
-            out.append((ids, sup))
-    out.sort(key=lambda cs: (-cs[1], len(cs[0]), cs[0]))
-    return out
+        frontier = {t for t in {f & m for f in frontier for m in masks} - found
+                    if t.bit_count() / n >= minsup}
+        found = found | frontier
+    # a mask's itemset: the columns whose mask holds it, in id order
+    return sorted([(tuple([i for i, m in columns.items() if m & t == t]),
+                    t.bit_count() / n) for t in found],
+                  key=lambda cs: (-cs[1], len(cs[0]), cs[0]))
 
 
 def close_select(schema: StarSchema, matrix: ContextMatrix,
@@ -193,7 +191,8 @@ def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
                      motifs: Sequence[tuple[tuple[int, ...], float]]
                      ) -> Configuration:
     """Keep the indexable members of the frequent closed itemset in
-    ``motifs`` with the best mean alpha-weighted support."""
+    ``motifs`` with the best mean alpha-weighted support.  Of tied motifs,
+    the smallest id where they first differ wins, else the longer motif."""
     if not motifs:
         return Configuration(engine="dynaclose", attrs=(), trace=(),
                              notes=("no frequent closed itemset",))

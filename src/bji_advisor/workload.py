@@ -456,7 +456,7 @@ class ContextMatrix(namedtuple("ContextMatrix", "queries columns rows")):
 
     def support(self, ids: Collection[int]) -> float:
         """Share of the queries whose row holds every column id in ``ids``."""
-        column_rows = self._column_rows
+        column_rows = self.column_rows
         hit = (1 << len(self.rows)) - 1
         try:
             for i in ids:
@@ -467,7 +467,7 @@ class ContextMatrix(namedtuple("ContextMatrix", "queries columns rows")):
         return hit.bit_count() / len(self.rows)
 
     @cached_property
-    def _column_rows(self) -> dict[int, int]:
+    def column_rows(self) -> dict[int, int]:
         """Per column id, from 1 to ``len(columns)``, the mask of the rows
         that hold it: bit ``k`` is ``rows[k]``."""
         masks = dict.fromkeys(range(1, len(self.columns) + 1), 0)
@@ -480,7 +480,7 @@ class ContextMatrix(namedtuple("ContextMatrix", "queries columns rows")):
     def marginal_support(self) -> tuple[float, ...]:
         """Per column id, ``support((id,))`` (index 0 unused)."""
         n = len(self.rows)
-        return (0.0, *[m.bit_count() / n for m in self._column_rows.values()])
+        return (0.0, *[m.bit_count() / n for m in self.column_rows.values()])
 
 
 def build_context_matrix(schema: StarSchema,

@@ -615,7 +615,7 @@ def test_commands_import_only_what_they_run(command, tmp_path):
     argv = [command, "--catalog", CAT, "--workload", WL]
     if command != "enumerate":
         argv += ["--out", str(tmp_path)]
-    watched = NOT_IMPORTED + {"advise": ("csv",), "compare": (),
+    watched = NOT_IMPORTED + {"advise": ("csv",), "compare": ("csv",),
                               "enumerate": ("csv", "datetime")}[command]
     script = ("import sys\n"
               "from bji_advisor import cli\n"

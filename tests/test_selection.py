@@ -85,6 +85,47 @@ def test_miner_oracle_random_matrices():
         assert got == brute_closed_sets(rows)
 
 
+def frequent_closed_oracle(rows, minsup):
+    """``brute_closed_sets`` kept where the covering rows' share is at least
+    ``minsup``, as (sorted ids, share), most frequent first, then by size
+    and ids."""
+    out = []
+    for s in brute_closed_sets(rows):
+        share = sum([s <= row for row in rows]) / len(rows)
+        if share >= minsup:
+            out.append((tuple(sorted(s)), share))
+    return sorted(out, key=lambda cs: (-cs[1], len(cs[0]), cs[0]))
+
+
+def test_miner_oracle_at_real_thresholds():
+    """Random matrices with repeated rows, at thresholds where the miner
+    prunes: the whole ordered list, supports included, equals the oracle's."""
+    rng = random.Random(2602)
+    for _ in range(150):
+        n_cols = rng.randint(1, 16)
+        rows = []
+        for _ in range(rng.randint(1, 30)):
+            if rows and rng.random() < 0.3:
+                rows.append(rng.choice(rows))
+                continue
+            row = {c for c in range(1, n_cols + 1) if rng.random() < 0.4}
+            rows.append(row or {rng.randint(1, n_cols)})
+        n = len(rows)
+        m = matrix_from_rows(rows, n_cols)
+        ks = {k for k in (1, 2, 3, n // 4, n // 2) if 0 < k <= n}
+        for minsup in sorted({k / n for k in ks} | {0.1, 0.5, 1.0}):
+            assert selection.mine_closed_frequent_itemsets(m, minsup) == \
+                frequent_closed_oracle(rows, minsup), (rows, minsup)
+
+
+def test_miner_keeps_a_set_exactly_at_the_threshold():
+    """7 of 100 rows at minsup 0.07: 7 / 100 >= 0.07 holds, while
+    7 >= 0.07 * 100 (= 7.000000000000001) does not."""
+    m = matrix_from_rows([{1}] * 7 + [{2}] * 93, 2)
+    assert selection.mine_closed_frequent_itemsets(m, 0.07) == [
+        ((2,), 0.93), ((1,), 0.07)]
+
+
 def test_miner_minsup_filters():
     m = matrix_from_rows([{1, 2}, {1, 2}, {3}], 3)
     got = dict(selection.mine_closed_frequent_itemsets(m, 0.5))
@@ -225,13 +266,17 @@ TIED_CATALOG = {
 }
 
 
-def test_tm_ijb_all_tied_picks_the_smallest_ids():
+def tied_matrix(rows):
+    """A matrix over ``TIED_CATALOG``, where every fitness term is 0.0."""
     schema = load_catalog(json.dumps(TIED_CATALOG))
-    rows = [{3, 4}, {7, 8}, {3, 4}]
     queries = tuple(ParsedQuery(id=k, predicates=(), referenced=mask(r))
                     for k, r in enumerate(rows, start=1))
-    m = ContextMatrix(queries=queries, columns=schema.names[1:],
-                      rows=tuple(mask(r) for r in rows))
+    return schema, ContextMatrix(queries=queries, columns=schema.names[1:],
+                                 rows=tuple(mask(r) for r in rows))
+
+
+def test_tm_ijb_all_tied_picks_the_smallest_ids():
+    schema, m = tied_matrix([{3, 4}, {7, 8}, {3, 4}])
     cfg = selection.tm_ijb(schema, m)
     assert [t.ids for t in cfg.trace] == [(3, 7), (3, 8), (4, 7), (4, 8)]
     assert {(t.fitness, t.afc) for t in cfg.trace} == {(0.0, 14)}
@@ -248,6 +293,22 @@ def test_dynaclose_worked_example():
     assert cfg.attrs == ("CUSTOMERS.cust_gender",)
     sel = [t for t in cfg.trace if t.selected]
     assert sel[0].ids == (1, 2, 3)
+
+
+@pytest.mark.parametrize("rows, winner, attrs", [
+    # (3, 7) beats (7,) and (4, 7): the smaller id where they first differ
+    ([{3, 7}, {4, 7}], (3, 7), ("D1.a", "D2.c")),
+    # (3, 4) is a prefix of (3, 4, 5), and the longer set wins; F.k2 (5)
+    # cannot be indexed, so both give the same attributes
+    ([{3, 4}, {3, 4}, {3, 4, 5}], (3, 4, 5), ("D1.a", "D1.b")),
+])
+def test_dynaclose_tie_rule(rows, winner, attrs):
+    schema, m = tied_matrix(rows)
+    cfg = selection.dynaclose_select(schema, m, motifs(m))
+    assert len(cfg.trace) > 1
+    assert {t.fitness for t in cfg.trace} == {0.0}
+    assert [t.ids for t in cfg.trace if t.selected] == [winner]
+    assert cfg.attrs == attrs
 
 
 def test_close_greedy_improves_cost():
