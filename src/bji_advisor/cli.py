@@ -129,15 +129,25 @@ def _trace_lines(columns: tuple[list[str], list[str]], trace) -> _Lines:
         for m in trace])
 
 
+def _cost_doc(tails: list[str], report: dict) -> dict:
+    """``report`` with its ``costs`` as ``per_query`` lines (``tails`` ends
+    each), as ``_encode_line`` writes them: a cost is finite, so its repr."""
+    doc = dict(report)
+    doc["per_query"] = _Lines([f'{{"cost": {c!r}{tail}'
+                               for c, tail in zip(doc.pop("costs"), tails)])
+    return doc
+
+
 def _engine_docs(plans: costmodel.WorkloadPlan, configs, reports) -> dict:
     """Each configuration's document, by engine name."""
     columns = _column_json(plans.schema.names)
+    tails = [f', "query": {p.query_id}}}' for p in plans.plans]
     return {cfg.engine: {
         "engine": cfg.engine,
         "configuration": list(cfg.attrs),
         "notes": list(cfg.notes),
         "storage_bytes": costmodel.config_storage(plans, cfg.attrs),
-        "cost": report,
+        "cost": _cost_doc(tails, report),
         "trace": _trace_lines(columns, cfg.trace),
     } for cfg, report in zip(configs, reports)}
 

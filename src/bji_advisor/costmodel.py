@@ -28,9 +28,10 @@ Each query is planned once, over catalog column ids, from the catalog's
 per-id tables (``StarSchema.names``, ``cards``, ``on_table``): a plan costs
 a configuration given as an id mask.  The joined dimensions and the no-index
 cost of a join depend only on the join endpoints a query references, so
-they are worked out once per such join shape.  ``query_cost``,
-``workload_cost``, ``cost_report`` and ``config_storage`` take
-configurations as qualified attribute names.
+they are worked out once per such join shape.  A configuration re-costs
+only the queries that can use one of its indexes.  ``query_cost``,
+``workload_cost``, ``cost_report`` (``costs`` in query order) and
+``config_storage`` take configurations as qualified attribute names.
 """
 
 from __future__ import annotations
@@ -225,7 +226,10 @@ class WorkloadPlan:
 
     def costs(self, config: int) -> list[float]:
         """Cost of each query under the id mask ``config``, in query order."""
-        return [p.cost(config) for p in self.plans]
+        out = list(self.no_index)
+        for k in {k for i in bits(config) for k in self.users.get(i, ())}:
+            out[k] = self.plans[k].cost(config)
+        return out
 
     def recost(self, costs: Sequence[float], config: int,
                attr: int) -> list[float]:
@@ -251,15 +255,15 @@ def workload_cost(schema: StarSchema, queries: Sequence[ParsedQuery],
 
 
 def cost_report(plans: WorkloadPlan, config: Iterable[str]) -> dict:
-    """The per-query and total cost of ``config`` against the workload's
-    no-index baseline, as the reports write it."""
+    """The per-query costs (``costs``, in query order, re-costed only for
+    the queries that can use an index of ``config``) and total cost of
+    ``config`` against the workload's no-index baseline."""
     config = sorted(set(config))
     costs = plans.costs(_config_mask(plans.schema, config))
     total = sum(costs)
     return {
         "config": config,
-        "per_query": [{"query": p.query_id, "cost": c}
-                      for p, c in zip(plans.plans, costs)],
+        "costs": costs,
         "total": total,
         "baseline_total": plans.baseline,
         "reduction": reduction_rate(plans.baseline, total),

@@ -65,7 +65,7 @@ class Hypergraph(namedtuple("Hypergraph",
         by size, ties in first-seen order, over the vertices of all."""
         kept: list[int] = []
         covered = 0
-        for e in sorted(edges, key=int.bit_count):
+        for e in sorted(dict.fromkeys(edges), key=int.bit_count):
             if not e:
                 raise ValueError("hyperedge must be nonempty")
             covered |= e

@@ -469,11 +469,14 @@ class ContextMatrix(namedtuple("ContextMatrix", "queries columns rows")):
     @cached_property
     def column_rows(self) -> dict[int, int]:
         """Per column id, from 1 to ``len(columns)``, the mask of the rows
-        that hold it: bit ``k`` is ``rows[k]``."""
-        masks = dict.fromkeys(range(1, len(self.columns) + 1), 0)
+        that hold it (bit ``k`` is ``rows[k]``), ORed in per distinct row."""
+        at: dict[int, int] = {}
         for k, row in enumerate(self.rows):
+            at[row] = at.get(row, 0) | 1 << k
+        masks = dict.fromkeys(range(1, len(self.columns) + 1), 0)
+        for row, where in at.items():
             for i in bits(row):
-                masks[i] |= 1 << k
+                masks[i] |= where
         return masks
 
     @cached_property

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,10 +12,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bji_advisor import cli, data_path, selection
+from bji_advisor import cli, costmodel, data_path, selection
 from bji_advisor.engine import evaluate
 from bji_advisor.hypergraph import berge_enumerate, smallest_transversals
-from bji_advisor.schema import load_catalog_file
+from bji_advisor.schema import MAX_CATALOG_INT, load_catalog_file
 from bji_advisor.workload import build_context_matrix, parse_workload
 
 CAT = str(data_path("ssb.json"))
@@ -305,6 +306,59 @@ def test_trace_candidates_one_line_each(tmp_path):
     for c in candidates:
         assert lines.count(json.dumps(c, sort_keys=True)) == 1
     assert sum(line.startswith('{"afc": ') for line in lines) == len(candidates)
+
+
+def compare_inputs(name, directory, gen):
+    """Catalog and workload paths: bundled SSB or TPC-H, the seed-1
+    ``synth-templates`` instance, or SSB over a catalog whose row counts,
+    widths and cardinalities are all ``MAX_CATALOG_INT`` (page counts are
+    then estimated, so they are as large as a catalog can make them)."""
+    if name == "synth-templates":
+        return gen.synth_templates(1)[0].write(str(directory))
+    if name != "max-catalog":
+        return str(data_path(f"{name}.json")), str(data_path(f"{name}.sql"))
+    doc = json.loads(read(CAT))
+    for t in doc["tables"]:
+        t["rows"] = t["tuple_width"] = MAX_CATALOG_INT
+        del t["pages"]
+    for a in doc["attributes"]:
+        a["cardinality"] = MAX_CATALOG_INT
+    cat = directory / "max.json"
+    cat.write_text(json.dumps(doc))
+    return str(cat), WL
+
+
+@pytest.mark.parametrize("name", ["ssb", "tpch", "synth-templates",
+                                  "max-catalog"])
+def test_per_query_lines_are_what_the_encoder_writes(name, tmp_path, gen):
+    """Each ``per_query`` line of ``compare.json`` is ``json.dumps`` of its
+    record, and the file reads back as the document built from
+    ``cost_report`` with one dict per query."""
+    cat, wl = compare_inputs(name, tmp_path, gen)
+    out = tmp_path / "o"
+    assert run(["compare", "--catalog", cat, "--workload", wl,
+                "--out", str(out)]) == 0
+    text = (out / "compare.json").read_text()
+    doc = json.loads(text)
+    schema = load_catalog_file(cat)
+    with open(wl, encoding="utf-8") as fh:
+        matrix = build_context_matrix(schema, parse_workload(fh.read(), schema))
+    plans = costmodel.WorkloadPlan(schema, matrix.queries)
+    want_lines = []
+    for engine in sorted(doc["engines"]):
+        report = costmodel.cost_report(
+            plans, doc["engines"][engine]["configuration"])
+        records = [{"query": p.query_id, "cost": c}
+                   for p, c in zip(plans.plans, report.pop("costs"))]
+        assert all(math.isfinite(r["cost"]) for r in records)
+        assert doc["engines"][engine]["cost"] == {**report,
+                                                  "per_query": records}
+        want_lines += [json.dumps(r, sort_keys=True) for r in records]
+    lines = [line.strip().rstrip(",") for line in text.splitlines()]
+    assert [line for line in lines if line.startswith('{"cost": ')] == \
+        want_lines
+    if name == "max-catalog":
+        assert min(plans.no_index) > 1e30
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers()
