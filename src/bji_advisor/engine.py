@@ -10,8 +10,6 @@ ANDs across attributes.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -31,16 +29,6 @@ class MiniTable(namedtuple("MiniTable", "name columns rows")):
             if len(r) != len(self.columns):
                 raise EngineError(f"table {self.name}: row arity mismatch: {r!r}")
         return self
-
-    @classmethod
-    def from_csv(cls, text: str, name: str) -> "MiniTable":
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EngineError(f"table {name}: empty CSV") from None
-        rows = tuple(tuple(r) for r in reader if r)
-        return cls(name=name, columns=tuple(h.strip() for h in header), rows=rows)
 
     def col(self, name: str) -> int:
         for i, c in enumerate(self.columns):
@@ -141,49 +129,36 @@ def naive_join_oracle(fact: MiniTable, dims: Mapping[str, tuple[MiniTable, str, 
 # dimensions; row 1 belongs to a Poitiers customer
 # ---------------------------------------------------------------------------
 
-DEMO_CLIENT_CSV = """\
-CID,Nom,Ville
-1,Dupont,Poitiers
-2,Martin,Paris
-3,Bernard,Nantes
-4,Petit,Poitiers
-"""
-
-DEMO_PRODUIT_CSV = """\
-PID,Type
-10,Jouet
-11,Beaute
-12,Cuisine
-"""
-
-DEMO_TEMPS_CSV = """\
-TID,Mois
-100,Mars
-101,Juin
-102,Aout
-"""
-
-DEMO_VENTES_CSV = """\
-RID,CID,PID,TID,Montant
-1,1,10,100,120
-2,2,11,101,75
-3,3,12,100,200
-4,4,10,102,40
-5,1,11,100,310
-6,2,12,101,95
-7,3,10,100,60
-8,4,11,101,150
-9,1,12,102,80
-10,2,10,100,220
-11,1,11,101,55
-12,3,12,100,130
-"""
-
-
 def demo_tables() -> tuple[MiniTable, MiniTable, MiniTable, MiniTable]:
     """(fact, client, produit, temps) for the walkthrough and tests."""
-    fact = MiniTable.from_csv(DEMO_VENTES_CSV, "VENTES")
-    client = MiniTable.from_csv(DEMO_CLIENT_CSV, "CLIENT")
-    produit = MiniTable.from_csv(DEMO_PRODUIT_CSV, "PRODUIT")
-    temps = MiniTable.from_csv(DEMO_TEMPS_CSV, "TEMPS")
+    fact = MiniTable("VENTES", ("RID", "CID", "PID", "TID", "Montant"), (
+        ("1", "1", "10", "100", "120"),
+        ("2", "2", "11", "101", "75"),
+        ("3", "3", "12", "100", "200"),
+        ("4", "4", "10", "102", "40"),
+        ("5", "1", "11", "100", "310"),
+        ("6", "2", "12", "101", "95"),
+        ("7", "3", "10", "100", "60"),
+        ("8", "4", "11", "101", "150"),
+        ("9", "1", "12", "102", "80"),
+        ("10", "2", "10", "100", "220"),
+        ("11", "1", "11", "101", "55"),
+        ("12", "3", "12", "100", "130"),
+    ))
+    client = MiniTable("CLIENT", ("CID", "Nom", "Ville"), (
+        ("1", "Dupont", "Poitiers"),
+        ("2", "Martin", "Paris"),
+        ("3", "Bernard", "Nantes"),
+        ("4", "Petit", "Poitiers"),
+    ))
+    produit = MiniTable("PRODUIT", ("PID", "Type"), (
+        ("10", "Jouet"),
+        ("11", "Beaute"),
+        ("12", "Cuisine"),
+    ))
+    temps = MiniTable("TEMPS", ("TID", "Mois"), (
+        ("100", "Mars"),
+        ("101", "Juin"),
+        ("102", "Aout"),
+    ))
     return fact, client, produit, temps

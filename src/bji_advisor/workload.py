@@ -96,18 +96,13 @@ def tokenize(sql: str) -> list[str]:
 
 
 def _lowered_tokens(sql: str) -> list[str]:
-    """``tokenize(sql)`` with each token lowercased, from one scan of
-    ``sql.lower()``.  Lowering keeps every token's boundaries, kind and
-    offset, except for two code points: U+0130 lowers to two characters
-    and U+212A (the Kelvin sign) to an ASCII letter, so text that holds
-    either is tokenized as written.  On an error, ``tokenize`` scans the
-    text as written, so the message quotes the character as written."""
-    if "\u0130" in sql or "\u212a" in sql:
-        return [t.lower() for t in tokenize(sql)]
-    lows = _SCAN_RE.findall(sql.lower().rstrip())
-    if lows and not _TOKEN_RE.fullmatch(lows[-1]):
-        tokenize(sql)  # raises at the same offset
-    return lows
+    """``tokenize(sql)`` with each token lowercased.  ASCII text is scanned
+    once, lowered: lowering it changes only letters, and no token's
+    boundaries, kind or offset depend on a letter's case; nor does an error
+    quote a letter, since a letter starts a name."""
+    if sql.isascii():
+        return tokenize(sql.lower())
+    return [t.lower() for t in tokenize(sql)]
 
 
 def _is_number(tok: str) -> bool:
@@ -151,8 +146,11 @@ class _Extractor:
             if low == "create":
                 i = self._create_view(i)
             elif low == "drop":
-                # DROP VIEW <name>
-                i += 3 if i + 2 < n else n
+                if lows[i + 1] != "view":
+                    raise ParseError("only DROP VIEW is supported")
+                if not self._name_at(i + 2):
+                    raise ParseError("truncated statement")
+                i += 3
             elif low == "select":
                 i = self._select(i)
             elif low == ";":
@@ -165,15 +163,7 @@ class _Extractor:
         lows = self.lows
         if lows[i + 1] != "view":
             raise ParseError("only CREATE VIEW is supported")
-        self.derived.add(lows[i + 2])
-        i += 3
-        if lows[i] == "(":
-            i += 1
-            while lows[i] != ")":
-                if lows[i] != ",":
-                    self.derived.add(lows[i])
-                i += 1
-            i += 1
+        i = self._derived_names(i + 2)
         if lows[i] != "as":
             raise ParseError("CREATE VIEW requires AS")
         i += 1
@@ -270,20 +260,25 @@ class _Extractor:
         return j
 
     def _derived_alias(self, i: int) -> int:
+        if i < len(self.lows) and self.lows[i] == "as":
+            i += 1
+        return self._derived_names(i) if self._name_at(i) else i
+
+    def _derived_names(self, i: int) -> int:
+        """Add the view or derived-table name at i, and the column names
+        listed in parentheses after it, to the derived names; return the
+        index after them."""
         lows = self.lows
         n = len(lows)
-        if i < n and lows[i] == "as":
+        self.derived.add(lows[i])
+        i += 1
+        if i < n and lows[i] == "(":
             i += 1
-        if self._name_at(i):
-            self.derived.add(lows[i])
+            while i < n and lows[i] != ")":
+                if lows[i] != ",":
+                    self.derived.add(lows[i])
+                i += 1
             i += 1
-            if i < n and lows[i] == "(":
-                i += 1
-                while i < n and lows[i] != ")":
-                    if lows[i] != ",":
-                        self.derived.add(lows[i])
-                    i += 1
-                i += 1
         return i
 
     def _lookup_table(self, i: int) -> str | None:

@@ -234,6 +234,19 @@ def test_unknown_qualifier_input_error(query, qualifier, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_drop_other_than_view_input_error(tmp_path, capsys):
+    # once dropped as a query that references no attribute, with exit 0
+    bad = tmp_path / "w.sql"
+    bad.write_text("Q1 - drop table lineorder\n"
+                   "Q2 - select 1 from lineorder where lo_quantity = 3\n")
+    out = tmp_path / "o"
+    assert run(["advise", "--catalog", CAT, "--workload", str(bad),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: query 1: only DROP VIEW is supported\n"
+    assert not out.exists()
+
+
 def test_empty_workload_input_error(tmp_path):
     bad = tmp_path / "w.sql"
     bad.write_text("Q1 - select count(*) from lineorder\n")
@@ -591,9 +604,26 @@ def test_enumerate_rejects_advise_options():
 def test_demo_exit_zero(capsys, monkeypatch):
     monkeypatch.delenv("ADVISOR_SEED", raising=False)
     assert run(["demo"]) == 0
-    printed = capsys.readouterr().out
-    assert "naive join oracle agrees: True" in printed
-    assert "selected fact rows: [0, 4, 6]" in printed
+    # the whole walkthrough on the 12-row sales table: rows 0, 4 and 6 are
+    # Poitiers or Nantes customers buying toys or beauty products in March
+    assert capsys.readouterr().out == """\
+fact rows: 12
+  Mois=Aout: 000100001000
+  Mois=Juin: 010001010010
+  Mois=Mars: 101010100101
+  Type=Beaute: 010010010010
+  Type=Cuisine: 001001001001
+  Type=Jouet: 100100100100
+  Ville=Nantes: 001000100001
+  Ville=Paris: 010001000100
+  Ville=Poitiers: 100110011010
+VB Mois IN ['Mars']: 101010100101
+VB Type IN ['Jouet', 'Beaute']: 110110110110
+VB Ville IN ['Poitiers', 'Nantes']: 101110111011
+VBF: 100010100000
+selected fact rows: [0, 4, 6]
+naive join oracle agrees: True
+"""
 
 
 def test_demo_exits_3_when_the_naive_join_oracle_disagrees(capsys,

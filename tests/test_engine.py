@@ -15,14 +15,12 @@ def as_tuple(bm: int, n: int) -> tuple[int, ...]:
     return tuple(bm >> i & 1 for i in range(n))
 
 
-def test_minitable_from_csv():
-    t = MiniTable.from_csv("a,b\n1,x\n2,y\n", "T")
-    assert t.columns == ("a", "b")
+def test_minitable_values_and_col():
+    t = MiniTable("T", ("a", "b"), (("1", "x"), ("2", "y")))
     assert t.values("B") == ["x", "y"]
+    assert t.col("A") == 0
     with pytest.raises(EngineError):
         t.col("missing")
-    with pytest.raises(EngineError):
-        MiniTable.from_csv("", "T")
 
 
 def test_minitable_validation():

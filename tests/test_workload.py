@@ -309,6 +309,31 @@ def test_view_block_and_derived_columns():
                for a in names(schema, q.referenced))
 
 
+@pytest.mark.parametrize("sql, message", [
+    ("drop table lineorder", "only DROP VIEW is supported"),
+    ("DROP INDEX zz select 1 from lineorder where lo_quantity = 3",
+     "only DROP VIEW is supported"),
+    ("select 1 from lineorder where lo_quantity = 3; drop procedure p",
+     "only DROP VIEW is supported"),
+    ("drop", "truncated statement"),
+    ("drop view", "truncated statement"),
+    ("DROP VIEW ;", "truncated statement"),
+])
+def test_drop_other_than_drop_view_is_error(sql, message):
+    with pytest.raises(ParseError) as exc:
+        parse_query(sql, ssb_schema(), 7)
+    assert str(exc.value) == f"query 7: {message}"
+
+
+def test_drop_view_ends_a_statement():
+    q = parse_query("select 1 from lineorder where lo_quantity = 3;\n"
+                    "DROP VIEW v select 1 from lineorder where lo_discount = 1",
+                    ssb_schema())
+    assert q.predicates == parse_query(
+        "select 1 from lineorder where lo_quantity = 3 and lo_discount = 1",
+        ssb_schema()).predicates
+
+
 def _flip_case(rng, sql):
     """``sql`` with each ASCII letter outside its string literals in a
     random case."""
@@ -596,6 +621,15 @@ _TOKENS = (_KEYWORDS + sorted(_TPCH.tables)
 _SOUP = st.builds(lambda head, tokens: head + " ".join(tokens),
                   st.sampled_from(["", "select * from LINEITEM, ORDERS where "]),
                   st.lists(st.sampled_from(_TOKENS), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127), max_size=60) | _SOUP)
+def test_lowered_tokens_are_the_tokens_lowercased(text):
+    """ASCII text, which is scanned once lowered, gives ``tokenize``'s
+    tokens lowercased, or the same error."""
+    assert tokens_or_error(workload._lowered_tokens, text) == \
+        tokens_or_error(lambda t: [x.lower() for x in tokenize(t)], text)
 
 
 @settings(max_examples=300, deadline=None)
