@@ -116,14 +116,18 @@ class StarSchema:
         by_column: dict[tuple[str, str], int] = {}
         on_table = dict.fromkeys(tables, 0)
         indexable = 0
+        names = [""]
         for i, a in enumerate(attributes, 1):
+            qualified = a.qualified
             if a.table not in tables:
-                raise CatalogError(f"attribute {a.qualified}: unknown table {a.table}")
-            if a.qualified.lower() in index:
-                raise CatalogError(f"duplicate attribute {a.qualified}")
-            index[a.qualified.lower()] = i
-            by_name.setdefault(a.name.lower(), []).append(i)
-            by_column[a.table, a.name.lower()] = i
+                raise CatalogError(f"attribute {qualified}: unknown table {a.table}")
+            low, name = qualified.lower(), a.name.lower()
+            if low in index:
+                raise CatalogError(f"duplicate attribute {qualified}")
+            index[low] = i
+            names.append(qualified)
+            by_name.setdefault(name, []).append(i)
+            by_column[a.table, name] = i
             on_table[a.table] |= 1 << i
             if self.is_indexable(a):
                 indexable |= 1 << i
@@ -133,7 +137,7 @@ class StarSchema:
                 import logging
                 logging.getLogger(__name__).warning(
                     "attribute %s: cardinality %d exceeds table rows %d",
-                    a.qualified, a.cardinality, owner.rows)
+                    qualified, a.cardinality, owner.rows)
         links, link_masks = [], []
         for j in joins:
             fi = index.get(j.fact_attr.lower())
@@ -166,7 +170,7 @@ class StarSchema:
         self.ids_by_name = {name: i for name, (i, *more) in by_name.items()
                             if not more}
         self.ids_by_column, self._paths = by_column, paths
-        self.names = ("", *(a.qualified for a in attributes))
+        self.names = tuple(names)
         self.cards = (0, *(a.cardinality for a in attributes))
         self.on_table, self.indexable = on_table, indexable
         self._by_qualified, self._table_names = index, table_names

@@ -58,7 +58,7 @@ _KEYWORDS = {
     "having", "as", "on", "in", "like", "between", "exists", "case", "when",
     "then", "else", "end", "top", "distinct", "all", "left", "right", "outer",
     "inner", "join", "create", "view", "drop", "asc", "desc", "is", "null",
-    "union",
+    "union", "update", "insert", "delete",
 }
 
 _COMPARISONS = {"<", ">", "<=", ">=", "<>", "!=", "="}
@@ -78,11 +78,15 @@ _SCALAR_ARGS = {
 # identifiers a WHERE/ON clause never resolves as columns
 _NOT_COLUMNS = _KEYWORDS | _SCALAR_ARGS
 
+# the words that start a statement other than SELECT; each ends a SELECT
+# wherever it stands, as ';' does
+_STATEMENT_STARTS = {"create", "drop", "update", "insert", "delete"}
+
 # tokens that end, open or switch a clause inside a SELECT statement
 _SELECT_MARKERS = {
     ")", ";", "(", "select", "where", "from", "group", "order", "having", "on",
     "left", "right", "inner", "outer", "join", "exists",
-}
+} | _STATEMENT_STARTS
 
 
 def tokenize(sql: str) -> list[str]:
@@ -176,8 +180,8 @@ class _Extractor:
         """Scan one SELECT statement starting at token i == 'select'.
 
         Returns the index just after the statement (end of input, unbalanced
-        ')' or ';').  Collects attributes from WHERE/ON clauses only, in
-        one loop.
+        ')', ';' or the word that starts the next statement).  Collects
+        attributes from WHERE/ON clauses only, in one loop.
         """
         lows = self.lows
         n = len(lows)
@@ -192,9 +196,10 @@ class _Extractor:
                         return i  # caller consumes
                     depth -= 1
                     i += 1
-                elif low == ";" or low == "select" and clause != "select":
+                elif low == ";" or low in _STATEMENT_STARTS \
+                        or low == "select" and clause != "select":
                     # the end, or a new top-level statement in the same
-                    # block (annex Q15 style)
+                    # block (annex Q15 style, as its DROP VIEW)
                     return i
                 elif low in ("where", "from", "having", "on"):
                     clause = low

@@ -119,7 +119,7 @@ def parse(parser, argv) -> str:
 INPUTS = ["--catalog", "c.json", "--workload", "w.sql"]
 
 
-@pytest.mark.parametrize("argv", [
+PARSER_CASES = [
     ["advise", "-h"], ["compare", "--help"], ["enumerate", "-h"],
     ["demo", "-h"],
     ["advise"], ["compare", "--catalog", "c.json"], ["enumerate"],
@@ -131,19 +131,45 @@ INPUTS = ["--catalog", "c.json", "--workload", "w.sql"]
     ["advise", *INPUTS, "--bogus"], ["compare", *INPUTS, "--format", "json"],
     ["enumerate", *INPUTS, "--minsup", "0.5"], ["demo", "extra"],
     ["advise", *INPUTS], ["enumerate", *INPUTS, "--all"], ["demo"],
-])
-def test_one_command_parser_acts_as_the_full_parser(argv):
+]
+
+
+def assert_one_command_parser_acts_as_the_full_parser(argv):
     one, full = cli._build_parser(argv), cli._build_parser()
-    got = parse(one, argv)
+    got = parse(one, argv[1:])
     assert got == parse(full, argv)
     assert got.startswith(("usage", argv[0]))
     # the one-command parser holds that command only
-    other = next(c for c in ("advise", "demo") if c != argv[0])
-    rejected = parse(one, [other])
-    assert rejected.startswith("usage error: argument command: invalid "
-                               f"choice: '{other}'")
-    assert argv[0] in rejected.partition("choose from")[2]
-    assert other not in rejected.partition("choose from")[2]
+    assert one.prog == f"bji-advisor {argv[0]}"
+    (flags,) = [[f for f, _ in c[2]] for c in cli._COMMANDS if c[0] == argv[0]]
+    assert sorted(s for a in one._actions for s in a.option_strings) == \
+        sorted(["-h", "--help", *flags])
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES)
+def test_one_command_parser_acts_as_the_full_parser(argv):
+    assert_one_command_parser_acts_as_the_full_parser(argv)
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_one_command_parser_wraps_help_as_the_full_parser(columns,
+                                                          monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in PARSER_CASES:
+        assert_one_command_parser_acts_as_the_full_parser(argv)
+
+
+def test_a_named_command_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert run(["demo", "--rows", "3"]) == 0
+    assert built == ["bji-advisor demo"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -244,6 +270,19 @@ def test_drop_other_than_view_input_error(tmp_path, capsys):
                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
         "input error: query 1: only DROP VIEW is supported\n"
+    assert not out.exists()
+
+
+def test_statement_after_order_by_input_error(tmp_path, capsys):
+    # once swallowed by the ORDER BY's skip, with exit 0
+    bad = tmp_path / "w.sql"
+    bad.write_text("Q1 - select 1 from lineorder where lo_quantity = 3 "
+                   "order by lo_quantity insert into lineorder values (1)\n")
+    out = tmp_path / "o"
+    assert run(["advise", "--catalog", CAT, "--workload", str(bad),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: query 1: unsupported " \
+        "statement starting at 'insert'\n"
     assert not out.exists()
 
 

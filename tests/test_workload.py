@@ -334,6 +334,25 @@ def test_drop_view_ends_a_statement():
         ssb_schema()).predicates
 
 
+@pytest.mark.parametrize("sql, message", [
+    # each once parsed to the predicates before the statement, with the
+    # statement after the ORDER BY or GROUP BY swallowed
+    ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
+     "drop table lineorder", "only DROP VIEW is supported"),
+    ("select 1 from lineorder where lo_quantity = 3 group by lo_quantity "
+     "update lineorder set lo_discount = 1",
+     "unsupported statement starting at 'update'"),
+    # here the DELETE's WHERE predicate was added to the SELECT's
+    ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
+     "DELETE from lineorder where lo_tax = 2",
+     "unsupported statement starting at 'DELETE'"),
+])
+def test_a_statement_after_a_skipped_clause_is_parsed(sql, message):
+    with pytest.raises(ParseError) as exc:
+        parse_query(sql, ssb_schema(), 7)
+    assert str(exc.value) == f"query 7: {message}"
+
+
 def _flip_case(rng, sql):
     """``sql`` with each ASCII letter outside its string literals in a
     random case."""
