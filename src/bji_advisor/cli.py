@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -114,25 +113,23 @@ def _column_json(names) -> tuple[list[str], list[str]]:
     return [str(i) for i in range(len(names))], [encode(q) for q in names]
 
 
-def _float_json(x: float) -> str:
-    """``x`` as ``_encode_line`` writes it: a finite float as its repr,
-    which is what both JSON encoders write for one."""
-    return repr(x) if math.isfinite(x) else _encode_line(x)
-
-
 def _trace_lines(columns: tuple[list[str], list[str]], trace) -> _Lines:
     """Each ``ScoredMotif`` of ``trace`` as the line ``_encode_line`` writes
     for its record: ids, attrs, afc, selected, and fitness and support
-    rounded to 12 places.  ``columns`` is ``_column_json`` of the catalog,
-    whose names give a record's attrs from its ids."""
+    rounded to 12 places, each as its repr, which is what both JSON encoders
+    write for a finite float: a support is a share of the queries and a
+    fitness sums supports times page ratios of catalog ints, and an int
+    division raises rather than give a non-finite float.  ``columns`` is
+    ``_column_json`` of the catalog, whose names give a record's attrs from
+    its ids."""
     id_text, name_json = columns
     return _Lines([
         f'{{"afc": {m.afc}, '
         f'"attrs": [{", ".join([name_json[i] for i in m.ids])}], '
-        f'"fitness": {_float_json(round(m.fitness, 12))}, '
+        f'"fitness": {round(m.fitness, 12)!r}, '
         f'"ids": [{", ".join([id_text[i] for i in m.ids])}], '
         f'"selected": {"true" if m.selected else "false"}, '
-        f'"support": {_float_json(round(m.support, 12))}}}'
+        f'"support": {round(m.support, 12)!r}}}'
         for m in trace])
 
 
@@ -423,10 +420,10 @@ _COMMANDS = (
 def _build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser of ``argv``.  When ``argv`` starts with a command's name,
     one parser of that command alone, which parses ``argv[1:]`` as that
-    command's subparser would: same help, usage errors and command.
-    Otherwise the top-level parser with every command's subparser, which
-    parses ``argv``, so that the top-level help and the missing- and
-    unknown-command messages list every command."""
+    command's subparser would: same help, usage errors and options.
+    Otherwise the top-level parser (prog ``bji-advisor``) with every
+    command's subparser, which parses ``argv``, so that the top-level help
+    and the missing- and unknown-command messages list every command."""
     named = [c for c in _COMMANDS if argv and argv[0] == c[0]]
     if named:
         p = _Parser(prog=f"bji-advisor {argv[0]}")
@@ -437,10 +434,10 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
         sub = p.add_subparsers(dest="command", required=True)
         parsers = [sub.add_parser(name, help=help_)
                    for name, help_, _, _ in _COMMANDS]
-    for sp, (name, _, arguments, func) in zip(parsers, named or _COMMANDS):
+    for sp, (_, _, arguments, func) in zip(parsers, named or _COMMANDS):
         for flag, keywords in arguments:
             sp.add_argument(flag, **keywords)
-        sp.set_defaults(func=func, command=name)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -448,9 +445,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser = _build_parser(argv)
-        # a one-command parser takes what follows the command's name
         args = parser.parse_args(
-            argv[1:] if parser.get_default("command") else argv)
+            argv if parser.prog == "bji-advisor" else argv[1:])
         if not 0.0 < getattr(args, "minsup", 0.1) <= 1.0:
             raise UsageError("--minsup must be in (0, 1]")
         budget = getattr(args, "storage_budget", None)

@@ -53,13 +53,19 @@ _SCAN_RE = re.compile(r"\s*(" + _TOKEN + r"| \S[\s\S]*)", re.VERBOSE)
 _IDENT_START = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
+# the reserved words of SQL that start a statement other than SELECT; each
+# ends a SELECT wherever it stands, as ';' does
+_STATEMENT_STARTS = {
+    "create", "drop", "update", "insert", "delete", "truncate", "alter",
+    "merge", "grant",
+}
+
 _KEYWORDS = {
     "select", "from", "where", "and", "or", "not", "group", "by", "order",
     "having", "as", "on", "in", "like", "between", "exists", "case", "when",
     "then", "else", "end", "top", "distinct", "all", "left", "right", "outer",
-    "inner", "join", "create", "view", "drop", "asc", "desc", "is", "null",
-    "union", "update", "insert", "delete",
-}
+    "inner", "join", "view", "asc", "desc", "is", "null", "union",
+} | _STATEMENT_STARTS
 
 _COMPARISONS = {"<", ">", "<=", ">=", "<>", "!=", "="}
 
@@ -77,10 +83,6 @@ _SCALAR_ARGS = {
 
 # identifiers a WHERE/ON clause never resolves as columns
 _NOT_COLUMNS = _KEYWORDS | _SCALAR_ARGS
-
-# the words that start a statement other than SELECT; each ends a SELECT
-# wherever it stands, as ';' does
-_STATEMENT_STARTS = {"create", "drop", "update", "insert", "delete"}
 
 # tokens that end, open or switch a clause inside a SELECT statement
 _SELECT_MARKERS = {

@@ -103,13 +103,15 @@ def test_unknown_engine_usage_error(tmp_path):
                 "--engine", "wat", "--out", str(tmp_path)]) == 1
 
 
-def parse(parser, argv) -> str:
+def parse(parser, argv):
     """What ``parser`` makes of ``argv``: its help text, its usage error
-    message, or the command it would run."""
+    message, or the function it would run and its options, as a dict."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return parser.parse_args(argv).command
+            args = vars(parser.parse_args(argv))
+            args.pop("command", None)   # only the top-level parser sets it
+            return args
     except SystemExit:
         return out.getvalue()
     except cli.UsageError as exc:
@@ -138,7 +140,10 @@ def assert_one_command_parser_acts_as_the_full_parser(argv):
     one, full = cli._build_parser(argv), cli._build_parser()
     got = parse(one, argv[1:])
     assert got == parse(full, argv)
-    assert got.startswith(("usage", argv[0]))
+    if isinstance(got, dict):
+        assert got["func"] is getattr(cli, f"cmd_{argv[0]}")
+    else:
+        assert got.startswith("usage")
     # the one-command parser holds that command only
     assert one.prog == f"bji-advisor {argv[0]}"
     (flags,) = [[f for f, _ in c[2]] for c in cli._COMMANDS if c[0] == argv[0]]
@@ -385,7 +390,8 @@ def compare_inputs(name, directory, gen):
 def test_per_query_lines_are_what_the_encoder_writes(name, tmp_path, gen):
     """Each ``per_query`` line of ``compare.json`` is ``json.dumps`` of its
     record, and the file reads back as the document built from
-    ``cost_report`` with one dict per query."""
+    ``cost_report`` with one dict per query; every trace record's fitness
+    and support is finite."""
     cat, wl = compare_inputs(name, tmp_path, gen)
     out = tmp_path / "o"
     assert run(["compare", "--catalog", cat, "--workload", wl,
@@ -411,6 +417,9 @@ def test_per_query_lines_are_what_the_encoder_writes(name, tmp_path, gen):
         want_lines
     if name == "max-catalog":
         assert min(plans.no_index) > 1e30
+    # a trace record's floats are written as their repr, so must be finite
+    assert all(math.isfinite(m[k]) for e in doc["engines"].values()
+               for m in e["trace"] for k in ("fitness", "support"))
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers()
@@ -447,9 +456,12 @@ def test_encode_line_with_and_without_c_encoder(doc):
 _NAMES = st.text(max_size=8) | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "caf\u00e9", "\u2028",
      "\U0001f600", "\ud800"])
-# both signs of zero, tiny and huge values, subnormals and non-finite ones
+# both signs of zero, tiny and huge values and subnormals; a support or a
+# fitness is never non-finite (the max-catalog case of
+# test_per_query_lines_are_what_the_encoder_writes checks the extreme end)
 _FLOATS = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e300, 5e-324,
-                           2.2250738585072014e-308 / 3]) | st.floats()
+                           2.2250738585072014e-308 / 3]) | st.floats(
+    allow_nan=False, allow_infinity=False)
 
 
 @st.composite

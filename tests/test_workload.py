@@ -346,6 +346,17 @@ def test_drop_view_ends_a_statement():
     ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
      "DELETE from lineorder where lo_tax = 2",
      "unsupported statement starting at 'DELETE'"),
+    ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
+     "truncate table lineorder",
+     "unsupported statement starting at 'truncate'"),
+    ("select 1 from lineorder where lo_quantity = 3 group by lo_quantity "
+     "having count(*) > 1 alter table lineorder add x int",
+     "unsupported statement starting at 'alter'"),
+    ("select lo_quantity merge into lineorder using lineorder on 1 = 1",
+     "unsupported statement starting at 'merge'"),
+    ("select 1 from lineorder where lo_quantity = 3 group by lo_quantity "
+     "grant select on lineorder to public",
+     "unsupported statement starting at 'grant'"),
 ])
 def test_a_statement_after_a_skipped_clause_is_parsed(sql, message):
     with pytest.raises(ParseError) as exc:
