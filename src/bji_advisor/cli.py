@@ -113,23 +113,37 @@ def _column_json(names) -> tuple[list[str], list[str]]:
     return [str(i) for i in range(len(names))], [encode(q) for q in names]
 
 
+class _Texts(dict):
+    """``text(x)`` by nonzero value ``x``, worked out once per distinct
+    value.  0.0 and -0.0 are one key with two texts, so a zero is never
+    looked up: its text is its repr, written each time."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __missing__(self, x):
+        out = self[x] = self.text(x)
+        return out
+
+
 def _trace_lines(columns: tuple[list[str], list[str]], trace) -> _Lines:
     """Each ``ScoredMotif`` of ``trace`` as the line ``_encode_line`` writes
     for its record: ids, attrs, afc, selected, and fitness and support
     rounded to 12 places, each as its repr, which is what both JSON encoders
     write for a finite float: a support is a share of the queries and a
     fitness sums supports times page ratios of catalog ints, and an int
-    division raises rather than give a non-finite float.  ``columns`` is
-    ``_column_json`` of the catalog, whose names give a record's attrs from
-    its ids."""
+    division raises rather than give a non-finite float.  A zero rounds to
+    itself, so its text is its repr.  ``columns`` is ``_column_json`` of
+    the catalog, whose names give a record's attrs from its ids."""
     id_text, name_json = columns
+    texts = _Texts(lambda x: repr(round(x, 12)))
     return _Lines([
         f'{{"afc": {m.afc}, '
         f'"attrs": [{", ".join([name_json[i] for i in m.ids])}], '
-        f'"fitness": {round(m.fitness, 12)!r}, '
+        f'"fitness": {texts[m.fitness] if m.fitness else repr(m.fitness)}, '
         f'"ids": [{", ".join([id_text[i] for i in m.ids])}], '
         f'"selected": {"true" if m.selected else "false"}, '
-        f'"support": {round(m.support, 12)!r}}}'
+        f'"support": {texts[m.support] if m.support else repr(m.support)}}}'
         for m in trace])
 
 
@@ -137,8 +151,10 @@ def _cost_doc(tails: list[str], report: dict) -> dict:
     """``report`` with its ``costs`` as ``per_query`` lines (``tails`` ends
     each), as ``_encode_line`` writes them: a cost is finite, so its repr."""
     doc = dict(report)
-    doc["per_query"] = _Lines([f'{{"cost": {c!r}{tail}'
-                               for c, tail in zip(doc.pop("costs"), tails)])
+    texts = _Texts(repr)
+    doc["per_query"] = _Lines([
+        f'{{"cost": {texts[c] if c else repr(c)}{tail}'
+        for c, tail in zip(doc.pop("costs"), tails)])
     return doc
 
 
@@ -444,6 +460,10 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        if not argv:    # argparse's own message names no command
+            raise UsageError(
+                "the following arguments are required: command (choose from "
+                f"{', '.join([repr(c[0]) for c in _COMMANDS])})")
         parser = _build_parser(argv)
         args = parser.parse_args(
             argv if parser.prog == "bji-advisor" else argv[1:])

@@ -29,7 +29,8 @@ per-id tables (``StarSchema.names``, ``cards``, ``on_table``): a plan costs
 a configuration given as an id mask.  The joined dimensions and the no-index
 cost of a join depend only on the join endpoints a query references, so
 they are worked out once per such join shape.  A configuration re-costs
-only the queries that can use one of its indexes.  ``query_cost``,
+only the queries that can use one of its indexes, and a query is costed
+once per set of usable indexes in a run.  ``query_cost``,
 ``workload_cost``, ``cost_report`` (``costs`` in query order) and
 ``config_storage`` take configurations as qualified attribute names.
 """
@@ -78,16 +79,6 @@ def tuple_access_cost(n_tuples: float, table_pages: int) -> float:
     if table_pages <= 0 or n_tuples <= 0:
         return 0.0
     return table_pages * (1.0 - math.exp(-n_tuples / table_pages))
-
-
-def _selectivity(card: int, opclass: str, k: int) -> float:
-    if opclass == "equality":
-        return 1.0 / card
-    if opclass in ("range", "like"):
-        return RANGE_SELECTIVITY
-    if opclass == "in-list":
-        return min(1.0, max(k, 1) / card)
-    return 1.0
 
 
 def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
@@ -183,6 +174,7 @@ class WorkloadPlan:
                 self.users.setdefault(i, []).append(k)
         self.no_index = tuple(p.no_index for p in self.plans)
         self.baseline = sum(self.no_index)
+        self._known: dict[tuple[int, int], float] = {}
 
     def _join_shape(self, query: ParsedQuery) -> tuple:
         """The joined dimensions of ``query``, as (table, pages, mask of
@@ -199,8 +191,10 @@ class WorkloadPlan:
 
     def plan(self, query: ParsedQuery) -> QueryPlan:
         """The cost plan of one query: its join shape, worked out once per
-        shape, and its selectivities.  Of the predicates on one column,
-        the most selective counts."""
+        shape, and its selectivities: 1/cardinality for an equality, 1/3
+        for a range or LIKE, k/cardinality (at most 1) for an IN list of k
+        values.  Of the predicates on one column, the most selective
+        counts."""
         schema = self.schema
         ref = query.referenced
         key = ref & self._link_ends
@@ -215,8 +209,15 @@ class WorkloadPlan:
         cards = schema.cards
         best: dict[int, float] = {}
         for i, opclass, k in query.predicates:
-            s = _selectivity(cards[i], opclass, k)
-            if s < best.get(i, 1.0):  # a selectivity of 1 filters nothing
+            if opclass == "equality":
+                s = 1.0 / cards[i]
+            elif opclass == "range" or opclass == "like":
+                s = RANGE_SELECTIVITY
+            elif opclass == "in-list":
+                s = min(1.0, max(k, 1) / cards[i])
+            else:
+                continue    # a join, subquery or reference filters nothing
+            if s < best.get(i, 1.0):  # nor does a selectivity of 1
                 best[i] = s
         return QueryPlan(
             query.id, dims, no_index, ref & on_dims, self.load_pages,
@@ -226,18 +227,29 @@ class WorkloadPlan:
 
     def costs(self, config: int) -> list[float]:
         """Cost of each query under the id mask ``config``, in query order."""
-        out = list(self.no_index)
-        for k in {k for i in bits(config) for k in self.users.get(i, ())}:
-            out[k] = self.plans[k].cost(config)
-        return out
+        return self._costed(
+            list(self.no_index),
+            {k for i in bits(config) for k in self.users.get(i, ())}, config)
 
     def recost(self, costs: Sequence[float], config: int,
                attr: int) -> list[float]:
         """``costs``, the per-query costs of ``config`` without the id
         ``attr``, updated to ``config`` (an id mask holding ``attr``)."""
-        out = list(costs)
-        for k in self.users.get(attr, ()):
-            out[k] = self.plans[k].cost(config)
+        return self._costed(list(costs), self.users.get(attr, ()), config)
+
+    def _costed(self, out: list[float], ks: Iterable[int],
+                config: int) -> list[float]:
+        """``out`` with the cost under ``config`` of each query k of ``ks``.
+        A plan's cost reads only ``config & usable``, so each query is
+        costed once per such mask in a run; ``_known`` keeps the costs by
+        (k, mask)."""
+        plans, known = self.plans, self._known
+        for k in ks:
+            key = k, config & plans[k].usable
+            cost = known.get(key)
+            if cost is None:
+                cost = known[key] = plans[k].cost(config)
+            out[k] = cost
         return out
 
 

@@ -5,7 +5,8 @@ used by the shipped workloads (AND/OR comparison predicates, BETWEEN, IN,
 LIKE, join equalities, subqueries, derived tables, views, T-SQL date helpers).
 It collects the attributes referenced by WHERE and ON clauses; SELECT, GROUP
 BY, ORDER BY and HAVING are tolerated and ignored.  Vendor constructs outside
-that dialect are rejected rather than guessed.
+that dialect, and a comparison with no right-hand operand, are rejected rather
+than guessed.
 
 Each referenced column resolves once, through the catalog's lookup tables,
 to its column id: its 1-based position in the catalog's declaration order,
@@ -57,7 +58,7 @@ _IDENT_START = frozenset(
 # ends a SELECT wherever it stands, as ';' does
 _STATEMENT_STARTS = {
     "create", "drop", "update", "insert", "delete", "truncate", "alter",
-    "merge", "grant",
+    "merge", "grant", "set", "call", "commit", "rollback",
 }
 
 _KEYWORDS = {
@@ -89,6 +90,11 @@ _SELECT_MARKERS = {
     ")", ";", "(", "select", "where", "from", "group", "order", "having", "on",
     "left", "right", "inner", "outer", "join", "exists",
 } | _STATEMENT_STARTS
+
+# tokens no right-hand operand starts: the end of a statement or clause, a
+# connective or another operator
+_NO_OPERAND = (_SELECT_MARKERS - {"(", "exists"}) | _COMPARISONS \
+    | {"and", "or"}
 
 
 def tokenize(sql: str) -> list[str]:
@@ -234,7 +240,11 @@ class _Extractor:
                 i += 1
                 while i < n and lows[i] not in _SELECT_MARKERS:
                     i += 1
-            elif low[0] not in _IDENT_START or low in _NOT_COLUMNS and (
+            elif low[0] not in _IDENT_START:
+                if low in _COMPARISONS:
+                    self._operand(i)
+                i += 1
+            elif low in _NOT_COLUMNS and (
                     low not in _SCALAR_ARGS or not self._compared_column(i)):
                 i += 1
             elif i + 1 < n and lows[i + 1] == "(":
@@ -244,6 +254,8 @@ class _Extractor:
                 if cid is None:  # a derived or alias name
                     i = j
                 elif j < n and lows[j] in _OPCLASS:
+                    if lows[j] in _COMPARISONS:
+                        self._operand(j)
                     self.predicates.append((cid, _OPCLASS[lows[j]], 0))
                     i = j + 1
                 else:
@@ -306,6 +318,13 @@ class _Extractor:
             and (lows[i - 1] in _COMPARISONS
                  or i + 1 < len(lows) and lows[i + 1] in _COMPARISONS)
 
+    def _operand(self, i: int) -> None:
+        """Raise unless a right-hand operand follows the comparison
+        operator at i."""
+        lows = self.lows
+        if i + 1 == len(lows) or lows[i + 1] in _NO_OPERAND:
+            raise ParseError(f"no right-hand operand after {lows[i]!r}")
+
     # ------------------------------------------------------------------
     def _resolve(self, i: int) -> tuple[int | None, int]:
         """The column id of the name at i, qualified by it when a '.' and
@@ -349,6 +368,8 @@ class _Extractor:
             nxt = lows[j + 1]
             j += 1
         if nxt in _OPCLASS:
+            if nxt in _COMPARISONS:
+                self._operand(j)
             opclass = _OPCLASS[nxt]
             resume = j + 1
         elif nxt == "=":
@@ -401,11 +422,13 @@ def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
         raise ParseError(f"query {qid}: truncated statement") from exc
     except RecursionError as exc:
         raise ParseError(f"query {qid}: subqueries nested too deeply") from exc
-    return ParsedQuery(id=qid, referenced=mask([p[0] for p in ex.predicates]),
-                       predicates=tuple(ex.predicates))
+    return ParsedQuery(qid, mask([p[0] for p in ex.predicates]),
+                       tuple(ex.predicates))
 
 
-_HEADER_RE = re.compile(r"^\s*[Qq](\d+)\s*[-:]\s*", re.MULTILINE)
+# a header starts a line: the text is searched with a newline before it, so
+# that each search skips ahead to a newline rather than trying each character
+_HEADER_RE = re.compile(r"\n\s*[Qq](\d+)\s*[-:]\s*")
 
 
 def split_workload(text: str) -> list[tuple[int, str]]:
@@ -414,22 +437,30 @@ def split_workload(text: str) -> list[tuple[int, str]]:
     Two styles are accepted: ``Qn -`` or ``Qn :`` headers, with ``q`` or
     ``Q``, or queries separated by a line containing only ``;``.  With
     headers, text before the first one and a repeated query id are errors.
+    A header is ``_HEADER_RE`` found in ``"\\n" + text``: a match starts
+    where the header starts in ``text`` and ends one character past its end.
+    Each search restarts at the last character of the header before it, as
+    a header whose trailing whitespace ends in a newline leaves that newline
+    to start the next one.
     """
-    headers = list(_HEADER_RE.finditer(text))
-    if headers:
-        before = text[:headers[0].start()].strip()
+    lined = "\n" + text
+    m = _HEADER_RE.search(lined)
+    if m:
+        before = text[:m.start()].strip()
         if before:
             raise ParseError(
                 f"text before the first query header: {before[:40]!r}")
         out = []
         seen: set[int] = set()
-        for k, m in enumerate(headers):
+        while m:
             qid = int(m.group(1))
             if qid in seen:
                 raise ParseError(f"query id Q{qid} appears more than once")
             seen.add(qid)
-            end = headers[k + 1].start() if k + 1 < len(headers) else len(text)
-            out.append((qid, text[m.end():end].strip()))
+            nxt = _HEADER_RE.search(lined, m.end() - 1)
+            out.append((qid, text[m.end() - 1:nxt.start() if nxt else None]
+                        .strip()))
+            m = nxt
         return out
     blocks = re.split(r"^\s*;\s*$", text, flags=re.MULTILINE)
     return [(k + 1, b.strip()) for k, b in enumerate(blocks) if b.strip()]

@@ -185,8 +185,8 @@ def test_no_command_lists_every_command(argv, message, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert message in err
-    if argv:
-        assert all(c in err for c in ("advise", "compare", "enumerate", "demo"))
+    assert all(f"'{c}'" in err
+               for c in ("advise", "compare", "enumerate", "demo"))
     help_text = parse(cli._build_parser(["-h"]), ["-h"])
     assert "{advise,compare,enumerate,demo}" in help_text
 
@@ -288,6 +288,19 @@ def test_statement_after_order_by_input_error(tmp_path, capsys):
                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == "input error: query 1: unsupported " \
         "statement starting at 'insert'\n"
+    assert not out.exists()
+
+
+def test_comparison_without_operand_input_error(tmp_path, capsys):
+    # once parsed as a range predicate, with exit 0
+    bad = tmp_path / "w.sql"
+    bad.write_text("Q1 - select 1 from lineorder where lo_quantity = 3\n"
+                   "Q2 - select 1 from lineorder where lo_quantity <\n")
+    out = tmp_path / "o"
+    assert run(["compare", "--catalog", CAT, "--workload", str(bad),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: query 2: no right-hand operand after '<'\n"
     assert not out.exists()
 
 
@@ -496,6 +509,20 @@ def test_trace_lines_are_what_the_encoder_writes(drawn):
                                                      trace)})
     assert json.dumps(json.loads(text)) == \
         json.dumps({"trace": [json.loads(line) for line in want]})
+
+
+def test_cost_doc_writes_each_zero_as_itself():
+    """0.0 and -0.0 are one value but two texts, in any order in one
+    report."""
+    costs = [0.0, -0.0, 2.5, 0.0, 2.5, -0.0, 1e-300, -1e-300]
+    tails = [f', "query": {k}}}' for k in range(len(costs))]
+    doc = cli._cost_doc(tails, {"costs": costs, "total": 5.0})
+    assert list(doc["per_query"]) == [
+        json.dumps({"cost": c, "query": k}, sort_keys=True)
+        for k, c in enumerate(costs)]
+    assert [math.copysign(1, json.loads(line)["cost"])
+            for line in doc["per_query"]] == [1, -1, 1, 1, 1, -1, 1, -1]
+    assert doc["total"] == 5.0 and "costs" not in doc
 
 
 def listing_oracle(cat, wl, all_):

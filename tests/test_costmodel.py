@@ -480,6 +480,43 @@ def test_close_select_equals_full_recost_loop(cat, wl):
                                                           budget)
 
 
+@pytest.mark.parametrize("minsup", [0.1, 0.02])
+@pytest.mark.parametrize("cat, wl", [("ssb.json", "ssb.sql"),
+                                     ("tpch.json", "tpch.sql"),
+                                     ("synth-templates", 0)])
+def test_remembered_costs_are_fresh_costs(cat, wl, minsup, gen):
+    """Every per-query cost that ``costs`` and ``recost`` return in a run,
+    through ``close_select``'s trials and the three engines' cost reports,
+    some of them remembered from an earlier configuration with the same
+    usable indexes, is the cost a fresh plan works out and the oracle's."""
+    schema, m = load(cat, wl, gen)
+    plans = costmodel.WorkloadPlan(schema, m.queries)
+    returned = []     # (config mask, per-query costs)
+
+    def recorded(method, at):
+        def call(*args):
+            out = method(*args)
+            returned.append((args[at], out))
+            return out
+        return call
+
+    plans.costs = recorded(plans.costs, 0)
+    plans.recost = recorded(plans.recost, 1)
+    motifs = selection.mine_closed_frequent_itemsets(m, minsup)
+    configs = [selection.tm_ijb(schema, m),
+               selection.close_select(schema, m, plans, motifs),
+               selection.dynaclose_select(schema, m, motifs)]
+    for cfg in configs:
+        costmodel.cost_report(plans, cfg.attrs)
+    assert len(returned) > len(configs)     # close_select made trials
+    fresh = costmodel.WorkloadPlan(schema, m.queries).plans
+    for config, out in returned:
+        names = [schema.names[i] for i in bits(config)]
+        assert out == [p.cost(config) for p in fresh]
+        assert out == [oracle_query_cost(schema, q, names)
+                       for q in m.queries]
+
+
 # a dotted table name: ``d.b.c`` falls between ``d.a`` and ``d.z`` in name
 # order, so a table's qualified names need not be contiguous
 DOTTED = ({"page_size": 4096, "tables": [

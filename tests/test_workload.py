@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bji_advisor import costmodel, data_path, workload
 from bji_advisor.hypergraph import bits, mask
@@ -90,6 +90,66 @@ def test_split_header_with_internal_blank_line():
     blocks = split_workload(text)
     assert len(blocks) == 2
     assert "select 2" in blocks[0][1]
+
+
+def oracle_split_workload(text):
+    """The header split as a multiline ``finditer`` of
+    ``^\\s*[Qq](\\d+)\\s*[-:]\\s*``: every header found where the one
+    before it ended."""
+    headers = list(re.finditer(r"^\s*[Qq](\d+)\s*[-:]\s*", text,
+                               re.MULTILINE))
+    if not headers:
+        blocks = re.split(r"^\s*;\s*$", text, flags=re.MULTILINE)
+        return [(k + 1, b.strip()) for k, b in enumerate(blocks) if b.strip()]
+    before = text[:headers[0].start()].strip()
+    if before:
+        raise ParseError(
+            f"text before the first query header: {before[:40]!r}")
+    out, seen = [], set()
+    for k, m in enumerate(headers):
+        qid = int(m.group(1))
+        if qid in seen:
+            raise ParseError(f"query id Q{qid} appears more than once")
+        seen.add(qid)
+        end = headers[k + 1].start() if k + 1 < len(headers) else len(text)
+        out.append((qid, text[m.end():end].strip()))
+    return out
+
+
+def split_or_error(split, text):
+    try:
+        return split(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# whitespace of every kind ``\\s`` matches, blank lines, indented and
+# split headers, an empty-body header before an indented one, mid-line
+# headers, repeated ids and ';' separators
+_SPLIT_PIECES = st.sampled_from([
+    "\r\n", "\x0b", "\x0c", "\xa0", " ", "\n", "\n\n", "\n  \n", "\t",
+    "Q1 - ", "q2: ", "Q3 -", "  Q1 - ", "\x0bq4 :", "Q1\n- ", "Q2 -\n",
+    "Q1 -\n  Q2 - ", "select 1 q1 - ", "select 2", "x", ";", "\n;\n", "-", ":",
+])
+
+
+@given(st.lists(_SPLIT_PIECES, max_size=12).map("".join))
+@example("Q1 -\nQ2 - select 1")
+@example("Q1 -\n  Q2 - select 1")
+@example("Q1 -\r\nq2 : select 1\n\x0c Q3-\n")
+def test_split_finds_the_headers_of_a_multiline_finditer(text):
+    """The header search restarts on the last character of the header
+    before it; a plain ``finditer`` of the newline-led pattern misses the
+    header after ``Q1 -\\n``."""
+    assert split_or_error(split_workload, text) == \
+        split_or_error(oracle_split_workload, text)
+
+
+def test_an_empty_header_takes_an_indented_one_as_its_body():
+    # the first header's whitespace runs on into the next line
+    assert split_workload("Q1 -\n  Q2 - select 1") == [(1, "Q2 - select 1")]
+    assert split_workload("Q1 -\nQ2 - select 1") == [(1, ""),
+                                                     (2, "select 1")]
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +417,61 @@ def test_drop_view_ends_a_statement():
     ("select 1 from lineorder where lo_quantity = 3 group by lo_quantity "
      "grant select on lineorder to public",
      "unsupported statement starting at 'grant'"),
+    ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
+     "set lo_tax = 1", "unsupported statement starting at 'set'"),
+    ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
+     "CALL p()", "unsupported statement starting at 'CALL'"),
+    ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
+     "commit", "unsupported statement starting at 'commit'"),
+    ("select 1 from lineorder where lo_quantity = 3 group by lo_quantity "
+     "having count(*) > 1 rollback",
+     "unsupported statement starting at 'rollback'"),
 ])
 def test_a_statement_after_a_skipped_clause_is_parsed(sql, message):
     with pytest.raises(ParseError) as exc:
         parse_query(sql, ssb_schema(), 7)
     assert str(exc.value) == f"query 7: {message}"
+
+
+@pytest.mark.parametrize("where, operator", [
+    ("lo_quantity <", "<"),                     # the end of the statement
+    ("lo_quantity < ;", "<"),
+    ("(lo_quantity >= )", ">="),
+    ("d_year = and lo_quantity < 25", "="),
+    ("lo_quantity = = 3", "="),
+    ("lo_quantity < 3 or lo_tax <> or lo_tax = 1", "<>"),
+    ("lo_quantity != group by lo_quantity", "!="),
+    ("lo_quantity not <= order by 1", "<="),
+    ("3 > ", ">"),                              # no column before it
+    ("lo_quantity = 3 and d_year = select 1", "="),
+])
+def test_a_comparison_without_a_right_hand_operand_is_an_error(where,
+                                                               operator):
+    sql = f"select 1 from lineorder, dates where {where}"
+    with pytest.raises(ParseError) as exc:
+        parse_query(sql, ssb_schema(), 4)
+    assert str(exc.value) == \
+        f"query 4: no right-hand operand after {operator!r}"
+
+
+@pytest.mark.parametrize("where, predicates", [
+    ("lo_quantity = null", {"lineorder.lo_quantity": ("equality", 0)}),
+    ("lo_quantity > all (select lo_tax from lineorder)",
+     {"lineorder.lo_quantity": ("range", 0)}),
+    ("lo_quantity = case when lo_tax = 1 then 2 else 3 end",
+     {"lineorder.lo_quantity": ("equality", 0),
+      "lineorder.lo_tax": ("equality", 0)}),
+    ("lo_quantity = - 5", {"lineorder.lo_quantity": ("equality", 0)}),
+    ("lo_quantity = (select max(lo_tax) from lineorder where lo_tax < 5)",
+     {"lineorder.lo_quantity": ("subquery", 0),
+      "lineorder.lo_tax": ("range", 0)}),
+    ("lo_quantity < 3 and lo_tax like 'x' order by lo_quantity desc",
+     {"lineorder.lo_quantity": ("range", 0),
+      "lineorder.lo_tax": ("like", 0)}),
+])
+def test_a_comparison_with_a_right_hand_operand_parses(where, predicates):
+    q = parse_query(f"select 1 from lineorder where {where}", ssb_schema())
+    assert predicates_by_name(ssb_schema(), q) == predicates
 
 
 def _flip_case(rng, sql):
