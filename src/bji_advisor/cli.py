@@ -460,7 +460,7 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if not argv:    # argparse's own message names no command
+        if argv in ([], ["--"]):    # argparse's message names no command
             raise UsageError(
                 "the following arguments are required: command (choose from "
                 f"{', '.join([repr(c[0]) for c in _COMMANDS])})")

@@ -5,8 +5,8 @@ used by the shipped workloads (AND/OR comparison predicates, BETWEEN, IN,
 LIKE, join equalities, subqueries, derived tables, views, T-SQL date helpers).
 It collects the attributes referenced by WHERE and ON clauses; SELECT, GROUP
 BY, ORDER BY and HAVING are tolerated and ignored.  Vendor constructs outside
-that dialect, and a comparison with no right-hand operand, are rejected rather
-than guessed.
+that dialect, and a predicate operator without the operand it needs, are
+rejected rather than guessed.
 
 Each referenced column resolves once, through the catalog's lookup tables,
 to its column id: its 1-based position in the catalog's declaration order,
@@ -54,47 +54,52 @@ _SCAN_RE = re.compile(r"\s*(" + _TOKEN + r"| \S[\s\S]*)", re.VERBOSE)
 _IDENT_START = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-# the reserved words of SQL that start a statement other than SELECT; each
-# ends a SELECT wherever it stands, as ';' does
-_STATEMENT_STARTS = {
-    "create", "drop", "update", "insert", "delete", "truncate", "alter",
-    "merge", "grant", "set", "call", "commit", "rollback",
+# Each word or symbol the walk tells apart has classes, as flags:
+_END = 1         # starts another statement, so ends a SELECT wherever it
+                 # stands, unless it may start an operand and '(' follows
+_MARK = 2        # ends, opens or switches a clause inside a SELECT
+_RESERVED = 4    # never a column, a table alias or a view name
+_HELPER = 8      # dateadd part or cast type; a column next to a comparison
+_COMPARE = 16    # a comparison operator
+_NON_OPERAND = 32  # starts no operand: it ends a clause, connects or compares
+# and what an operator needs after it: _ONE an operand, _PAIR then an AND,
+# itself _ONE (BETWEEN), _LIST IN's '(' and _NULL IS's [NOT] NULL
+_ONE, _PAIR, _LIST, _NULL = 64, 128, 256, 512
+_CLAUSE = _MARK | _RESERVED | _NON_OPERAND
+
+# each lowered word or symbol: its flags and, for a predicate operator, the
+# class of its predicates
+_TABLE = {
+    **dict.fromkeys("create drop update insert delete truncate alter merge "
+                    "grant set call commit rollback".split(),
+                    (_END | _CLAUSE, None)),
+    "replace": (_END | _MARK | _RESERVED, None),
+    ";": (_END | _MARK | _NON_OPERAND, None), ")": (_MARK | _NON_OPERAND, None),
+    "(": (_MARK, None), "exists": (_MARK | _RESERVED, None),
+    **dict.fromkeys("select where from group order having on left right "
+                    "inner outer join".split(), (_CLAUSE, None)),
+    "and": (_RESERVED | _NON_OPERAND | _ONE, None),
+    "or": (_RESERVED | _NON_OPERAND, None),
+    **dict.fromkeys("not by as case when then else end top distinct all view "
+                    "asc desc null union".split(), (_RESERVED, None)),
+    **dict.fromkeys("dd mm yy yyyy qq dy wk ww hh mi ss date datetime time "
+                    "int integer bigint float real char varchar decimal "
+                    "numeric".split(), (_HELPER, None)),
+    **dict.fromkeys("< > <= >= <> !=".split(),
+                    (_COMPARE | _NON_OPERAND | _ONE, "range")),
+    "=": (_COMPARE | _NON_OPERAND | _ONE, "equality"),
+    "like": (_RESERVED | _NON_OPERAND | _ONE, "like"),
+    "between": (_RESERVED | _NON_OPERAND | _ONE | _PAIR, "range"),
+    "in": (_RESERVED | _NON_OPERAND | _LIST, "in-list"),
+    "is": (_RESERVED | _NON_OPERAND | _NULL, "ref"),
 }
-
-_KEYWORDS = {
-    "select", "from", "where", "and", "or", "not", "group", "by", "order",
-    "having", "as", "on", "in", "like", "between", "exists", "case", "when",
-    "then", "else", "end", "top", "distinct", "all", "left", "right", "outer",
-    "inner", "join", "view", "asc", "desc", "is", "null", "union",
-} | _STATEMENT_STARTS
-
-_COMPARISONS = {"<", ">", "<=", ">=", "<>", "!=", "="}
-
-# the class of each operator whose right-hand side the class ignores
-_OPCLASS = {"<": "range", ">": "range", "<=": "range", ">=": "range",
-            "<>": "range", "!=": "range", "between": "range", "like": "like"}
-
-# bare arguments of T-SQL scalar helpers (dateadd/datepart parts, cast types);
-# one that names a column is that column next to a comparison operator
-_SCALAR_ARGS = {
-    "dd", "mm", "yy", "yyyy", "qq", "dy", "wk", "ww", "hh", "mi", "ss",
-    "date", "datetime", "time", "int", "integer", "bigint", "float", "real",
-    "char", "varchar", "decimal", "numeric",
-}
-
-# identifiers a WHERE/ON clause never resolves as columns
-_NOT_COLUMNS = _KEYWORDS | _SCALAR_ARGS
-
-# tokens that end, open or switch a clause inside a SELECT statement
-_SELECT_MARKERS = {
-    ")", ";", "(", "select", "where", "from", "group", "order", "having", "on",
-    "left", "right", "inner", "outer", "join", "exists",
-} | _STATEMENT_STARTS
-
-# tokens no right-hand operand starts: the end of a statement or clause, a
-# connective or another operator
-_NO_OPERAND = (_SELECT_MARKERS - {"(", "exists"}) | _COMPARISONS \
-    | {"and", "or"}
+_FLAGS = {w: f for w, (f, _) in _TABLE.items()}
+# the predicate operators, with their predicates' class
+_OPERATORS = {w: opclass for w, (_, opclass) in _TABLE.items() if opclass}
+# the hot membership tests of the walk and of ``_operand``
+_MARKERS = frozenset(w for w, f in _FLAGS.items() if f & _MARK)
+_NON_OPERANDS = frozenset(w for w, f in _FLAGS.items() if f & _NON_OPERAND)
+_NEEDS = frozenset(w for w, f in _FLAGS.items() if f & (_ONE | _LIST | _NULL))
 
 
 def tokenize(sql: str) -> list[str]:
@@ -115,12 +120,6 @@ def _lowered_tokens(sql: str) -> list[str]:
     if sql.isascii():
         return tokenize(sql.lower())
     return [t.lower() for t in tokenize(sql)]
-
-
-def _is_number(tok: str) -> bool:
-    """Whether a token of ``tokenize``'s output is a number: its first
-    character decides its kind."""
-    return tok[0].isdecimal() or (tok[0] == "." and len(tok) > 1)
 
 
 class _Extractor:
@@ -144,9 +143,9 @@ class _Extractor:
         return tokenize(self.sql)
 
     def _name_at(self, i: int) -> bool:
-        """Whether token i exists and is an identifier but not a keyword."""
+        """Whether token i exists and is an identifier, no reserved word."""
         return i < len(self.lows) and self.lows[i][0] in _IDENT_START \
-            and self.lows[i] not in _KEYWORDS
+            and not _FLAGS.get(self.lows[i], 0) & _RESERVED
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -185,12 +184,9 @@ class _Extractor:
 
     # ------------------------------------------------------------------
     def _select(self, i: int) -> int:
-        """Scan one SELECT statement starting at token i == 'select'.
-
-        Returns the index just after the statement (end of input, unbalanced
-        ')', ';' or the word that starts the next statement).  Collects
-        attributes from WHERE/ON clauses only, in one loop.
-        """
+        """Scan the SELECT statement at token i, collecting the attributes
+        of its WHERE/ON clauses; return the index of its end: the end of
+        input, an unbalanced ')', ';' or the next statement's first word."""
         lows = self.lows
         n = len(lows)
         clause = "select"
@@ -198,13 +194,14 @@ class _Extractor:
         i += 1
         while i < n:
             low = lows[i]
-            if low in _SELECT_MARKERS:
+            if low in _MARKERS:
                 if low == ")":
                     if not depth:
                         return i  # caller consumes
                     depth -= 1
                     i += 1
-                elif low == ";" or low in _STATEMENT_STARTS \
+                elif _FLAGS[low] & _END and (_FLAGS[low] & _NON_OPERAND
+                                             or lows[i + 1:i + 2] != ["("]) \
                         or low == "select" and clause != "select":
                     # the end, or a new top-level statement in the same
                     # block (annex Q15 style, as its DROP VIEW)
@@ -218,16 +215,18 @@ class _Extractor:
                 elif low == "(":
                     if i + 1 < n and lows[i + 1] == "select":
                         j = self._select(i + 1)
-                        if j < n and lows[j] == ")":
-                            j += 1
-                        if clause == "from":
-                            j = self._derived_alias(j)
+                        j += lows[j:j + 1] == [")"]
+                        if clause == "from":  # the derived table's alias
+                            j += lows[j:j + 1] == ["as"]
+                            if self._name_at(j):
+                                j = self._derived_names(j)
                         i = j
                     else:
                         depth += 1
                         i += 1
                 else:
-                    # exists, a join keyword, a select in the select list
+                    # exists, a join keyword, a select in the select list,
+                    # a call of a function named like a statement
                     if low == "join" and clause == "on":
                         clause = "from"
                     i += 1
@@ -236,30 +235,26 @@ class _Extractor:
                 i = self._from_item(i) if low[0] in _IDENT_START else i + 1
             elif clause != "where" and clause != "on":
                 # select/group/order/having name no column: on to the next
-                # marker (subqueries are handled by '(')
+                # marker (subqueries are handled by '('); an operator or AND
+                # just before it must still have its operand
                 i += 1
-                while i < n and lows[i] not in _SELECT_MARKERS:
+                while i < n and lows[i] not in _MARKERS:
                     i += 1
-            elif low[0] not in _IDENT_START:
-                if low in _COMPARISONS:
+                if lows[i - 1] in _NEEDS:
+                    self._operand(i - 1)
+            elif low[0] not in _IDENT_START or low in _FLAGS and (
+                    not _FLAGS[low] & _HELPER or not self._compared_column(i)):
+                # a literal, a symbol or a word that is no column; an
+                # operator here follows no column
+                if low in _OPERATORS:
                     self._operand(i)
-                i += 1
-            elif low in _NOT_COLUMNS and (
-                    low not in _SCALAR_ARGS or not self._compared_column(i)):
                 i += 1
             elif i + 1 < n and lows[i + 1] == "(":
                 i += 1  # a call: its arguments are scanned next
             else:
                 cid, j = self._resolve(i)
-                if cid is None:  # a derived or alias name
-                    i = j
-                elif j < n and lows[j] in _OPCLASS:
-                    if lows[j] in _COMPARISONS:
-                        self._operand(j)
-                    self.predicates.append((cid, _OPCLASS[lows[j]], 0))
-                    i = j + 1
-                else:
-                    i = self._classify(j, cid)
+                # a derived or alias name, or a column and its predicate
+                i = j if cid is None else self._classify(j, cid)
         return i
 
     # ------------------------------------------------------------------
@@ -277,11 +272,6 @@ class _Extractor:
             self.aliases[lows[j]] = table
             j += 1
         return j
-
-    def _derived_alias(self, i: int) -> int:
-        if i < len(self.lows) and self.lows[i] == "as":
-            i += 1
-        return self._derived_names(i) if self._name_at(i) else i
 
     def _derived_names(self, i: int) -> int:
         """Add the view or derived-table name at i, and the column names
@@ -301,29 +291,41 @@ class _Extractor:
         return i
 
     def _lookup_table(self, i: int) -> str | None:
+        """The catalog table named at i, else the derived relation or view
+        of that name, whose columns resolve to nothing."""
         low = self.lows[i]
         table = self.schema.find_table(low)
-        if table is None and low in self.derived:
-            # derived relation/view: columns resolve to nothing
-            return low
-        return table
+        return low if table is None and low in self.derived else table
 
     def _compared_column(self, i: int) -> bool:
-        """Whether the helper-argument name at i is a column: only one table
-        has a column of that name, and a comparison operator is next to it.
-        Inside a call, as in ``dateadd(dd, ...)`` or ``cast(... as date)``,
-        it is an argument."""
+        """Whether the helper-argument name at i is a column: one table has a
+        column of that name, and a comparison operator is next to it; in a
+        call, as ``dateadd(dd, ...)`` or ``cast(... as date)``, it is not."""
         lows = self.lows
-        return lows[i] in self.schema.ids_by_name \
-            and (lows[i - 1] in _COMPARISONS
-                 or i + 1 < len(lows) and lows[i + 1] in _COMPARISONS)
+        return lows[i] in self.schema.ids_by_name and any(
+            _FLAGS.get(t, 0) & _COMPARE for t in lows[i - 1:i + 2:2])
 
     def _operand(self, i: int) -> None:
-        """Raise unless a right-hand operand follows the comparison
-        operator at i."""
+        """Raise unless what the operator at i needs, as its flags say,
+        follows it: an operand, a token no ``_NON_OPERAND`` word is; for
+        BETWEEN, that, AND and that; for IN, '('; for IS, [NOT] NULL."""
         lows = self.lows
-        if i + 1 == len(lows) or lows[i + 1] in _NO_OPERAND:
-            raise ParseError(f"no right-hand operand after {lows[i]!r}")
+        need = _FLAGS[lows[i]]
+        nxt = lows[i + 1] if i + 1 < len(lows) else ";"
+        if need & _ONE:
+            if nxt in _NON_OPERANDS:
+                raise ParseError(f"no right-hand operand after {lows[i]!r}")
+            if need & _PAIR:
+                try:
+                    j = lows.index("and", i + 2)
+                except ValueError:
+                    raise ParseError(f"no AND after {lows[i]!r}") from None
+                self._operand(j)
+        elif need & _LIST:
+            if nxt != "(":
+                raise ParseError(f"no '(' after {lows[i]!r}")
+        elif nxt != "null" and lows[i + 1:i + 3] != ["not", "null"]:
+            raise ParseError(f"no NULL after {lows[i]!r}")
 
     # ------------------------------------------------------------------
     def _resolve(self, i: int) -> tuple[int | None, int]:
@@ -355,26 +357,24 @@ class _Extractor:
         return cid, i + 1
 
     def _classify(self, j: int, cid: int) -> int:
-        """Record the operator class of the predicate starting at j, after
-        the column ``cid``; return where the scan resumes: after a range,
-        BETWEEN or LIKE operator, after a join's right-hand side, which is
-        resolved here once, else at j."""
+        """Record the predicate on the column ``cid`` whose operator, checked
+        by ``_operand``, is at j or after a NOT at j; with none, a ref.  The
+        only place an operator's class is decided.  Return where the scan
+        resumes: after the operator or a join's right-hand side, else at j."""
         lows = self.lows
         n = len(lows)
-        resume = j
-        nxt = lows[j] if j < n else ""
-        opclass, k = "ref", 0
-        if nxt == "not" and j + 1 < n:
-            nxt = lows[j + 1]
-            j += 1
-        if nxt in _OPCLASS:
-            if nxt in _COMPARISONS:
-                self._operand(j)
-            opclass = _OPCLASS[nxt]
-            resume = j + 1
-        elif nxt == "=":
+        op = lows[j] if j < n else ""
+        rhs = j + 1
+        if op == "not" and rhs < n:
+            op = lows[rhs]
+            rhs += 1
+        opclass, k = _OPERATORS.get(op), 0
+        if opclass is None:
+            self.predicates.append((cid, "ref", 0))
+            return j
+        self._operand(rhs - 1)
+        if op == "=":
             # join when the right-hand side resolves to another attribute
-            rhs = j + 1
             if rhs + 1 < n and lows[rhs] == "(" and lows[rhs + 1] == "select":
                 opclass = "subquery"
             elif self._name_at(rhs) and (rhs + 1 >= n or lows[rhs + 1] != "("):
@@ -382,33 +382,23 @@ class _Extractor:
                     rid, after = self._resolve(rhs)
                 except ParseError:
                     rid = None
-                if rid is None:
-                    opclass = "equality"
-                else:
+                if rid is not None:
                     opclass = "join"
                     self.predicates.append((rid, "join", 0))
-                    resume = after  # the scan would resolve it again
+                    rhs = after  # the scan would resolve it again
+        elif op == "in":
+            if rhs + 1 < n and lows[rhs + 1] == "select":
+                opclass = "subquery"
             else:
-                opclass = "equality"
-        elif nxt == "in":
-            rhs = j + 1
-            if rhs < n and lows[rhs] == "(":
-                if rhs + 1 < n and lows[rhs + 1] == "select":
-                    opclass = "subquery"
-                else:
-                    opclass = "in-list"
-                    d, p = 1, rhs + 1
-                    while p < n and d > 0:
-                        tok = lows[p]
-                        if tok == "(":
-                            d += 1
-                        elif tok == ")":
-                            d -= 1
-                        elif d == 1 and (tok[0] == "'" or _is_number(tok)):
-                            k += 1
-                        p += 1
+                d = 1  # count the literals inside the list's own '(' ')'
+                for tok in lows[rhs + 1:]:
+                    d += (tok == "(") - (tok == ")")
+                    if not d:
+                        break
+                    k += d == 1 and (tok[0] == "'" or tok[0].isdecimal()
+                                     or tok[0] == "." and len(tok) > 1)
         self.predicates.append((cid, opclass, k))
-        return resume
+        return rhs
 
 
 def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:

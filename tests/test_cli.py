@@ -179,6 +179,7 @@ def test_a_named_command_builds_one_parser(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
+    (["--"], "the following arguments are required: command"),
     (["wat"], "invalid choice: 'wat' (choose from "),
 ])
 def test_no_command_lists_every_command(argv, message, capsys):

@@ -291,6 +291,11 @@ def _recased(data, text):
     return "".join(c.upper() if f else c.lower() for c, f in zip(text, flips))
 
 
+# the words of the parser's table that never name a column
+_NOT_COLUMNS = {w for w, f in workload._FLAGS.items()
+                if f & (workload._RESERVED | workload._HELPER)}
+
+
 @given(data=st.data())
 def test_names_resolve_as_a_linear_scan_does(data):
     """A WHERE name, qualified by its table or an alias, or bare, resolves
@@ -300,7 +305,7 @@ def test_names_resolve_as_a_linear_scan_does(data):
     s = _CATALOGS[data.draw(st.sampled_from(sorted(_CATALOGS)))]
     i = data.draw(st.sampled_from([
         i for i, a in enumerate(s.attributes, 1)
-        if a.name.lower() not in workload._KEYWORDS | workload._SCALAR_ARGS]))
+        if a.name.lower() not in _NOT_COLUMNS]))
     a = s.attributes[i - 1]
     table, name = _recased(data, a.table), _recased(data, a.name)
     alias, bad = _recased(data, "t_alias"), _recased(data, "no_such_col")
@@ -318,7 +323,7 @@ def test_names_resolve_as_a_linear_scan_does(data):
     with pytest.raises(ParseError) as exc:
         parse_query(f"{head}{table}.{bad} = 1", s)
     assert str(exc.value) == f"query 0: unknown attribute {a.table}.{bad}"
-    known = {t.lower() for t in s.tables} | {"t_alias"} | workload._NOT_COLUMNS
+    known = {t.lower() for t in s.tables} | {"t_alias"} | _NOT_COLUMNS
     stray = _recased(data, data.draw(st.from_regex(
         r"[a-z_][a-z0-9_]{0,11}", fullmatch=True).filter(
             lambda q: q not in known)))
@@ -426,6 +431,11 @@ def test_drop_view_ends_a_statement():
     ("select 1 from lineorder where lo_quantity = 3 group by lo_quantity "
      "having count(*) > 1 rollback",
      "unsupported statement starting at 'rollback'"),
+    ("select 1 from lineorder where lo_quantity = 3 order by lo_quantity "
+     "replace into lineorder values (1)",
+     "unsupported statement starting at 'replace'"),
+    ("select 1 from lineorder where lo_quantity = 3 REPLACE lineorder",
+     "unsupported statement starting at 'REPLACE'"),
 ])
 def test_a_statement_after_a_skipped_clause_is_parsed(sql, message):
     with pytest.raises(ParseError) as exc:
@@ -472,6 +482,57 @@ def test_a_comparison_without_a_right_hand_operand_is_an_error(where,
 def test_a_comparison_with_a_right_hand_operand_parses(where, predicates):
     q = parse_query(f"select 1 from lineorder where {where}", ssb_schema())
     assert predicates_by_name(ssb_schema(), q) == predicates
+
+
+@pytest.mark.parametrize("where, message", [
+    ("lo_quantity like", "no right-hand operand after 'like'"),
+    ("lo_quantity not like ;", "no right-hand operand after 'like'"),
+    ("lo_quantity = like 'x'", "no right-hand operand after '='"),
+    ("lo_quantity between and 3", "no right-hand operand after 'between'"),
+    ("lo_quantity between 1 and", "no right-hand operand after 'and'"),
+    ("lo_quantity between 1 and or lo_tax = 1",
+     "no right-hand operand after 'and'"),
+    ("lo_quantity not between 1 ;", "no AND after 'between'"),
+    ("lo_quantity in ;", "no '(' after 'in'"),
+    ("lo_quantity not in 3", "no '(' after 'in'"),
+    ("lo_quantity is", "no NULL after 'is'"),
+    ("lo_quantity is not", "no NULL after 'is'"),
+    ("lo_quantity is 3", "no NULL after 'is'"),
+    ("'x' like", "no right-hand operand after 'like'"),  # no column before
+    ("(lo_quantity) in )", "no '(' after 'in'"),
+])
+def test_a_predicate_operator_without_its_operand_is_an_error(where, message):
+    sql = f"select 1 from lineorder where {where}"
+    with pytest.raises(ParseError) as exc:
+        parse_query(sql, ssb_schema(), 4)
+    assert str(exc.value) == f"query 4: {message}"
+
+
+@pytest.mark.parametrize("where, predicates", [
+    ("lo_quantity is null", {"lineorder.lo_quantity": ("ref", 0)}),
+    ("lo_quantity is not null and lo_tax not like 'x'",
+     {"lineorder.lo_quantity": ("ref", 0), "lineorder.lo_tax": ("like", 0)}),
+    ("lo_quantity not between 1 and 3",
+     {"lineorder.lo_quantity": ("range", 0)}),
+    ("lo_quantity between (select min(lo_tax) from lineorder "
+     "where lo_tax > 1 and lo_discount < 3) and 5",
+     {"lineorder.lo_quantity": ("range", 0), "lineorder.lo_tax": ("range", 0),
+      "lineorder.lo_discount": ("range", 0)}),
+    ("lo_quantity not in (1, 2)", {"lineorder.lo_quantity": ("in-list", 2)}),
+    ("lo_quantity in (select lo_tax from lineorder)",
+     {"lineorder.lo_quantity": ("subquery", 0)}),
+])
+def test_a_predicate_operator_with_its_operand_parses(where, predicates):
+    q = parse_query(f"select 1 from lineorder where {where}", ssb_schema())
+    assert predicates_by_name(ssb_schema(), q) == predicates
+
+
+def test_replace_with_a_parenthesis_is_a_call():
+    q = parse_query("select replace(s_city, 'a', 'b') from supplier "
+                    "where replace(s_city, 'a', 'b') = 'x' and s_region = 'A'",
+                    ssb_schema())
+    assert predicates_by_name(ssb_schema(), q) == {
+        "supplier.s_city": ("ref", 0), "supplier.s_region": ("equality", 0)}
 
 
 def _flip_case(rng, sql):
@@ -740,6 +801,72 @@ def test_tokenize_rejects_garbage():
             tokenize(sql)
         assert str(exc.value) == message
         assert tokens_or_error(oracle_tokenize, sql) == f"ParseError: {message}"
+
+
+# ---------------------------------------------------------------------------
+# a query cut right after a predicate operator
+# ---------------------------------------------------------------------------
+
+_PREDICATE_OPERATORS = {"=", "<>", "!=", "<", "<=", ">", ">=", "like",
+                        "between", "in", "is"}
+
+
+def _cuts_after_operators(sql):
+    """The offsets in ``sql`` right after each predicate operator: a
+    comparison, LIKE, BETWEEN, IN, IS, the NOT of IS NOT, and BETWEEN's AND,
+    the first AND after the BETWEEN at its parenthesis depth."""
+    cuts, depth, betweens, prev = [], 0, [], None
+    for m in _ORACLE_TOKEN_RE.finditer(sql):
+        tok = m.group(0).strip().lower()
+        depth += (tok == "(") - (tok == ")")
+        if tok == "and" and betweens and betweens[-1] == depth:
+            betweens.pop()
+            cuts.append(m.end())
+        elif tok in _PREDICATE_OPERATORS or tok == "not" and prev == "is":
+            cuts.append(m.end())
+        if tok == "between":
+            betweens.append(depth)
+        prev = tok
+    return cuts
+
+
+def test_a_query_cut_right_after_a_predicate_operator_is_an_error(gen):
+    """Every prefix of the bundled queries and of the seed-1 generated ones
+    that ends right after a predicate operator is an input error, in WHERE
+    and ON and in the clauses the extractor skips alike."""
+    inputs = [(_CATALOGS[name], data_path(name + ".sql").read_text())
+              for name in sorted(_CATALOGS)]
+    inputs += [(load_catalog(json.dumps(inst.catalog)), inst.sql)
+               for make in gen.GENERATORS.values() for inst in make(1)]
+    cut = 0
+    for schema, text in inputs:
+        for qid, sql in split_workload(text):
+            parse_query(sql, schema, qid)
+            for end in _cuts_after_operators(sql):
+                with pytest.raises(ParseError):
+                    parse_query(sql[:end], schema, qid)
+                cut += 1
+    assert cut > 1_000
+
+
+@pytest.mark.parametrize("qid, cut, message", [
+    (18, "HAVING\n SUM(L_QUANTITY) >", "no right-hand operand after '>'"),
+    (8, "SUM(CASE WHEN NATION =", "no right-hand operand after '='"),
+    (8, "SUM(CASE WHEN NATION = 'BRAZIL' THEN VOLUME ELSE 0 END)/SUM(VOLUME)",
+     None),
+])
+def test_a_cut_in_a_skipped_clause(qid, cut, message):
+    """A cut right after an operator in a clause the extractor skips (here
+    a subquery's HAVING and a SELECT list) is an input error too; a cut
+    after a whole expression there parses."""
+    sql = dict(split_workload(data_path("tpch.sql").read_text()))[qid]
+    prefix = sql[:sql.index(cut) + len(cut)]
+    if message is None:
+        parse_query(prefix, tpch_schema(), qid)
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_query(prefix, tpch_schema(), qid)
+    assert str(exc.value) == f"query {qid}: {message}"
 
 
 # ---------------------------------------------------------------------------
