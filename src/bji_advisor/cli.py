@@ -459,14 +459,16 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # a leading '--' is dropped: the command still follows it
+    given = argv[1:] if argv[:1] == ["--"] else argv
     try:
-        if argv in ([], ["--"]):    # argparse's message names no command
+        if not given:    # argparse's message names no command
             raise UsageError(
                 "the following arguments are required: command (choose from "
                 f"{', '.join([repr(c[0]) for c in _COMMANDS])})")
-        parser = _build_parser(argv)
+        parser = _build_parser(given)
         args = parser.parse_args(
-            argv if parser.prog == "bji-advisor" else argv[1:])
+            given if parser.prog == "bji-advisor" else given[1:])
         if not 0.0 < getattr(args, "minsup", 0.1) <= 1.0:
             raise UsageError("--minsup must be in (0, 1]")
         budget = getattr(args, "storage_budget", None)

@@ -119,13 +119,13 @@ class QueryPlan(namedtuple("QueryPlan", "query_id dims no_index usable "
 
     def fact_tuples(self, filter_attrs: int) -> float:
         """Fact rows surviving the predicates on the id mask
-        ``filter_attrs``."""
+        ``filter_attrs``: every selectivity is in (0, 1], so at most
+        ``fact_rows``."""
         sel = 1.0
         for i, s in self.selectivity:
             if filter_attrs >> i & 1:
                 sel *= s
-        rows = self.fact_rows
-        return min(float(rows), max(0.0, rows * sel))
+        return self.fact_rows * sel
 
     def cost(self, config: int) -> float:
         """Cost under the configuration with id mask ``config``: CL plus

@@ -38,12 +38,10 @@ Configuration = namedtuple("Configuration", "engine attrs trace notes",
 
 
 def _page_ratio(schema: StarSchema, table: str) -> float:
-    """Dimension-to-fact page ratio of ``table``; the fact table weighs 1."""
+    """Dimension-to-fact page ratio of ``table``."""
     fact_pages = schema.table_pages(schema.fact.name)
     if fact_pages == 0:
         return 0.0
-    if table == schema.fact.name:
-        return 1.0
     return schema.table_pages(table) / fact_pages
 
 
@@ -76,14 +74,6 @@ def _indexable_of(schema: StarSchema, ids: Iterable[int]) -> tuple[str, ...]:
     """The sorted qualified names of the indexable ids."""
     return tuple(sorted([schema.names[i] for i in ids
                          if schema.indexable >> i & 1]))
-
-
-def _motif(schema: StarSchema, ids: tuple[int, ...], fitness: float,
-           support: float, selected: bool) -> ScoredMotif:
-    """The trace record of one candidate."""
-    return ScoredMotif(ids=ids, fitness=fitness,
-                       afc=afc_sum(schema.cards, ids), support=support,
-                       selected=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +170,8 @@ def close_select(schema: StarSchema, matrix: ContextMatrix,
             costs, current = trial_costs, cost
         else:
             notes.append(f"{attr} skipped: no cost improvement")
-    trace = tuple(_motif(schema, ids, 0.0, sup, bool(chosen & mask(ids)))
+    trace = tuple(ScoredMotif(ids, 0.0, afc_sum(schema.cards, ids), sup,
+                              bool(chosen & mask(ids)))
                   for ids, sup in motifs)
     return Configuration(engine="close",
                          attrs=tuple(sorted([names[i] for i in bits(chosen)])),
@@ -200,7 +191,8 @@ def dynaclose_select(schema: StarSchema, matrix: ContextMatrix,
     scored = [(fitness_dynaclose(terms, ids), ids, sup)
               for ids, sup in motifs]
     winner = max(scored, key=lambda s: (s[0], [-i for i in s[1]]))
-    trace = tuple(_motif(schema, ids, fit, sup, ids == winner[1])
+    trace = tuple(ScoredMotif(ids, fit, afc_sum(schema.cards, ids), sup,
+                              ids == winner[1])
                   for fit, ids, sup in sorted(scored, key=lambda s: s[1]))
     attrs = _indexable_of(schema, winner[1])
     return Configuration(engine="dynaclose", attrs=attrs, trace=trace)

@@ -416,9 +416,10 @@ def parse_query(sql: str, schema: StarSchema, qid: int = 0) -> ParsedQuery:
                        tuple(ex.predicates))
 
 
-# a header starts a line: the text is searched with a newline before it, so
-# that each search skips ahead to a newline rather than trying each character
-_HEADER_RE = re.compile(r"\n\s*[Qq](\d+)\s*[-:]\s*")
+# a header starts a line and ends on it: the text is searched with a newline
+# before it, so that each search skips ahead to a newline rather than trying
+# each character
+_HEADER_RE = re.compile(r"\n\s*[Qq](\d+)\s*[-:][^\S\n]*")
 
 
 def split_workload(text: str) -> list[tuple[int, str]]:
@@ -429,28 +430,22 @@ def split_workload(text: str) -> list[tuple[int, str]]:
     headers, text before the first one and a repeated query id are errors.
     A header is ``_HEADER_RE`` found in ``"\\n" + text``: a match starts
     where the header starts in ``text`` and ends one character past its end.
-    Each search restarts at the last character of the header before it, as
-    a header whose trailing whitespace ends in a newline leaves that newline
-    to start the next one.
     """
-    lined = "\n" + text
-    m = _HEADER_RE.search(lined)
-    if m:
-        before = text[:m.start()].strip()
+    headers = list(_HEADER_RE.finditer("\n" + text))
+    if headers:
+        before = text[:headers[0].start()].strip()
         if before:
             raise ParseError(
                 f"text before the first query header: {before[:40]!r}")
         out = []
         seen: set[int] = set()
-        while m:
+        for m, nxt in zip(headers, headers[1:] + [None]):
             qid = int(m.group(1))
             if qid in seen:
                 raise ParseError(f"query id Q{qid} appears more than once")
             seen.add(qid)
-            nxt = _HEADER_RE.search(lined, m.end() - 1)
             out.append((qid, text[m.end() - 1:nxt.start() if nxt else None]
                         .strip()))
-            m = nxt
         return out
     blocks = re.split(r"^\s*;\s*$", text, flags=re.MULTILINE)
     return [(k + 1, b.strip()) for k, b in enumerate(blocks) if b.strip()]

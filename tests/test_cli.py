@@ -192,6 +192,24 @@ def test_no_command_lists_every_command(argv, message, capsys):
     assert "{advise,compare,enumerate,demo}" in help_text
 
 
+def test_a_leading_double_dash_is_dropped(tmp_path, capsys):
+    """``-- advise`` runs ``advise``: the same stdout and files, and
+    ``metadata.json`` records the arguments as given."""
+    printed, files = [], []
+    for lead in ([], ["--"]):
+        out = tmp_path / f"o{len(lead)}"
+        argv = lead + ["advise", "--catalog", CAT, "--workload", WL,
+                       "--out", str(out)]
+        assert run(argv) == 0
+        printed.append(capsys.readouterr().out)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["argv"] == argv
+        files.append({p.name: p.read_bytes() for p in out.iterdir()
+                      if p.name != "metadata.json"})
+    assert printed[0] == printed[1]
+    assert files[0] == files[1] and "trace.json" in files[0]
+
+
 def test_bad_minsup_usage_error(tmp_path):
     assert run(["advise", "--catalog", CAT, "--workload", WL,
                 "--minsup", "0", "--out", str(tmp_path)]) == 1

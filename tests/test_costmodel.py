@@ -180,6 +180,36 @@ def test_estimate_fact_tuples_selectivities():
     assert nt == pytest.approx(schema.fact.rows / 7)
 
 
+def _maxed(catalog):
+    """``catalog`` with every row count, tuple width and cardinality at
+    ``MAX_CATALOG_INT``."""
+    doc = json.loads(json.dumps(catalog))
+    for t in doc["tables"]:
+        t["rows"] = t["tuple_width"] = MAX_CATALOG_INT
+        t.pop("pages", None)
+    for a in doc["attributes"]:
+        a["cardinality"] = MAX_CATALOG_INT
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fact_tuples_lie_between_zero_and_the_fact_rows(random_stars, data):
+    """Selectivities are in (0, 1], so no filter set leaves more fact rows
+    than the table holds (as a float: ``MAX_CATALOG_INT`` rounds up to
+    2**63) or fewer than none, at the largest catalog numbers too."""
+    star = data.draw(random_stars)
+    for catalog in (star.catalog, _maxed(star.catalog)):
+        schema = load_catalog(json.dumps(catalog))
+        plans = costmodel.WorkloadPlan(
+            schema, parse_workload(star.sql, schema)).plans
+        top = (2 << len(schema.attributes)) - 1
+        for m in data.draw(st.lists(st.integers(0, top), min_size=1,
+                                    max_size=8)) + [0, top]:
+            for plan in plans:
+                assert 0.0 <= plan.fact_tuples(m) <= float(plan.fact_rows)
+
+
 SSB = load_catalog_file(data_path("ssb.json"))
 
 

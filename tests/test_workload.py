@@ -94,9 +94,9 @@ def test_split_header_with_internal_blank_line():
 
 def oracle_split_workload(text):
     """The header split as a multiline ``finditer`` of
-    ``^\\s*[Qq](\\d+)\\s*[-:]\\s*``: every header found where the one
-    before it ended."""
-    headers = list(re.finditer(r"^\s*[Qq](\d+)\s*[-:]\s*", text,
+    ``^\\s*[Qq](\\d+)\\s*[-:][^\\S\\n]*``: every header found where the
+    one before it ended, each ending on its own line."""
+    headers = list(re.finditer(r"^\s*[Qq](\d+)\s*[-:][^\S\n]*", text,
                                re.MULTILINE))
     if not headers:
         blocks = re.split(r"^\s*;\s*$", text, flags=re.MULTILINE)
@@ -138,16 +138,16 @@ _SPLIT_PIECES = st.sampled_from([
 @example("Q1 -\n  Q2 - select 1")
 @example("Q1 -\r\nq2 : select 1\n\x0c Q3-\n")
 def test_split_finds_the_headers_of_a_multiline_finditer(text):
-    """The header search restarts on the last character of the header
-    before it; a plain ``finditer`` of the newline-led pattern misses the
-    header after ``Q1 -\\n``."""
+    """One ``finditer`` of the newline-led pattern over ``"\\n" + text``
+    finds the headers of a multiline ``finditer`` of the line-start one."""
     assert split_or_error(split_workload, text) == \
         split_or_error(oracle_split_workload, text)
 
 
-def test_an_empty_header_takes_an_indented_one_as_its_body():
-    # the first header's whitespace runs on into the next line
-    assert split_workload("Q1 -\n  Q2 - select 1") == [(1, "Q2 - select 1")]
+def test_an_empty_header_leaves_an_indented_one_a_header():
+    # a header ends on its own line, so the next line may start another
+    assert split_workload("Q1 -\n  Q2 - select 1") == [(1, ""),
+                                                       (2, "select 1")]
     assert split_workload("Q1 -\nQ2 - select 1") == [(1, ""),
                                                      (2, "select 1")]
 
