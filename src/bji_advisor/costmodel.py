@@ -94,7 +94,7 @@ def joined_dimensions(schema: StarSchema, query: ParsedQuery) -> list[str]:
     changed = True
     while changed:
         changed = False
-        for src, dst, ends in schema.link_masks:
+        for src, dst, _, ends in schema.links:
             if src in joined and dst not in joined \
                     and referenced & ends == ends:
                 joined.add(dst)
@@ -164,7 +164,7 @@ class WorkloadPlan:
                                 for b in self.index_bytes)
         self._fact_pages = schema.table_pages(schema.fact.name)
         self._link_ends = 0
-        for _, _, ends in schema.link_masks:
+        for *_, ends in schema.links:
             self._link_ends |= ends
         self._shapes: dict[int, tuple] = {}
         self.plans = tuple(self.plan(q) for q in queries)

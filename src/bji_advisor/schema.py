@@ -26,38 +26,16 @@ class CatalogError(ValueError):
     """Raised when a catalog document violates a validation rule."""
 
 
-class TableStats(namedtuple("TableStats", "name role rows tuple_width pages",
-                            defaults=(None,))):
-    """A table: ``role`` is "fact" or "dimension"; ``pages`` None means the
-    estimate from rows and width."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.role not in ("fact", "dimension"):
-            raise CatalogError(f"table {self.name}: unknown role {self.role!r}")
-        if self.rows < 0:
-            raise CatalogError(f"table {self.name}: negative row count")
-        if self.tuple_width <= 0:
-            raise CatalogError(f"table {self.name}: tuple width must be positive")
-        # an empty table may have no pages; no table has fewer
-        least = min(self.rows, 1)
-        if self.pages is not None and self.pages < least:
-            raise CatalogError(f"table {self.name}: pages must be >= {least}")
-        return self
+# a table: ``role`` is "fact" or "dimension"; ``pages`` None means the
+# estimate from rows and width
+TableStats = namedtuple("TableStats", "name role rows tuple_width pages",
+                        defaults=(None,))
 
 
 class AttributeStats(namedtuple("AttributeStats",
                                 "table name cardinality is_key",
                                 defaults=(False,))):
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.cardinality < 1:
-            raise CatalogError(f"attribute {self.table}.{self.name}: cardinality < 1")
-        return self
 
     @property
     def qualified(self) -> str:
@@ -77,13 +55,13 @@ def pages_of(t: TableStats, page_size: int) -> int:
 
 class StarSchema:
     """A validated catalog: ``tables`` by name, ``attributes`` in declaration
-    order, ``joins``, ``page_size`` and ``rowid_bits``.
+    order, ``joins`` as declared, ``page_size`` and ``rowid_bits``.
 
     Resolved once from those: the ``fact`` table; ``links``, per join (from
-    table, to table, join with the declared qualified names); ``link_masks``,
-    per link (from table, to table, mask of the join's two endpoint ids);
-    ``ids_by_name``, lowercase name -> column id for the names only one
-    table has; ``ids_by_column``, (declared table, lowercase name) -> id.
+    table, to table, join with the declared qualified names, mask of its two
+    endpoint ids); ``ids_by_name``, lowercase name -> column id for the
+    names only one table has; ``ids_by_column``, (declared table, lowercase
+    name) -> id.
 
     The per-column tables every later stage reads by column id: ``names``,
     the qualified names, and ``cards``, the cardinalities (index 0 unused);
@@ -91,78 +69,117 @@ class StarSchema:
     of the ids ``is_indexable`` holds for.
     """
 
-    def __init__(self, tables: dict[str, TableStats],
-                 attributes: tuple[AttributeStats, ...],
-                 joins: tuple[Join, ...], page_size: int,
-                 rowid_bits: int = DEFAULT_ROWID_BITS) -> None:
-        self.tables, self.attributes, self.joins = tables, attributes, joins
-        self.page_size, self.rowid_bits = page_size, rowid_bits
+    def __init__(self, doc: dict) -> None:
+        """Check every catalog rule and build the lookups in one pass over
+        the document, whose shape ``load_catalog`` has checked: page_size,
+        rowid_bits, each table, each attribute, the fact table, each join,
+        then the join paths.  The first fault raises ``CatalogError``."""
+        self.page_size = page_size = _int(doc["page_size"], "page_size")
         if page_size <= 0:
             raise CatalogError("missing or invalid page_size")
-        if rowid_bits <= 0:
+        self.rowid_bits = _int(doc.get("rowid_bits", DEFAULT_ROWID_BITS),
+                               "rowid_bits")
+        if self.rowid_bits <= 0:
             raise CatalogError("rowid_bits must be positive")
-        facts = [t for t in tables.values() if t.role == "fact"]
-        if len(facts) != 1:
-            raise CatalogError(
-                f"exactly one fact table required, found {[t.name for t in facts]}")
-        table_names: dict[str, str] = {}
-        for t in tables:
-            if table_names.setdefault(t.lower(), t) != t:
-                raise CatalogError(f"duplicate table {t}")
+        self.tables = tables = {}
+        table_names: dict[str, str] = {}  # lowercase name -> declared name
+        for t in doc.get("tables", []):
+            name, role = t["name"], t["role"]
+            rows = _int(t["rows"], "rows")
+            width = _int(t["tuple_width"], "tuple_width")
+            pages = _int(t["pages"], "pages") if "pages" in t else None
+            if role not in ("fact", "dimension"):
+                raise CatalogError(f"table {name}: unknown role {role!r}")
+            if rows < 0:
+                raise CatalogError(f"table {name}: negative row count")
+            if width <= 0:
+                raise CatalogError(f"table {name}: tuple width must be positive")
+            # an empty table may have no pages; no table has fewer
+            least = min(rows, 1)
+            if pages is not None and pages < least:
+                raise CatalogError(f"table {name}: pages must be >= {least}")
+            if name.lower() in table_names:
+                raise CatalogError(f"duplicate table {name}")
+            table_names[name.lower()] = name
+            tables[name] = TableStats(name, role, rows, width, pages)
         index: dict[str, int] = {}      # lowercase qualified name -> id
         by_name: dict[str, list[int]] = {}  # lowercase name -> ids
         by_column: dict[tuple[str, str], int] = {}
-        on_table = dict.fromkeys(tables, 0)
-        indexable = 0
-        names = [""]
-        for i, a in enumerate(attributes, 1):
-            qualified = a.qualified
-            low, name = qualified.lower(), a.name.lower()
+        on_table, indexable = dict.fromkeys(tables, 0), 0
+        names, attributes = [""], []
+        for i, a in enumerate(doc.get("attributes", []), 1):
+            table = table_names.get(a["table"].lower())
+            if table is None:
+                raise CatalogError(f"attribute {a['table']}.{a['name']}: "
+                                   f"unknown table {a['table']}")
+            rows = tables[table].rows
+            is_key = a.get("is_key", False)
+            if not isinstance(is_key, bool):
+                raise CatalogError(f"attribute {table}.{a['name']}: is_key must be "
+                                   f"true or false, not {is_key!r}")
+            card = a.get("cardinality")
+            if card is None:
+                if not is_key:
+                    raise CatalogError(
+                        f"attribute {table}.{a['name']}: cardinality required")
+                card = max(1, rows)  # keys default to row count
+            attr = AttributeStats(table, a["name"], _int(card, "cardinality"),
+                                  is_key)
+            qualified = attr.qualified
+            if attr.cardinality < 1:
+                raise CatalogError(f"attribute {qualified}: cardinality < 1")
+            low, name = qualified.lower(), attr.name.lower()
             if low in index:
                 raise CatalogError(f"duplicate attribute {qualified}")
             index[low] = i
+            attributes.append(attr)
             names.append(qualified)
             by_name.setdefault(name, []).append(i)
-            by_column[a.table, name] = i
-            on_table[a.table] |= 1 << i
-            if self.is_indexable(a):
+            by_column[table, name] = i
+            on_table[table] |= 1 << i
+            if self.is_indexable(attr):
                 indexable |= 1 << i
-            owner = tables[a.table]
-            if owner.rows > 0 and a.cardinality > owner.rows:
+            if rows > 0 and attr.cardinality > rows:
                 # the worked-example catalog legitimately exceeds this bound
                 import logging
                 logging.getLogger(__name__).warning(
                     "attribute %s: cardinality %d exceeds table rows %d",
-                    qualified, a.cardinality, owner.rows)
-        links, link_masks = [], []
-        for j in joins:
-            fi = index.get(j.fact_attr.lower())
-            di = index.get(j.dim_attr.lower())
+                    qualified, attr.cardinality, rows)
+        facts = [t.name for t in tables.values() if t.role == "fact"]
+        if len(facts) != 1:
+            raise CatalogError(f"exactly one fact table required, found {facts}")
+        fact = facts[0]
+        joins, links = [], []
+        for entry in doc.get("joins", []):
+            j = Join(entry["fact_attr"], entry["dim_attr"])
+            joins.append(j)
+            fi, di = index.get(j.fact_attr.lower()), index.get(j.dim_attr.lower())
             if fi is None or di is None:
-                raise CatalogError(f"join {j.fact_attr} = {j.dim_attr}: unknown endpoint")
+                raise CatalogError(
+                    f"join {j.fact_attr} = {j.dim_attr}: unknown endpoint")
             fa, da = attributes[fi - 1], attributes[di - 1]
             if fa.table == da.table:
-                raise CatalogError(f"join {j.fact_attr} = {j.dim_attr} is self-referential")
+                raise CatalogError(
+                    f"join {j.fact_attr} = {j.dim_attr} is self-referential")
             if tables[da.table].role != "dimension":
-                raise CatalogError(f"join dim side {j.dim_attr} is not on a dimension")
+                raise CatalogError(
+                    f"join dim side {j.dim_attr} is not on a dimension")
             if not da.is_key:
                 raise CatalogError(f"join dim side {j.dim_attr} must be a key")
-            links.append((fa.table, da.table, Join(fa.qualified, da.qualified)))
-            link_masks.append((fa.table, da.table, 1 << fi | 1 << di))
+            links.append((fa.table, da.table, Join(fa.qualified, da.qualified),
+                          1 << fi | 1 << di))
         # the shortest join chain from the fact table to each table (BFS)
-        paths: dict[str, list[Join]] = {facts[0].name: []}
-        queue = [facts[0].name]
+        paths, queue = {fact: []}, [fact]
         for table in queue:
-            for src, dst, j in links:
+            for src, dst, j, _ in links:
                 if src == table and dst not in paths:
                     paths[dst] = paths[table] + [j]
                     queue.append(dst)
         for t in tables:
             if t not in paths:
-                raise CatalogError(
-                    f"no join path from fact table {facts[0].name} to {t}")
-        self.fact, self.links, self.link_masks = \
-            facts[0], tuple(links), tuple(link_masks)
+                raise CatalogError(f"no join path from fact table {fact} to {t}")
+        self.attributes, self.joins = tuple(attributes), tuple(joins)
+        self.fact, self.links = tables[fact], tuple(links)
         self.ids_by_name = {name: i for name, (i, *more) in by_name.items()
                             if not more}
         self.ids_by_column, self._paths = by_column, paths
@@ -218,50 +235,13 @@ def load_catalog(text: str) -> StarSchema:
                 and all(isinstance(e, dict) for e in entries)):
             raise CatalogError(f"catalog {key} must be a list of objects")
     try:
-        return _catalog_from(doc)
+        return StarSchema(doc)
     except CatalogError:
         raise
     except KeyError as exc:
         raise CatalogError(f"catalog entry missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise CatalogError(f"malformed catalog entry: {exc}") from exc
-
-
-def _catalog_from(doc: dict) -> StarSchema:
-    tables: dict[str, TableStats] = {}
-    for t in doc.get("tables", []):
-        ts = TableStats(name=t["name"], role=t["role"],
-                        rows=_int(t["rows"], "rows"),
-                        tuple_width=_int(t["tuple_width"], "tuple_width"),
-                        pages=_int(t["pages"], "pages") if "pages" in t else None)
-        if ts.name in tables:
-            raise CatalogError(f"duplicate table {ts.name}")
-        tables[ts.name] = ts
-    declared = {name.lower(): name for name in tables}
-    attrs: list[AttributeStats] = []
-    for a in doc.get("attributes", []):
-        table = declared.get(a["table"].lower(), a["table"])
-        if table not in tables:
-            raise CatalogError(f"attribute {table}.{a['name']}: unknown table {table}")
-        is_key = a.get("is_key", False)
-        if not isinstance(is_key, bool):
-            raise CatalogError(f"attribute {table}.{a['name']}: is_key must be "
-                               f"true or false, not {is_key!r}")
-        card = a.get("cardinality")
-        if card is None:
-            if is_key:
-                card = max(1, tables[table].rows)  # keys default to row count
-            else:
-                raise CatalogError(
-                    f"attribute {table}.{a['name']}: cardinality required")
-        attrs.append(AttributeStats(table=table, name=a["name"],
-                                    cardinality=_int(card, "cardinality"),
-                                    is_key=is_key))
-    joins = tuple(Join(j["fact_attr"], j["dim_attr"]) for j in doc.get("joins", []))
-    return StarSchema(tables=tables, attributes=tuple(attrs), joins=joins,
-                      page_size=_int(doc["page_size"], "page_size"),
-                      rowid_bits=_int(doc.get("rowid_bits", DEFAULT_ROWID_BITS),
-                                      "rowid_bits"))
 
 
 def _int(value, key: str) -> int:

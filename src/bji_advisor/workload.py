@@ -79,7 +79,7 @@ _TABLE = {
     **dict.fromkeys("select where from group order having on left right "
                     "inner outer join".split(), (_CLAUSE, None)),
     "and": (_RESERVED | _NON_OPERAND | _ONE, None),
-    "or": (_RESERVED | _NON_OPERAND, None),
+    "or": (_RESERVED | _NON_OPERAND | _ONE, None),
     **dict.fromkeys("not by as case when then else end top distinct all view "
                     "asc desc null union".split(), (_RESERVED, None)),
     **dict.fromkeys("dd mm yy yyyy qq dy wk ww hh mi ss date datetime time "
@@ -245,8 +245,8 @@ class _Extractor:
             elif low[0] not in _IDENT_START or low in _FLAGS and (
                     not _FLAGS[low] & _HELPER or not self._compared_column(i)):
                 # a literal, a symbol or a word that is no column; an
-                # operator here follows no column
-                if low in _OPERATORS:
+                # operator or connective here follows no column
+                if low in _NEEDS:
                     self._operand(i)
                 i += 1
             elif i + 1 < n and lows[i + 1] == "(":

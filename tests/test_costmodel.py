@@ -347,7 +347,7 @@ def oracle_query_cost(schema, query, config):
     changed = True
     while changed:
         changed = False
-        for src, dst, j in schema.links:
+        for src, dst, j, _ in schema.links:
             if src in joined and dst not in joined \
                     and j.fact_attr in referenced \
                     and j.dim_attr in referenced:

@@ -1,5 +1,7 @@
 """The immutable records: assignment, keyword construction, defaults and
-the checks made when a record is built."""
+the checks made when a record is built.  The catalog's values are checked
+as the catalog is read (``test_schema.test_malformed_catalog_is_input_error``),
+not by its records."""
 
 import pytest
 
@@ -7,8 +9,8 @@ from bji_advisor import data_path
 from bji_advisor.costmodel import WorkloadPlan
 from bji_advisor.engine import BitmapJoinIndex, EngineError, MiniTable
 from bji_advisor.hypergraph import Hypergraph
-from bji_advisor.schema import (AttributeStats, CatalogError, Join,
-                                TableStats, load_catalog_file)
+from bji_advisor.schema import (AttributeStats, Join, TableStats,
+                                load_catalog_file)
 from bji_advisor.selection import Configuration, ScoredMotif
 from bji_advisor.workload import (ContextMatrix, ParsedQuery,
                                   build_context_matrix, parse_workload)
@@ -53,22 +55,6 @@ def test_keyword_construction_and_defaults():
                            incidence=(0, 1, 0))
     m = ContextMatrix(queries=(q,), columns=("T.a",), rows=(2,))
     assert m.support((1,)) == 1.0
-
-
-@pytest.mark.parametrize("build, message", [
-    (lambda: TableStats("T", "cube", 1, 1), "unknown role 'cube'"),
-    (lambda: TableStats("T", "fact", -1, 1), "negative row count"),
-    (lambda: TableStats(name="T", role="fact", rows=1, tuple_width=0),
-     "tuple width must be positive"),
-    (lambda: TableStats("T", "fact", 5, 1, pages=0), "pages must be >= 1"),
-    (lambda: TableStats("T", "fact", 0, 1, -1), "pages must be >= 0"),
-    (lambda: AttributeStats("T", "a", 0), "attribute T.a: cardinality < 1"),
-    (lambda: AttributeStats(table="T", name="a", cardinality=-2, is_key=True),
-     "cardinality < 1"),
-])
-def test_catalog_records_check_their_values(build, message):
-    with pytest.raises(CatalogError, match=message):
-        build()
 
 
 @pytest.mark.parametrize("build, message", [

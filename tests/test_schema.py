@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -126,31 +127,83 @@ def _set(section, **values):
     return doc
 
 
-@pytest.mark.parametrize("doc", [
-    _drop("tables", "rows"),
-    small_catalog(tables="x"),
-    _drop("joins", "dim_attr"),
-    ["page_size"],
-    small_catalog(page_size="abc"),
-    _set("tables", rows=True),
-    _set("tables", rows=1.5),
-    _set("tables", rows="10"),
-    _set("attributes", is_key="false"),
-    _set("tables", rows=0, pages=-500),
-], ids=["table-without-rows", "tables-not-a-list", "join-without-dim_attr",
-        "not-an-object", "page-size-not-a-number", "rows-is-boolean",
-        "rows-is-fraction", "rows-is-string", "is-key-is-string",
-        "negative-pages-on-empty-table"])
-def test_malformed_catalog_is_input_error(doc, tmp_path, capsys):
-    text = json.dumps(doc)
-    with pytest.raises(CatalogError):
+def _add(section, entry):
+    doc = small_catalog()
+    doc[section].append(entry)
+    return doc
+
+
+# one single-fault document per catalog rule, with the rule's message; a
+# str is the catalog text as it stands, any other value is dumped to JSON
+@pytest.mark.parametrize("doc, message", [
+    ("{", "catalog is not valid JSON: "),
+    ("[" * 100_000, "catalog is nested too deeply"),
+    (["page_size"], "catalog must be a JSON object"),
+    ({k: v for k, v in small_catalog().items() if k != "page_size"},
+     "missing page_size"),
+    (small_catalog(tables="x"), "catalog tables must be a list of objects"),
+    (_drop("tables", "rows"), "catalog entry missing key 'rows'"),
+    (_drop("joins", "dim_attr"), "catalog entry missing key 'dim_attr'"),
+    (_set("attributes", table=5),
+     "malformed catalog entry: 'int' object has no attribute 'lower'"),
+    (small_catalog(page_size="abc"), "page_size must be an integer, not 'abc'"),
+    (_set("tables", rows=True), "rows must be an integer, not True"),
+    (_set("tables", rows=1.5), "rows must be an integer, not 1.5"),
+    (_set("tables", rows="10"), "rows must be an integer, not '10'"),
+    (_set("tables", rows=2**63), "rows out of the signed 64-bit range"),
+    (small_catalog(page_size=0), "missing or invalid page_size"),
+    (small_catalog(rowid_bits=0), "rowid_bits must be positive"),
+    (_set("tables", role="cube"), "table D: unknown role 'cube'"),
+    (_set("tables", rows=-1), "table D: negative row count"),
+    (_set("tables", tuple_width=0), "table D: tuple width must be positive"),
+    (_set("tables", pages=0), "table D: pages must be >= 1"),
+    (_set("tables", rows=0, pages=-500), "table D: pages must be >= 0"),
+    (_add("tables", {"name": "D", "role": "dimension", "rows": 1,
+                     "tuple_width": 1}), "duplicate table D"),
+    (_add("tables", {"name": "d", "role": "dimension", "rows": 1,
+                     "tuple_width": 1}), "duplicate table d"),
+    (_set("tables", role="fact"),
+     "exactly one fact table required, found ['F', 'D']"),
+    (_set("attributes", table="E"), "attribute E.color: unknown table E"),
+    (_set("attributes", is_key="false"),
+     "attribute D.color: is_key must be true or false, not 'false'"),
+    (_drop("attributes", "cardinality"),
+     "attribute D.color: cardinality required"),
+    (_set("attributes", cardinality=0), "attribute D.color: cardinality < 1"),
+    (_set("attributes", cardinality=-2, is_key=True),
+     "attribute D.color: cardinality < 1"),
+    (_add("attributes", {"table": "d", "name": "COLOR", "cardinality": 4}),
+     "duplicate attribute D.COLOR"),
+    (_set("joins", dim_attr="D.nope"), "join F.fk = D.nope: unknown endpoint"),
+    (_set("joins", fact_attr="D.color"),
+     "join D.color = D.k is self-referential"),
+    (_add("joins", {"fact_attr": "D.k", "dim_attr": "F.fk"}),
+     "join dim side F.fk is not on a dimension"),
+    (_set("joins", dim_attr="D.color"), "join dim side D.color must be a key"),
+    (small_catalog(joins=[]), "no join path from fact table F to D"),
+], ids=["not-json", "nested-too-deeply", "not-an-object", "no-page-size",
+        "tables-not-a-list", "table-without-rows", "join-without-dim_attr",
+        "table-name-not-a-string", "page-size-not-a-number",
+        "rows-is-boolean", "rows-is-fraction", "rows-is-string",
+        "rows-past-64-bits", "page-size-zero", "rowid-bits-zero",
+        "unknown-role", "negative-rows", "zero-tuple-width", "zero-pages",
+        "negative-pages-on-empty-table",
+        "duplicate-table", "duplicate-table-in-another-case", "two-facts",
+        "attribute-on-unknown-table", "is-key-is-string",
+        "no-cardinality-on-a-non-key", "zero-cardinality",
+        "negative-key-cardinality", "duplicate-attribute-in-another-case",
+        "join-to-unknown-attribute", "self-referential-join",
+        "join-to-the-fact-table", "join-to-a-non-key", "no-join-path"])
+def test_malformed_catalog_is_input_error(doc, message, tmp_path, capsys):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(CatalogError, match=re.escape(message)):
         load_catalog(text)
     cat = tmp_path / "catalog.json"
     cat.write_text(text)
     assert cli.main(["advise", "--catalog", str(cat),
                      "--workload", str(data_path("ssb.sql")),
                      "--out", str(tmp_path / "out")]) == 2
-    assert "input error" in capsys.readouterr().err
+    assert f"input error: {message}" in capsys.readouterr().err
 
 
 def test_duplicate_attribute():

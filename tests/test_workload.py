@@ -500,6 +500,15 @@ def test_a_comparison_with_a_right_hand_operand_parses(where, predicates):
     ("lo_quantity is 3", "no NULL after 'is'"),
     ("'x' like", "no right-hand operand after 'like'"),  # no column before
     ("(lo_quantity) in )", "no '(' after 'in'"),
+    # AND and OR need an operand too
+    ("lo_quantity = 1 and", "no right-hand operand after 'and'"),
+    ("lo_quantity = 1 or ;", "no right-hand operand after 'or'"),
+    ("lo_quantity = 1 and and lo_tax = 2", "no right-hand operand after 'and'"),
+    ("(lo_quantity = 1 or) and lo_tax = 2", "no right-hand operand after 'or'"),
+    # cut after BETWEEN's AND, where its first operand holds an AND
+    ("lo_quantity between (select max(lo_tax) from lineorder"
+     " where lo_tax > 1 and lo_discount < 2) and",
+     "no right-hand operand after 'and'"),
 ])
 def test_a_predicate_operator_without_its_operand_is_an_error(where, message):
     sql = f"select 1 from lineorder where {where}"
@@ -807,33 +816,27 @@ def test_tokenize_rejects_garbage():
 # a query cut right after a predicate operator
 # ---------------------------------------------------------------------------
 
-_PREDICATE_OPERATORS = {"=", "<>", "!=", "<", "<=", ">", ">=", "like",
-                        "between", "in", "is"}
+_NEEDS_OPERAND = {"=", "<>", "!=", "<", "<=", ">", ">=", "like", "between",
+                  "in", "is", "and", "or"}
 
 
 def _cuts_after_operators(sql):
-    """The offsets in ``sql`` right after each predicate operator: a
-    comparison, LIKE, BETWEEN, IN, IS, the NOT of IS NOT, and BETWEEN's AND,
-    the first AND after the BETWEEN at its parenthesis depth."""
-    cuts, depth, betweens, prev = [], 0, [], None
+    """The offsets in ``sql`` right after each predicate operator or
+    connective: a comparison, LIKE, BETWEEN, IN, IS, the NOT of IS NOT, AND
+    (BETWEEN's included) and OR."""
+    cuts, prev = [], None
     for m in _ORACLE_TOKEN_RE.finditer(sql):
         tok = m.group(0).strip().lower()
-        depth += (tok == "(") - (tok == ")")
-        if tok == "and" and betweens and betweens[-1] == depth:
-            betweens.pop()
+        if tok in _NEEDS_OPERAND or tok == "not" and prev == "is":
             cuts.append(m.end())
-        elif tok in _PREDICATE_OPERATORS or tok == "not" and prev == "is":
-            cuts.append(m.end())
-        if tok == "between":
-            betweens.append(depth)
         prev = tok
     return cuts
 
 
 def test_a_query_cut_right_after_a_predicate_operator_is_an_error(gen):
     """Every prefix of the bundled queries and of the seed-1 generated ones
-    that ends right after a predicate operator is an input error, in WHERE
-    and ON and in the clauses the extractor skips alike."""
+    that ends right after a predicate operator or a connective is an input
+    error, in WHERE and ON and in the clauses the extractor skips alike."""
     inputs = [(_CATALOGS[name], data_path(name + ".sql").read_text())
               for name in sorted(_CATALOGS)]
     inputs += [(load_catalog(json.dumps(inst.catalog)), inst.sql)
