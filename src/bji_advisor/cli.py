@@ -158,9 +158,10 @@ def _cost_doc(tails: list[str], report: dict) -> dict:
     return doc
 
 
-def _engine_docs(plans: costmodel.WorkloadPlan, configs, reports) -> dict:
-    """Each configuration's document, by engine name."""
-    columns = _column_json(plans.schema.names)
+def _engine_docs(plans: costmodel.WorkloadPlan, configs, reports,
+                 columns: tuple[list[str], list[str]]) -> dict:
+    """Each configuration's document, by engine name.  ``columns`` is
+    ``_column_json`` of the catalog."""
     tails = [f', "query": {p.query_id}}}' for p in plans.plans]
     return {cfg.engine: {
         "engine": cfg.engine,
@@ -172,12 +173,19 @@ def _engine_docs(plans: costmodel.WorkloadPlan, configs, reports) -> dict:
     } for cfg, report in zip(configs, reports)}
 
 
-def _matrix_doc(matrix: ContextMatrix) -> dict:
+def _matrix_doc(columns: tuple[list[str], list[str]],
+                matrix: ContextMatrix) -> dict:
+    """The matrix's columns and rows as the lines ``_encode_line`` writes
+    for their records, from ``columns``, ``_column_json`` of the catalog,
+    whose names are the matrix's columns."""
+    id_text, name_json = columns
     return {
-        "columns": [{"id": i + 1, "attr": q}
-                    for i, q in enumerate(matrix.columns)],
-        "rows": [{"query": q.id, "attrs": list(bits(row))}
-                 for q, row in zip(matrix.queries, matrix.rows)],
+        "columns": _Lines([f'{{"attr": {name_json[i]}, "id": {id_text[i]}}}'
+                           for i in range(1, len(name_json))]),
+        "rows": _Lines([
+            f'{{"attrs": [{", ".join([id_text[i] for i in bits(row)])}], '
+            f'"query": {q.id}}}'
+            for q, row in zip(matrix.queries, matrix.rows)]),
     }
 
 
@@ -274,8 +282,9 @@ def _rows_csv(rows: list[dict]) -> str:
 
 def cmd_advise(args, argv) -> int:
     plans, matrix, configs, reports = _select(args, _parse_engines(args.engine))
-    trace = {"matrix": _matrix_doc(matrix),
-             "engines": _engine_docs(plans, configs, reports)}
+    columns = _column_json(plans.schema.names)
+    trace = {"matrix": _matrix_doc(columns, matrix),
+             "engines": _engine_docs(plans, configs, reports, columns)}
     _write(os.path.join(args.out, "trace.json"), _json_text(trace))
 
     lines = []
@@ -314,7 +323,8 @@ def cmd_compare(args, argv) -> int:
         {"rows": [{**r, "total_cost": round(r["total_cost"], 6),
                    "reduction_rate": round(r["reduction_rate"], 9)}
                   for r in rows],
-         "engines": _engine_docs(plans, configs, reports)}))
+         "engines": _engine_docs(plans, configs, reports,
+                                 _column_json(plans.schema.names))}))
     _write_metadata(args.out, argv)
     best = min(rows[1:], key=lambda r: (r["total_cost"], r["engine"]))
     for r in rows:

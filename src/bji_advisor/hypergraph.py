@@ -150,8 +150,9 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
     its candidates, in edge order.  It is cut when its chosen vertices plus
     a greedy packing of those edges, pairwise disjoint, exceed the cap (each
     needs a vertex of its own).  A node one vertex short of the cap enters
-    no child: each vertex in every uncovered edge completes it.  Below the
-    transversality number no set is reached.  Above it the smallest
+    no child: each vertex in every uncovered edge completes it.  Nor does a
+    node two short: it completes each child it would enter in place.  Below
+    the transversality number no set is reached.  Above it the smallest
     transversals are completed short of the cap, and the search raises
     ``ValueError`` at the first such set.
     """
@@ -172,18 +173,35 @@ def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:
         # fewest candidates first, ties by lowest edge index; the first is
         # the fail-first branching edge
         order = sorted(live, key=int.bit_count)
-        used = 0
+        spare, used = room, 0
         for e in order:
             if not e & used:
                 used |= e
-                room -= 1
-                if room < 0:
+                spare -= 1
+                if spare < 0:
                     return
+        if room > 2:
+            for v in bits(order[0]):
+                vb = 1 << v
+                cand &= ~vb
+                recurse(chosen + (v,), cand,
+                        [e & cand for e in live if not e & vb])
+            return
+        # two short of the cap: each child is one short, so its completions
+        # are its candidates in every edge its vertex misses
         for v in bits(order[0]):
             vb = 1 << v
             cand &= ~vb
-            recurse(chosen + (v,), cand,
-                    [e & cand for e in live if not e & vb])
+            last, missed = cand, False
+            for e in live:
+                if not e & vb:
+                    last &= e
+                    missed = True
+            if not missed:
+                raise ValueError(
+                    f"size_cap {size_cap} is above the transversality"
+                    f" number: {len(chosen) + 1} vertices hit every edge")
+            out.extend([chosen + (v, w) for w in bits(last)])
 
     recurse((), h.vertex_mask, list(h.edges))
     return sorted([tuple(sorted(t)) for t in out])

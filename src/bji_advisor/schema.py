@@ -1,9 +1,10 @@
 """Star-schema catalog: tables, attributes, joins, page arithmetic.
 
 Catalogs load from a JSON document with top-level keys ``page_size``,
-``rowid_bits``, ``tables``, ``attributes`` and ``joins``.  Explicit page counts
-in the catalog win over the ceil(rows*width/page_size) estimate so benchmark
-statistics can be reproduced exactly.
+``rowid_bits``, ``tables``, ``attributes`` and ``joins``, and no other; an
+entry's keys are its record's fields, and its names are strings.  Explicit
+page counts in the catalog win over the ceil(rows*width/page_size) estimate
+so benchmark statistics can be reproduced exactly.
 
 Every attribute has a column id: its 1-based position in the catalog's
 declaration order, so ``attributes[i - 1]`` is column ``i``.  The parser,
@@ -45,6 +46,13 @@ class AttributeStats(namedtuple("AttributeStats",
 # a join link between two qualified "table.attr" names
 Join = namedtuple("Join", "fact_attr dim_attr")
 
+# the keys the document and each of its entries may have
+_CATALOG_KEYS = frozenset(("page_size", "rowid_bits", "tables", "attributes",
+                           "joins"))
+_TABLE_KEYS = frozenset(TableStats._fields)
+_ATTRIBUTE_KEYS = frozenset(AttributeStats._fields)
+_JOIN_KEYS = frozenset(Join._fields)
+
 
 def pages_of(t: TableStats, page_size: int) -> int:
     """Explicit page count when supplied, else ceil(rows * width / page_size)."""
@@ -83,8 +91,13 @@ class StarSchema:
             raise CatalogError("rowid_bits must be positive")
         self.tables = tables = {}
         table_names: dict[str, str] = {}  # lowercase name -> declared name
-        for t in doc.get("tables", []):
-            name, role = t["name"], t["role"]
+        for n, t in enumerate(doc.get("tables", []), 1):
+            name = t["name"]
+            if type(name) is not str:
+                raise _not_text(t, ("name",), "table", n)
+            if not t.keys() <= _TABLE_KEYS:
+                raise _unknown(t, _TABLE_KEYS, f"table {name}")
+            role = t["role"]
             rows = _int(t["rows"], "rows")
             width = _int(t["tuple_width"], "tuple_width")
             pages = _int(t["pages"], "pages") if "pages" in t else None
@@ -108,22 +121,28 @@ class StarSchema:
         on_table, indexable = dict.fromkeys(tables, 0), 0
         names, attributes = [""], []
         for i, a in enumerate(doc.get("attributes", []), 1):
-            table = table_names.get(a["table"].lower())
+            declared, name = a["table"], a["name"]
+            if type(declared) is not str or type(name) is not str:
+                raise _not_text(a, ("table", "name"), "attribute", i)
+            if not a.keys() <= _ATTRIBUTE_KEYS:
+                raise _unknown(a, _ATTRIBUTE_KEYS,
+                               f"attribute {declared}.{name}")
+            table = table_names.get(declared.lower())
             if table is None:
-                raise CatalogError(f"attribute {a['table']}.{a['name']}: "
-                                   f"unknown table {a['table']}")
+                raise CatalogError(f"attribute {declared}.{name}: "
+                                   f"unknown table {declared}")
             rows = tables[table].rows
             is_key = a.get("is_key", False)
             if not isinstance(is_key, bool):
-                raise CatalogError(f"attribute {table}.{a['name']}: is_key must be "
+                raise CatalogError(f"attribute {table}.{name}: is_key must be "
                                    f"true or false, not {is_key!r}")
             card = a.get("cardinality")
             if card is None:
                 if not is_key:
                     raise CatalogError(
-                        f"attribute {table}.{a['name']}: cardinality required")
+                        f"attribute {table}.{name}: cardinality required")
                 card = max(1, rows)  # keys default to row count
-            attr = AttributeStats(table, a["name"], _int(card, "cardinality"),
+            attr = AttributeStats(table, name, _int(card, "cardinality"),
                                   is_key)
             qualified = attr.qualified
             if attr.cardinality < 1:
@@ -150,8 +169,13 @@ class StarSchema:
             raise CatalogError(f"exactly one fact table required, found {facts}")
         fact = facts[0]
         joins, links = [], []
-        for entry in doc.get("joins", []):
+        for n, entry in enumerate(doc.get("joins", []), 1):
             j = Join(entry["fact_attr"], entry["dim_attr"])
+            if type(j.fact_attr) is not str or type(j.dim_attr) is not str:
+                raise _not_text(entry, Join._fields, "join", n)
+            if not entry.keys() <= _JOIN_KEYS:
+                raise _unknown(entry, _JOIN_KEYS,
+                               f"join {j.fact_attr} = {j.dim_attr}")
             joins.append(j)
             fi, di = index.get(j.fact_attr.lower()), index.get(j.dim_attr.lower())
             if fi is None or di is None:
@@ -227,6 +251,8 @@ def load_catalog(text: str) -> StarSchema:
         raise CatalogError("catalog is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise CatalogError("catalog must be a JSON object")
+    if not doc.keys() <= _CATALOG_KEYS:
+        raise _unknown(doc, _CATALOG_KEYS, "catalog")
     if "page_size" not in doc:
         raise CatalogError("missing page_size")
     for key in ("tables", "attributes", "joins"):
@@ -242,6 +268,23 @@ def load_catalog(text: str) -> StarSchema:
         raise CatalogError(f"catalog entry missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise CatalogError(f"malformed catalog entry: {exc}") from exc
+
+
+def _not_text(entry: dict, keys: tuple[str, ...], kind: str,
+              n: int) -> CatalogError:
+    """The error for the first of ``entry``'s ``keys`` whose value is no
+    JSON string.  ``entry`` is the ``n``-th (from 1) of its ``kind``: the
+    message names it so, as its names are unread."""
+    key = next(k for k in keys if type(entry[k]) is not str)
+    return CatalogError(
+        f"{kind} #{n}: {key} must be a string, not {entry[key]!r}")
+
+
+def _unknown(entry: dict, known: frozenset[str], what: str) -> CatalogError:
+    """The error for the first key of ``entry``, named ``what``, not in
+    ``known``."""
+    key = next(k for k in entry if k not in known)
+    return CatalogError(f"{what}: unknown key {key!r}")
 
 
 def _int(value, key: str) -> int:

@@ -83,9 +83,11 @@ def _indexable_of(schema: StarSchema, ids: Iterable[int]) -> tuple[str, ...]:
 def tm_ijb(schema: StarSchema, matrix: ContextMatrix) -> Configuration:
     """Pick the best smallest minimal transversal of the workload hypergraph."""
     terms = column_terms(schema, matrix)
-    cards, support = schema.cards, matrix.support
-    trace = [ScoredMotif(ids, fitness_tm(terms, ids), afc_sum(cards, ids),
-                         support(ids), False)
+    cards, support, new = schema.cards, matrix.support, tuple.__new__
+    # each record built as one tuple, its afc summed here, as afc_sum sums it
+    trace = [new(ScoredMotif, (ids, fitness_tm(terms, ids),
+                               sum([cards[i] for i in ids]), support(ids),
+                               False))
              for ids in smallest_transversals(matrix.hypergraph())]
     # max fitness, then min cardinality sum, then lexicographic: candidates
     # arrive as sorted id tuples of one size, in id order, so the first of

@@ -65,6 +65,7 @@ _NON_OPERAND = 32  # starts no operand: it ends a clause, connects or compares
 # and what an operator needs after it: _ONE an operand, _PAIR then an AND,
 # itself _ONE (BETWEEN), _LIST IN's '(' and _NULL IS's [NOT] NULL
 _ONE, _PAIR, _LIST, _NULL = 64, 128, 256, 512
+_NEGATED = 1024  # may stand where NOT's operand would: NOT IN, LIKE, BETWEEN
 _CLAUSE = _MARK | _RESERVED | _NON_OPERAND
 
 # each lowered word or symbol: its flags and, for a predicate operator, the
@@ -80,17 +81,21 @@ _TABLE = {
                     "inner outer join".split(), (_CLAUSE, None)),
     "and": (_RESERVED | _NON_OPERAND | _ONE, None),
     "or": (_RESERVED | _NON_OPERAND | _ONE, None),
-    **dict.fromkeys("not by as case when then else end top distinct all view "
+    "not": (_RESERVED | _ONE, None),
+    **dict.fromkeys("by as case when then else end top distinct all view "
                     "asc desc null union".split(), (_RESERVED, None)),
+    # '+', '-' and '/' need an operand and may follow an operator, as the
+    # sign in '= - 5' does; '*' is unchecked: count(*) and select * have none
+    **dict.fromkeys("+ - /".split(), (_ONE, None)),
     **dict.fromkeys("dd mm yy yyyy qq dy wk ww hh mi ss date datetime time "
                     "int integer bigint float real char varchar decimal "
                     "numeric".split(), (_HELPER, None)),
     **dict.fromkeys("< > <= >= <> !=".split(),
                     (_COMPARE | _NON_OPERAND | _ONE, "range")),
     "=": (_COMPARE | _NON_OPERAND | _ONE, "equality"),
-    "like": (_RESERVED | _NON_OPERAND | _ONE, "like"),
-    "between": (_RESERVED | _NON_OPERAND | _ONE | _PAIR, "range"),
-    "in": (_RESERVED | _NON_OPERAND | _LIST, "in-list"),
+    "like": (_RESERVED | _NON_OPERAND | _ONE | _NEGATED, "like"),
+    "between": (_RESERVED | _NON_OPERAND | _ONE | _PAIR | _NEGATED, "range"),
+    "in": (_RESERVED | _NON_OPERAND | _LIST | _NEGATED, "in-list"),
     "is": (_RESERVED | _NON_OPERAND | _NULL, "ref"),
 }
 _FLAGS = {w: f for w, (f, _) in _TABLE.items()}
@@ -307,13 +312,15 @@ class _Extractor:
 
     def _operand(self, i: int) -> None:
         """Raise unless what the operator at i needs, as its flags say,
-        follows it: an operand, a token no ``_NON_OPERAND`` word is; for
-        BETWEEN, that, AND and that; for IN, '('; for IS, [NOT] NULL."""
+        follows it: an operand, a token no ``_NON_OPERAND`` word is (after
+        NOT, also IN, LIKE or BETWEEN); for BETWEEN, that, AND and that; for
+        IN, '('; for IS, [NOT] NULL."""
         lows = self.lows
         need = _FLAGS[lows[i]]
         nxt = lows[i + 1] if i + 1 < len(lows) else ";"
         if need & _ONE:
-            if nxt in _NON_OPERANDS:
+            if nxt in _NON_OPERANDS and not (
+                    lows[i] == "not" and _FLAGS[nxt] & _NEGATED):
                 raise ParseError(f"no right-hand operand after {lows[i]!r}")
             if need & _PAIR:
                 try:
@@ -357,10 +364,11 @@ class _Extractor:
         return cid, i + 1
 
     def _classify(self, j: int, cid: int) -> int:
-        """Record the predicate on the column ``cid`` whose operator, checked
-        by ``_operand``, is at j or after a NOT at j; with none, a ref.  The
-        only place an operator's class is decided.  Return where the scan
-        resumes: after the operator or a join's right-hand side, else at j."""
+        """Record the predicate on the column ``cid`` whose operator is at j
+        or after a NOT at j, both checked by ``_operand``; with none, a ref.
+        The only place an operator's class is decided.  Return where the
+        scan resumes: after the operator or a join's right-hand side, else
+        at j."""
         lows = self.lows
         n = len(lows)
         op = lows[j] if j < n else ""
@@ -373,6 +381,8 @@ class _Extractor:
             self.predicates.append((cid, "ref", 0))
             return j
         self._operand(rhs - 1)
+        if rhs - 1 != j:
+            self._operand(j)    # the NOT before the operator
         if op == "=":
             # join when the right-hand side resolves to another attribute
             if rhs + 1 < n and lows[rhs] == "(" and lows[rhs + 1] == "select":

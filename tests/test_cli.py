@@ -16,7 +16,8 @@ from bji_advisor import cli, costmodel, data_path, selection
 from bji_advisor.engine import evaluate
 from bji_advisor.hypergraph import berge_enumerate, smallest_transversals
 from bji_advisor.schema import MAX_CATALOG_INT, load_catalog_file
-from bji_advisor.workload import build_context_matrix, parse_workload
+from bji_advisor.workload import (ContextMatrix, ParsedQuery,
+                                  build_context_matrix, parse_workload)
 
 CAT = str(data_path("ssb.json"))
 WL = str(data_path("ssb.sql"))
@@ -385,16 +386,23 @@ def test_byte_identical_reports(tmp_path):
 
 
 def test_trace_candidates_one_line_each(tmp_path):
+    """Each candidate is one line of trace.json, and so is each matrix
+    column and row, in order."""
     out = tmp_path / "o"
     assert run(["advise", "--catalog", CAT, "--workload", WL,
                 "--out", str(out)]) == 0
     text = (out / "trace.json").read_text()
-    candidates = json.loads(text)["engines"]["tm-ijb"]["trace"]
+    doc = json.loads(text)
+    candidates = doc["engines"]["tm-ijb"]["trace"]
     lines = [line.strip().rstrip(",") for line in text.splitlines()]
     assert candidates
     for c in candidates:
         assert lines.count(json.dumps(c, sort_keys=True)) == 1
     assert sum(line.startswith('{"afc": ') for line in lines) == len(candidates)
+    matrix = doc["matrix"]["columns"] + doc["matrix"]["rows"]
+    assert [line for line in lines if line.startswith('{"attr')] == \
+        [json.dumps(r, sort_keys=True) for r in matrix]
+    assert len(matrix) == 57 + 30
 
 
 def compare_inputs(name, directory, gen):
@@ -528,6 +536,41 @@ def test_trace_lines_are_what_the_encoder_writes(drawn):
                                                      trace)})
     assert json.dumps(json.loads(text)) == \
         json.dumps({"trace": [json.loads(line) for line in want]})
+
+
+@st.composite
+def matrices(draw):
+    """A per-column name table (index 0 unused) and a matrix over it."""
+    names = ["", *draw(st.lists(_NAMES, min_size=1, max_size=6))]
+    rows = draw(st.lists(st.integers(1, (1 << len(names) - 1) - 1).map(
+        lambda m: m << 1), max_size=5))
+    ids = draw(st.lists(st.integers(0, 2**70), min_size=len(rows),
+                        max_size=len(rows), unique=True))
+    queries = tuple(ParsedQuery(q, row, ()) for q, row in zip(ids, rows))
+    return names, ContextMatrix(queries, tuple(names[1:]), tuple(rows))
+
+
+@given(matrices())
+def test_matrix_lines_are_what_the_encoder_writes(drawn):
+    """Each column and row line of the matrix document is its record as
+    ``json.dumps(record, sort_keys=True)`` writes it."""
+    names, matrix = drawn
+    want = {"columns": [json.dumps({"id": i, "attr": q}, sort_keys=True)
+                        for i, q in enumerate(names) if i],
+            "rows": [json.dumps({"query": q.id, "attrs": [
+                i for i in range(len(names)) if row >> i & 1]}, sort_keys=True)
+                     for q, row in zip(matrix.queries, matrix.rows)]}
+    doc = cli._matrix_doc(cli._column_json(names), matrix)
+    assert {k: list(v) for k, v in doc.items()} == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "encode_basestring_ascii",
+                   json.encoder.py_encode_basestring_ascii)
+        doc = cli._matrix_doc(cli._column_json(names), matrix)
+        assert {k: list(v) for k, v in doc.items()} == want
+    # in trace.json's layout, the lines are the lists' items
+    assert json.loads(cli._json_text({"matrix": doc})) == \
+        {"matrix": {k: [json.loads(line) for line in v]
+                    for k, v in want.items()}}
 
 
 def test_cost_doc_writes_each_zero_as_itself():

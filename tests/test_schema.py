@@ -139,13 +139,22 @@ def _add(section, entry):
     ("{", "catalog is not valid JSON: "),
     ("[" * 100_000, "catalog is nested too deeply"),
     (["page_size"], "catalog must be a JSON object"),
+    (small_catalog(pagesize=4096), "catalog: unknown key 'pagesize'"),
     ({k: v for k, v in small_catalog().items() if k != "page_size"},
      "missing page_size"),
     (small_catalog(tables="x"), "catalog tables must be a list of objects"),
     (_drop("tables", "rows"), "catalog entry missing key 'rows'"),
     (_drop("joins", "dim_attr"), "catalog entry missing key 'dim_attr'"),
-    (_set("attributes", table=5),
-     "malformed catalog entry: 'int' object has no attribute 'lower'"),
+    (_set("tables", name={}), "table #2: name must be a string, not {}"),
+    (_set("tables", pagse=4102), "table D: unknown key 'pagse'"),
+    (_set("attributes", table=5), "attribute #3: table must be a string, not 5"),
+    (_set("attributes", name=["color"]),
+     "attribute #3: name must be a string, not ['color']"),
+    (_set("attributes", is_kye=True), "attribute D.color: unknown key 'is_kye'"),
+    (_set("joins", fact_attr=1), "join #1: fact_attr must be a string, not 1"),
+    (_set("joins", dim_attr=None),
+     "join #1: dim_attr must be a string, not None"),
+    (_set("joins", kind="inner"), "join F.fk = D.k: unknown key 'kind'"),
     (small_catalog(page_size="abc"), "page_size must be an integer, not 'abc'"),
     (_set("tables", rows=True), "rows must be an integer, not True"),
     (_set("tables", rows=1.5), "rows must be an integer, not 1.5"),
@@ -181,9 +190,14 @@ def _add(section, entry):
      "join dim side F.fk is not on a dimension"),
     (_set("joins", dim_attr="D.color"), "join dim side D.color must be a key"),
     (small_catalog(joins=[]), "no join path from fact table F to D"),
-], ids=["not-json", "nested-too-deeply", "not-an-object", "no-page-size",
+], ids=["not-json", "nested-too-deeply", "not-an-object",
+        "unknown-catalog-key", "no-page-size",
         "tables-not-a-list", "table-without-rows", "join-without-dim_attr",
-        "table-name-not-a-string", "page-size-not-a-number",
+        "table-name-not-a-string", "unknown-table-key",
+        "attribute-table-not-a-string", "attribute-name-not-a-string",
+        "unknown-attribute-key", "join-fact-attr-not-a-string",
+        "join-dim-attr-not-a-string", "unknown-join-key",
+        "page-size-not-a-number",
         "rows-is-boolean", "rows-is-fraction", "rows-is-string",
         "rows-past-64-bits", "page-size-zero", "rowid-bits-zero",
         "unknown-role", "negative-rows", "zero-tuple-width", "zero-pages",

@@ -509,6 +509,16 @@ def test_a_comparison_with_a_right_hand_operand_parses(where, predicates):
     ("lo_quantity between (select max(lo_tax) from lineorder"
      " where lo_tax > 1 and lo_discount < 2) and",
      "no right-hand operand after 'and'"),
+    # the arithmetic operators and NOT need an operand too
+    ("lo_quantity = 3 -", "no right-hand operand after '-'"),
+    ("lo_quantity = 3 + ) and lo_tax = 1", "no right-hand operand after '+'"),
+    ("lo_quantity / = 3", "no right-hand operand after '/'"),
+    ("not", "no right-hand operand after 'not'"),
+    ("lo_quantity = 1 and not or lo_tax = 2",
+     "no right-hand operand after 'not'"),
+    ("lo_quantity not = 3", "no right-hand operand after 'not'"),
+    ("lo_quantity not < ;", "no right-hand operand after '<'"),
+    ("lo_quantity = 1 group by lo_tax -", "no right-hand operand after '-'"),
 ])
 def test_a_predicate_operator_without_its_operand_is_an_error(where, message):
     sql = f"select 1 from lineorder where {where}"
@@ -530,6 +540,16 @@ def test_a_predicate_operator_without_its_operand_is_an_error(where, message):
     ("lo_quantity not in (1, 2)", {"lineorder.lo_quantity": ("in-list", 2)}),
     ("lo_quantity in (select lo_tax from lineorder)",
      {"lineorder.lo_quantity": ("subquery", 0)}),
+    # NOT before IN, LIKE, BETWEEN, an operand or a parenthesis; a sign
+    # after an operator; '*' with no operand
+    ("abs(lo_quantity) not in (1) and lo_tax - - 1 = 2",
+     {"lineorder.lo_quantity": ("ref", 0), "lineorder.lo_tax": ("ref", 0)}),
+    ("not (lo_quantity = 1) and not exists (select * from lineorder) and "
+     "not lo_tax / 2 > 1", {"lineorder.lo_quantity": ("equality", 0),
+                            "lineorder.lo_tax": ("ref", 0)}),
+    ("lo_quantity not like 'x' or lo_tax = - 5 * 2",
+     {"lineorder.lo_quantity": ("like", 0),
+      "lineorder.lo_tax": ("equality", 0)}),
 ])
 def test_a_predicate_operator_with_its_operand_parses(where, predicates):
     q = parse_query(f"select 1 from lineorder where {where}", ssb_schema())
