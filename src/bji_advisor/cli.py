@@ -357,12 +357,15 @@ def cmd_enumerate(args, argv) -> int:
 def _listing(info: dict, sets):
     """One line per set, as ``selection`` scores it: the ids as the tuple
     prints, the fitness summed in member order as ``fitness_tm`` sums it,
-    the summed cardinality and the qualified names."""
+    the summed cardinality and the qualified names.  Sets share few
+    fitness values, so each nonzero one is formatted once."""
+    texts = _Texts("{:.6f}".format)
     for ids in sets:
         fits, cards, ids_text, names = zip(*[info[i] for i in ids])
+        fit = sum(fits, 0.0)
         yield (f"  ({', '.join(ids_text)}{',' if len(ids) == 1 else ''}) "
-               f"fitness={sum(fits, 0.0):.6f} afc={sum(cards)} "
-               f"[{', '.join(names)}]\n")
+               f"fitness={texts[fit] if fit else f'{fit:.6f}'} "
+               f"afc={sum(cards)} [{', '.join(names)}]\n")
 
 
 def cmd_demo(args, argv) -> int:

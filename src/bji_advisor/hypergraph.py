@@ -38,14 +38,6 @@ def mask(ids: Iterable[int]) -> int:
     return m
 
 
-def _canon(sets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Sorted vertex tuples by size then ids: sorted by ids, then by size in
-    a stable sort, with no key tuple per set."""
-    out = sorted(sets)
-    out.sort(key=len)
-    return out
-
-
 class Hypergraph(namedtuple("Hypergraph",
                             "vertices edges vertex_mask incidence")):
     """The inclusion-minimal edges of a family of nonempty vertex sets, over
@@ -97,31 +89,38 @@ def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
     ``e``, so no set arises twice and the family needs no pairwise pruning.
     The time is bound by the size of the output.
     """
+    # The sets are built over the vertices relabelled ``top - v``.  Within
+    # one size, increasing id tuples are then decreasing masks, so the
+    # family sorts as ints, and a mask's bits read highest first are its ids
+    # in increasing order.
+    top = h.vertex_mask.bit_length() - 1
+    edges = [mask([top - v for v in bits(e)]) for e in h.edges]
     # A set's private edges are packed into one int, a field of m + 1 bits
-    # per member in vertex order: bit j of a field is edge j, the top bit is
-    # a zero guard.  Adding 2^m - 1 to each of the k fields of a k-set
-    # carries into the guard iff the field is nonzero, so one addition
-    # checks every member at once.  (A tuple of per-member masks took over
-    # twice the time and memory on a family of 450,000 sets.)  Each member
-    # has a private edge of its own, so no set has more than m members.
-    m = len(h.edges)
+    # per member in (relabelled) vertex order: bit j of a field is edge j,
+    # the top bit is a zero guard.  Adding 2^m - 1 to each of the k fields
+    # of a k-set carries into the guard iff the field is nonzero, so one
+    # addition checks every member at once.  (A tuple of per-member masks
+    # took over twice the time and memory on a family of 450,000 sets.)
+    # Each member has a private edge of its own, so no set has more than m
+    # members.
+    m = len(edges)
     width, full = m + 1, (1 << m) - 1
     ones = [mask(range(0, width * k, width)) for k in range(m + 1)]
     fills = [full * o for o in ones]
     guards = [o << m for o in ones]
-    # per vertex, in every field: the edges that do not contain it
-    misses = [(full & ~edges) * ones[-1] for edges in h.incidence]
+    # per (relabelled) vertex, in every field: the edges that do not hold it
+    misses = [(full & ~inc) * ones[-1] for inc in reversed(h.incidence)]
     sets, privs = [0], [0]
-    for j, e in enumerate(h.edges):
+    for j, e in enumerate(edges[:-1]):
         grow = [(1 << v, misses[v]) for v in bits(e)]
-        next_sets, next_privs = [], []
-        for t, p in zip(sets, privs):
+        pairs, sets, privs = zip(sets, privs), [], []
+        for t, p in pairs:
             hit = t & e
             if hit:
                 if not hit & (hit - 1):
                     p |= 1 << (t & (hit - 1)).bit_count() * width + j
-                next_sets.append(t)
-                next_privs.append(p)
+                sets.append(t)
+                privs.append(p)
                 continue
             k = t.bit_count()
             fill, guard = fills[k], guards[k]
@@ -130,12 +129,33 @@ def berge_enumerate(h: Hypergraph) -> list[tuple[int, ...]]:
                 if (kept + fill) & guard == guard:
                     # v's field, holding e alone, goes in at v's place
                     at = (t & (vb - 1)).bit_count() * width
-                    next_sets.append(t | vb)
-                    next_privs.append(kept & ((1 << at) - 1)
-                                      | (kept >> at << width | 1 << j) << at)
-        sets, privs = next_sets, next_privs
-    del privs, next_privs   # free the packed fields before the output is built
-    return _canon(map(bits, sets))
+                    sets.append(t | vb)
+                    privs.append(kept & ((1 << at) - 1)
+                                 | (kept >> at << width | 1 << j) << at)
+    # the last edge: no later edge reads a private field, so none is built
+    e = edges[-1]
+    grow = [(1 << v, misses[v]) for v in bits(e)]
+    pairs, sets = zip(sets, privs), []
+    for t, p in pairs:
+        if t & e:
+            sets.append(t)
+            continue
+        k = t.bit_count()
+        fill, guard = fills[k], guards[k]
+        sets += [t | vb for vb, miss in grow
+                 if ((p & miss) + fill) & guard == guard]
+    del pairs, privs    # free the packed fields before the output is built
+    sets.sort(reverse=True)
+    sets.sort(key=int.bit_count)
+    out = []
+    for t in sets:
+        ids = []
+        while t:
+            b = t.bit_length() - 1
+            ids.append(top - b)
+            t ^= 1 << b
+        out.append(tuple(ids))
+    return out
 
 
 def mmcs(h: Hypergraph, size_cap: int) -> list[tuple[int, ...]]:

@@ -92,14 +92,16 @@ class StarSchema:
         self.tables = tables = {}
         table_names: dict[str, str] = {}  # lowercase name -> declared name
         for n, t in enumerate(doc.get("tables", []), 1):
-            name = t["name"]
+            try:
+                name, role, rows, width = (t["name"], t["role"], t["rows"],
+                                           t["tuple_width"])
+            except KeyError as exc:
+                raise CatalogError(f"table #{n}: missing key {exc}") from None
             if type(name) is not str:
                 raise _not_text(t, ("name",), "table", n)
             if not t.keys() <= _TABLE_KEYS:
                 raise _unknown(t, _TABLE_KEYS, f"table {name}")
-            role = t["role"]
-            rows = _int(t["rows"], "rows")
-            width = _int(t["tuple_width"], "tuple_width")
+            rows, width = _int(rows, "rows"), _int(width, "tuple_width")
             pages = _int(t["pages"], "pages") if "pages" in t else None
             if role not in ("fact", "dimension"):
                 raise CatalogError(f"table {name}: unknown role {role!r}")
@@ -121,7 +123,11 @@ class StarSchema:
         on_table, indexable = dict.fromkeys(tables, 0), 0
         names, attributes = [""], []
         for i, a in enumerate(doc.get("attributes", []), 1):
-            declared, name = a["table"], a["name"]
+            try:
+                declared, name = a["table"], a["name"]
+            except KeyError as exc:
+                raise CatalogError(
+                    f"attribute #{i}: missing key {exc}") from None
             if type(declared) is not str or type(name) is not str:
                 raise _not_text(a, ("table", "name"), "attribute", i)
             if not a.keys() <= _ATTRIBUTE_KEYS:
@@ -170,7 +176,10 @@ class StarSchema:
         fact = facts[0]
         joins, links = [], []
         for n, entry in enumerate(doc.get("joins", []), 1):
-            j = Join(entry["fact_attr"], entry["dim_attr"])
+            try:
+                j = Join(entry["fact_attr"], entry["dim_attr"])
+            except KeyError as exc:
+                raise CatalogError(f"join #{n}: missing key {exc}") from None
             if type(j.fact_attr) is not str or type(j.dim_attr) is not str:
                 raise _not_text(entry, Join._fields, "join", n)
             if not entry.keys() <= _JOIN_KEYS:
@@ -264,8 +273,6 @@ def load_catalog(text: str) -> StarSchema:
         return StarSchema(doc)
     except CatalogError:
         raise
-    except KeyError as exc:
-        raise CatalogError(f"catalog entry missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise CatalogError(f"malformed catalog entry: {exc}") from exc
 

@@ -6,7 +6,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bji_advisor import data_path, hypergraph
 from bji_advisor.hypergraph import (Hypergraph, berge_enumerate, bits,
@@ -433,11 +433,24 @@ def test_bits_lists_set_bits_lowest_first(m):
     assert bits(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
 
-@given(st.lists(st.one_of(
-    st.just(0), st.integers(0, 2**12),
-    # equal low bits, sets that differ only past bit 100
-    st.builds(lambda low, high: low | high << 100,
-              st.integers(0, 15), st.integers(0, 7)))))
-def test_canon_orders_by_size_then_ids(masks):
-    assert hypergraph._canon(map(bits, masks)) == sorted(
-        map(bits, masks), key=lambda t: (len(t), t))
+@st.composite
+def sparse_hypergraphs(draw) -> list[int]:
+    """Edges over up to 10 vertex ids drawn from 0..200, so that sets of one
+    size often agree on their low ids and differ only past bit 100."""
+    ids = draw(st.lists(st.integers(0, 200), min_size=1, max_size=10,
+                        unique=True))
+    edges = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1),
+                          min_size=1, max_size=7))
+    return [mask(e) for e in edges]
+
+
+# Berge relabels the vertices to sort its family as ints; the oracle sorts
+# the id tuples by size, then by ids
+@given(sparse_hypergraphs())
+@example([mask({3, 77, 190})])                  # one minimal edge
+@example([mask({5, 190}), mask({5, 17, 190})])  # one minimal edge, nested
+@example([mask({0}), mask({101}), mask({200})])  # the last edge is one vertex
+# three-sets that share their low ids and differ past bit 100
+@example([mask({1, 2}), mask({150, 199}), mask({2, 150}), mask({40})])
+def test_berge_orders_sparse_ids_by_size_then_ids(edges):
+    assert berge_enumerate(Hypergraph.from_edges(edges)) == oracle_berge(edges)

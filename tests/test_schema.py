@@ -143,8 +143,10 @@ def _add(section, entry):
     ({k: v for k, v in small_catalog().items() if k != "page_size"},
      "missing page_size"),
     (small_catalog(tables="x"), "catalog tables must be a list of objects"),
-    (_drop("tables", "rows"), "catalog entry missing key 'rows'"),
-    (_drop("joins", "dim_attr"), "catalog entry missing key 'dim_attr'"),
+    (_drop("tables", "rows"), "table #2: missing key 'rows'"),
+    (_drop("tables", "name"), "table #2: missing key 'name'"),
+    (_drop("attributes", "name"), "attribute #3: missing key 'name'"),
+    (_drop("joins", "dim_attr"), "join #1: missing key 'dim_attr'"),
     (_set("tables", name={}), "table #2: name must be a string, not {}"),
     (_set("tables", pagse=4102), "table D: unknown key 'pagse'"),
     (_set("attributes", table=5), "attribute #3: table must be a string, not 5"),
@@ -192,7 +194,8 @@ def _add(section, entry):
     (small_catalog(joins=[]), "no join path from fact table F to D"),
 ], ids=["not-json", "nested-too-deeply", "not-an-object",
         "unknown-catalog-key", "no-page-size",
-        "tables-not-a-list", "table-without-rows", "join-without-dim_attr",
+        "tables-not-a-list", "table-without-rows", "table-without-name",
+        "attribute-without-name", "join-without-dim_attr",
         "table-name-not-a-string", "unknown-table-key",
         "attribute-table-not-a-string", "attribute-name-not-a-string",
         "unknown-attribute-key", "join-fact-attr-not-a-string",
