@@ -49,8 +49,10 @@ def _load_inputs(args) -> tuple[StarSchema, ContextMatrix]:
 
 def _parse_engines(arg: str) -> list[str]:
     names = [e.strip() for e in arg.split(",") if e.strip()]
+    if not names:
+        raise UsageError(f"no engine named in {arg!r}; choose from {ENGINES}")
     bad = [e for e in names if e not in ENGINES]
-    if bad or not names:
+    if bad:
         raise UsageError(f"unknown engine(s) {bad}; choose from {ENGINES}")
     if len(set(names)) < len(names):
         raise UsageError(f"engine named more than once in {arg!r}")
@@ -58,12 +60,11 @@ def _parse_engines(arg: str) -> list[str]:
 
 
 def _select(args, engines: list[str]):
-    """Load the inputs, create the output directory, run ``engines`` and cost
-    each configuration against the no-index baseline.  Each query's cost
-    plan is built once, here, and serves every configuration; so do the
-    closed itemsets, mined once for the engines that read them.  Returns
-    the plans (which hold the catalog as ``schema``), the matrix, the
-    configurations and their cost reports."""
+    """Load the inputs, create the output directory and run ``engines``.
+    Each query's cost plan is built once, here, and serves every
+    configuration; so do the closed itemsets, mined once for the engines
+    that read them.  Returns the plans (which hold the catalog as
+    ``schema``), the matrix and the configurations."""
     schema, matrix = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     plans = costmodel.WorkloadPlan(schema, matrix.queries)
@@ -75,18 +76,18 @@ def _select(args, engines: list[str]):
                storage_budget=args.storage_budget),
            "dynaclose": lambda: selection.dynaclose_select(
                schema, matrix, motifs)}
-    configs = [run[e]() for e in engines]
-    reports = [costmodel.cost_report(plans, c.attrs) for c in configs]
-    return plans, matrix, configs, reports
+    return plans, matrix, [run[e]() for e in engines]
 
 
 def ddl_statements(schema: StarSchema, attrs) -> list[str]:
     """One CREATE BITMAP INDEX statement per configured dimension attribute.
 
     Snowflake dimensions chain every table and join condition on the path
-    from the fact table.
+    from the fact table.  An index is named ``<fact>_<table>_<attr>_idx``,
+    lowercased; as ``_`` may occur within a name, a name already used gets
+    the column id before its ``_idx`` until it is new.
     """
-    out = []
+    out, used = [], set()
     for q in sorted(attrs):
         a = schema.attribute(q)
         tables = [schema.fact.name]
@@ -95,6 +96,9 @@ def ddl_statements(schema: StarSchema, attrs) -> list[str]:
             tables.append(schema.attribute(j.dim_attr).table)
             conds.append(f"{j.fact_attr} = {j.dim_attr}")
         name = f"{schema.fact.name}_{a.table}_{a.name}_idx".lower()
+        while name in used:
+            name = f"{name[:-4]}_{schema.column_id(q)}_idx"
+        used.add(name)
         out.append(
             f"CREATE BITMAP INDEX {name}\n"
             f"ON {schema.fact.name}({a.table}.{a.name})\n"
@@ -127,14 +131,15 @@ class _Texts(dict):
 
 
 def _trace_lines(columns: tuple[list[str], list[str]], trace) -> _Lines:
-    """Each ``ScoredMotif`` of ``trace`` as the line ``_encode_line`` writes
-    for its record: ids, attrs, afc, selected, and fitness and support
-    rounded to 12 places, each as its repr, which is what both JSON encoders
-    write for a finite float: a support is a share of the queries and a
-    fitness sums supports times page ratios of catalog ints, and an int
-    division raises rather than give a non-finite float.  A zero rounds to
-    itself, so its text is its repr.  ``columns`` is ``_column_json`` of
-    the catalog, whose names give a record's attrs from its ids."""
+    """Each ``ScoredMotif`` of ``trace`` as the line ``json.dumps(record,
+    sort_keys=True)`` writes for its record: ids, attrs, afc, selected, and
+    fitness and support rounded to 12 places, each as its repr, as
+    ``json.dumps`` writes a finite float: a support is a share of the
+    queries and a fitness sums supports times page ratios of catalog ints,
+    and an int division raises rather than give a non-finite float.  A zero
+    rounds to itself, so its text is its repr.  ``columns`` is
+    ``_column_json`` of the catalog, whose names give a record's attrs from
+    its ids."""
     id_text, name_json = columns
     texts = _Texts(lambda x: repr(round(x, 12)))
     return _Lines([
@@ -149,7 +154,8 @@ def _trace_lines(columns: tuple[list[str], list[str]], trace) -> _Lines:
 
 def _cost_doc(tails: list[str], report: dict) -> dict:
     """``report`` with its ``costs`` as ``per_query`` lines (``tails`` ends
-    each), as ``_encode_line`` writes them: a cost is finite, so its repr."""
+    each), as ``json.dumps(record, sort_keys=True)`` writes them: a cost is
+    finite, so its repr."""
     doc = dict(report)
     texts = _Texts(repr)
     doc["per_query"] = _Lines([
@@ -158,26 +164,26 @@ def _cost_doc(tails: list[str], report: dict) -> dict:
     return doc
 
 
-def _engine_docs(plans: costmodel.WorkloadPlan, configs, reports,
+def _engine_docs(plans: costmodel.WorkloadPlan, configs,
                  columns: tuple[list[str], list[str]]) -> dict:
-    """Each configuration's document, by engine name.  ``columns`` is
-    ``_column_json`` of the catalog."""
+    """Each configuration's document by engine name, costed against the
+    no-index baseline.  ``columns`` is ``_column_json`` of the catalog."""
     tails = [f', "query": {p.query_id}}}' for p in plans.plans]
     return {cfg.engine: {
         "engine": cfg.engine,
         "configuration": list(cfg.attrs),
         "notes": list(cfg.notes),
         "storage_bytes": costmodel.config_storage(plans, cfg.attrs),
-        "cost": _cost_doc(tails, report),
+        "cost": _cost_doc(tails, costmodel.cost_report(plans, cfg.attrs)),
         "trace": _trace_lines(columns, cfg.trace),
-    } for cfg, report in zip(configs, reports)}
+    } for cfg in configs}
 
 
 def _matrix_doc(columns: tuple[list[str], list[str]],
                 matrix: ContextMatrix) -> dict:
-    """The matrix's columns and rows as the lines ``_encode_line`` writes
-    for their records, from ``columns``, ``_column_json`` of the catalog,
-    whose names are the matrix's columns."""
+    """The matrix's columns and rows as the lines ``json.dumps(record,
+    sort_keys=True)`` writes for their records, from ``columns``,
+    ``_column_json`` of the catalog, whose names are the matrix's columns."""
     id_text, name_json = columns
     return {
         "columns": _Lines([f'{{"attr": {name_json[i]}, "id": {id_text[i]}}}'
@@ -194,32 +200,12 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _make_encode_line():
-    """``json.JSONEncoder(sort_keys=True).encode`` through one C encoder:
-    ``encode`` builds a new one on every call.  Without the C speedups,
-    ``encode`` itself.  The documents are trees, so no cycle check."""
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return json.JSONEncoder(sort_keys=True).encode
-    encoder = make(None, json.JSONEncoder().default,
-                   json.encoder.encode_basestring_ascii, None, ": ", ", ",
-                   True, False, True)
-    return lambda value: "".join(encoder(value, 0))
-
-
-_encode_line = _make_encode_line()
-
-
 def _json_text(doc) -> str:
-    """``doc`` laid out as ``json.dumps(doc, indent=2, sort_keys=True)``
-    lays it out, except that each object in a list is one line: a record
-    per line, written by the C encoder (``indent`` runs the pure-Python
-    one), or as it is when the list is ``_Lines``.  Both encoders write
-    floats with ``float.__repr__``."""
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, except
+    that a ``_Lines`` list is written as given, one line per item."""
     out: list[str] = []
     _emit(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return "".join(out) + "\n"
 
 
 def _emit(value, newline: str, out: list[str]) -> None:
@@ -227,7 +213,7 @@ def _emit(value, newline: str, out: list[str]) -> None:
     if isinstance(value, dict) and value:
         opener = "{"
         for key in sorted(value):
-            out += (opener, inner, _encode_line(key), ": ")
+            out += (opener, inner, json.dumps(key), ": ")
             _emit(value[key], inner, out)
             opener = ","
         out += (newline, "}")
@@ -237,14 +223,11 @@ def _emit(value, newline: str, out: list[str]) -> None:
         opener = "["
         for item in value:
             out += (opener, inner)
-            if isinstance(item, dict):
-                out.append(_encode_line(item))
-            else:
-                _emit(item, inner, out)
+            _emit(item, inner, out)
             opener = ","
         out += (newline, "]")
     else:
-        out.append(_encode_line(value))
+        out.append(json.dumps(value))
 
 
 def _write_metadata(out_dir: str, argv) -> None:
@@ -255,17 +238,14 @@ def _write_metadata(out_dir: str, argv) -> None:
     }))
 
 
-def _engine_rows(plans, configs, reports) -> list[dict]:
-    rows = [{"engine": "baseline", "total_cost": reports[0]["baseline_total"],
-             "storage_bytes": 0, "reduction_rate": 0.0}]
-    for cfg, report in zip(configs, reports):
-        rows.append({
-            "engine": cfg.engine,
-            "total_cost": report["total"],
-            "storage_bytes": costmodel.config_storage(plans, cfg.attrs),
-            "reduction_rate": report["reduction"],
-        })
-    return rows
+def _engine_rows(baseline: float, docs: dict) -> list[dict]:
+    """The no-index row, then each engine's row, read from its document."""
+    return [{"engine": "baseline", "total_cost": baseline,
+             "storage_bytes": 0, "reduction_rate": 0.0}] + [
+        {"engine": engine, "total_cost": doc["cost"]["total"],
+         "storage_bytes": doc["storage_bytes"],
+         "reduction_rate": doc["cost"]["reduction"]}
+        for engine, doc in docs.items()]
 
 
 def _rows_csv(rows: list[dict]) -> str:
@@ -281,11 +261,11 @@ def _rows_csv(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_advise(args, argv) -> int:
-    plans, matrix, configs, reports = _select(args, _parse_engines(args.engine))
+    plans, matrix, configs = _select(args, _parse_engines(args.engine))
     columns = _column_json(plans.schema.names)
-    trace = {"matrix": _matrix_doc(columns, matrix),
-             "engines": _engine_docs(plans, configs, reports, columns)}
-    _write(os.path.join(args.out, "trace.json"), _json_text(trace))
+    docs = _engine_docs(plans, configs, columns)
+    _write(os.path.join(args.out, "trace.json"), _json_text(
+        {"matrix": _matrix_doc(columns, matrix), "engines": docs}))
 
     lines = []
     for cfg in configs:
@@ -304,7 +284,7 @@ def cmd_advise(args, argv) -> int:
                _json_text({c.engine: list(c.attrs) for c in configs}))
     elif args.format == "csv":
         _write(os.path.join(args.out, "report.csv"),
-               _rows_csv(_engine_rows(plans, configs, reports)))
+               _rows_csv(_engine_rows(plans.baseline, docs)))
     else:
         _write(os.path.join(args.out, "report.txt"), "\n".join(lines) + "\n")
     _write_metadata(args.out, argv)
@@ -316,15 +296,16 @@ def cmd_compare(args, argv) -> int:
     engines = _parse_engines(args.engine)
     if len(engines) < 2:
         raise UsageError("compare needs at least two engines")
-    plans, matrix, configs, reports = _select(args, engines)
-    rows = _engine_rows(plans, configs, reports)
+    plans, _, configs = _select(args, engines)
+    docs = _engine_docs(plans, configs, _column_json(plans.schema.names))
+    rows = _engine_rows(plans.baseline, docs)
     _write(os.path.join(args.out, "compare.csv"), _rows_csv(rows))
     _write(os.path.join(args.out, "compare.json"), _json_text(
-        {"rows": [{**r, "total_cost": round(r["total_cost"], 6),
-                   "reduction_rate": round(r["reduction_rate"], 9)}
-                  for r in rows],
-         "engines": _engine_docs(plans, configs, reports,
-                                 _column_json(plans.schema.names))}))
+        {"rows": _Lines([json.dumps(
+            {**r, "total_cost": round(r["total_cost"], 6),
+             "reduction_rate": round(r["reduction_rate"], 9)},
+            sort_keys=True) for r in rows]),
+         "engines": docs}))
     _write_metadata(args.out, argv)
     best = min(rows[1:], key=lambda r: (r["total_cost"], r["engine"]))
     for r in rows:

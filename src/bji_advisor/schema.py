@@ -63,7 +63,7 @@ def pages_of(t: TableStats, page_size: int) -> int:
 
 class StarSchema:
     """A validated catalog: ``tables`` by name, ``attributes`` in declaration
-    order, ``joins`` as declared, ``page_size`` and ``rowid_bits``.
+    order, ``page_size`` and ``rowid_bits``.
 
     Resolved once from those: the ``fact`` table; ``links``, per join (from
     table, to table, join with the declared qualified names, mask of its two
@@ -174,7 +174,7 @@ class StarSchema:
         if len(facts) != 1:
             raise CatalogError(f"exactly one fact table required, found {facts}")
         fact = facts[0]
-        joins, links = [], []
+        links = []
         for n, entry in enumerate(doc.get("joins", []), 1):
             try:
                 j = Join(entry["fact_attr"], entry["dim_attr"])
@@ -185,7 +185,6 @@ class StarSchema:
             if not entry.keys() <= _JOIN_KEYS:
                 raise _unknown(entry, _JOIN_KEYS,
                                f"join {j.fact_attr} = {j.dim_attr}")
-            joins.append(j)
             fi, di = index.get(j.fact_attr.lower()), index.get(j.dim_attr.lower())
             if fi is None or di is None:
                 raise CatalogError(
@@ -211,7 +210,7 @@ class StarSchema:
         for t in tables:
             if t not in paths:
                 raise CatalogError(f"no join path from fact table {fact} to {t}")
-        self.attributes, self.joins = tuple(attributes), tuple(joins)
+        self.attributes = tuple(attributes)
         self.fact, self.links = tables[fact], tuple(links)
         self.ids_by_name = {name: i for name, (i, *more) in by_name.items()
                             if not more}

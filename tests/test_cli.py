@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from bji_advisor import cli, costmodel, data_path, selection
 from bji_advisor.engine import evaluate
 from bji_advisor.hypergraph import berge_enumerate, smallest_transversals
-from bji_advisor.schema import MAX_CATALOG_INT, load_catalog_file
+from bji_advisor.schema import (DEFAULT_ROWID_BITS, MAX_CATALOG_INT,
+                                load_catalog_file)
 from bji_advisor.workload import (ContextMatrix, ParsedQuery,
                                   build_context_matrix, parse_workload)
 
@@ -56,6 +58,43 @@ def test_ddl_statements_cover_config_exactly():
     assert len(stmts) == 2
     assert "ON lineorder(dates.d_year)" in stmts[0]
     assert "WHERE lineorder.lo_orderdate = dates.d_datekey" in stmts[0]
+
+
+def test_ddl_index_names_are_distinct(tmp_path):
+    """``A_B.C`` and ``A.B_C`` both spell ``f_a_b_c_idx``: the second one
+    taken gets its column id, and a name that does not collide keeps its
+    spelling."""
+    doc = {"page_size": 4096, "tables": [
+        {"name": "F", "role": "fact", "rows": 1000, "tuple_width": 40},
+        {"name": "A_B", "role": "dimension", "rows": 10, "tuple_width": 20},
+        {"name": "A", "role": "dimension", "rows": 10, "tuple_width": 20}],
+        "attributes": [
+            {"table": "F", "name": "fk1", "cardinality": 10},
+            {"table": "F", "name": "fk2", "cardinality": 10},
+            {"table": "A_B", "name": "k", "is_key": True},
+            {"table": "A_B", "name": "C", "cardinality": 4},
+            {"table": "A", "name": "k", "is_key": True},
+            {"table": "A", "name": "B_C", "cardinality": 5}],
+        "joins": [{"fact_attr": "F.fk1", "dim_attr": "A_B.k"},
+                  {"fact_attr": "F.fk2", "dim_attr": "A.k"}]}
+    cat = tmp_path / "c.json"
+    cat.write_text(json.dumps(doc))
+    schema = load_catalog_file(str(cat))
+    stmts = cli.ddl_statements(schema, ["A_B.C", "A.B_C", "A.k"])
+    assert [s.split("\n")[0] for s in stmts] == [    # in name order
+        "CREATE BITMAP INDEX f_a_b_c_idx",
+        "CREATE BITMAP INDEX f_a_k_idx",
+        f"CREATE BITMAP INDEX f_a_b_c_{schema.column_id('A_B.C')}_idx"]
+    # through advise: close selects both colliding attributes
+    wl = tmp_path / "w.sql"
+    wl.write_text("SELECT * FROM F, A_B, A WHERE F.fk1 = A_B.k "
+                  "AND F.fk2 = A.k AND A_B.C = 1 AND A.B_C = 2;\n")
+    out = tmp_path / "o"
+    assert run(["advise", "--engine", "close", "--catalog", str(cat),
+                "--workload", str(wl), "--out", str(out)]) == 0
+    assert [line for line in (out / "close.sql").read_text().splitlines()
+            if line.startswith("CREATE")] == [stmts[0].split("\n")[0],
+                                               stmts[2].split("\n")[0]]
 
 
 def test_ddl_snowflake_chains_path():
@@ -102,6 +141,18 @@ def test_compare_has_no_format_option(tmp_path, capsys):
 def test_unknown_engine_usage_error(tmp_path):
     assert run(["advise", "--catalog", CAT, "--workload", WL,
                 "--engine", "wat", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("engine", [",", ""])
+@pytest.mark.parametrize("command", ["advise", "compare"])
+def test_no_engine_named_usage_error(command, engine, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run([command, "--catalog", CAT, "--workload", WL,
+                "--engine", engine, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: no engine named in {engine!r}; "
+        f"choose from {cli.ENGINES}\n")
+    assert not out.exists()
 
 
 def parse(parser, argv):
@@ -473,23 +524,12 @@ def test_json_text_parses_to_the_document(doc):
     assert json.loads(cli._json_text(doc)) == doc
 
 
-# no list holds an object: dicts nest in dicts, lists hold scalars and lists
-@given(st.recursive(
-    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)),
-    lambda inner: st.dictionaries(_KEYS, inner, max_size=4)))
+# any document without _Lines, objects in lists included
+@given(st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(_KEYS, inner, max_size=4)))
 def test_json_text_is_indent_2_without_records(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2,
                                              sort_keys=True) + "\n"
-
-
-@given(st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
-                    | st.dictionaries(_KEYS, inner, max_size=4)))
-def test_encode_line_with_and_without_c_encoder(doc):
-    want = json.dumps(doc, sort_keys=True)
-    assert cli._make_encode_line()(doc) == want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(json.encoder, "c_make_encoder", None)
-        assert cli._make_encode_line()(doc) == want
 
 
 # JSON text escapes: quotes, backslashes, control and non-ASCII characters
@@ -526,10 +566,8 @@ def test_trace_lines_are_what_the_encoder_writes(drawn):
             for m in trace]
     assert list(cli._trace_lines(cli._column_json(names), trace)) == want
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(json.encoder, "c_make_encoder", None)
         mp.setattr(json.encoder, "encode_basestring_ascii",
                    json.encoder.py_encode_basestring_ascii)
-        mp.setattr(cli, "_encode_line", cli._make_encode_line())
         assert list(cli._trace_lines(cli._column_json(names), trace)) == want
     # in a document, the lines are the list's items, an empty one included
     text = cli._json_text({"trace": cli._trace_lines(cli._column_json(names),
@@ -585,6 +623,75 @@ def test_cost_doc_writes_each_zero_as_itself():
     assert [math.copysign(1, json.loads(line)["cost"])
             for line in doc["per_query"]] == [1, -1, 1, 1, 1, -1, 1, -1]
     assert doc["total"] == 5.0 and "costs" not in doc
+
+
+def storage_oracle(doc, config):
+    """Bytes of the indexes on ``config`` from the catalog document alone:
+    per attribute, ceil((rowid_bits + cardinality) * fact rows / 8)."""
+    rows = next(t["rows"] for t in doc["tables"] if t["role"] == "fact")
+    bits = doc.get("rowid_bits", DEFAULT_ROWID_BITS)
+    cards = {f"{a['table']}.{a['name']}".lower(): a.get("cardinality")
+             for a in doc["attributes"]}
+    return sum(-(-(bits + cards[q.lower()]) * rows // 8) for q in config)
+
+
+def check_rows_against_documents(cat, wl, out):
+    """Each ``compare`` and ``advise --format csv`` row holds its engine
+    document's figures, and each document's storage the catalog's."""
+    with open(cat, encoding="utf-8") as fh:
+        catalog = json.load(fh)
+    engines = ["--engine", ",".join(cli.ENGINES)]
+    inputs = ["--catalog", cat, "--workload", wl, "--out", str(out)]
+    for argv, csv, docs_in in (
+            (["compare", *engines, *inputs], "compare.csv", "compare.json"),
+            (["advise", *engines, "--format", "csv", *inputs], "report.csv",
+             "trace.json")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+        docs = json.loads(read(out / docs_in))["engines"]
+        baseline = {docs[e]["cost"]["baseline_total"] for e in docs}
+        assert len(baseline) == 1
+        # the rows follow the --engine order, the documents their names'
+        want = [("baseline", baseline.pop(), 0, 0.0)] + [
+            (e, docs[e]["cost"]["total"], docs[e]["storage_bytes"],
+             docs[e]["cost"]["reduction"]) for e in cli.ENGINES]
+        for d in docs.values():
+            assert d["storage_bytes"] == storage_oracle(catalog,
+                                                        d["configuration"])
+        assert read(out / csv).decode().splitlines()[1:] == [
+            f"{e},{t:.4f},{b},{r:.6f}" for e, t, b, r in want]
+    rows = json.loads(read(out / "compare.json"))["rows"]
+    assert rows == [{"engine": e, "total_cost": round(t, 6),
+                     "storage_bytes": b, "reduction_rate": round(r, 9)}
+                    for e, t, b, r in want]
+
+
+@pytest.mark.parametrize("name", ["ssb", "tpch"])
+def test_engine_rows_are_the_documents_figures(name, tmp_path):
+    check_rows_against_documents(str(data_path(f"{name}.json")),
+                                 str(data_path(f"{name}.sql")), tmp_path / "o")
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_engine_rows_are_the_documents_figures_on_random_stars(random_stars,
+                                                               data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cat, wl = data.draw(random_stars).write(tmp)
+        check_rows_against_documents(cat, wl, Path(tmp) / "o")
+
+
+@pytest.mark.parametrize("argv", [
+    ["advise", "--engine", "tm-ijb,close,dynaclose", "--format", "csv"],
+    ["compare"]])
+def test_storage_is_summed_once_per_engine(argv, tmp_path, monkeypatch):
+    calls = []
+    storage = costmodel.config_storage
+    monkeypatch.setattr(costmodel, "config_storage",
+                        lambda *a: calls.append(a) or storage(*a))
+    assert run([*argv, "--catalog", CAT, "--workload", WL,
+                "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3
 
 
 def listing_oracle(cat, wl, all_):

@@ -26,7 +26,7 @@ def records():
         matrix.hypergraph(), queries[0], matrix,
         WorkloadPlan(schema, queries).plans[0], motif,
         Configuration(engine="close", attrs=("T.a",), trace=(motif,)),
-        schema.fact, schema.attributes[0], schema.joins[0],
+        schema.fact, schema.attributes[0], schema.links[0][2],
         MiniTable("T", ("a",), (("1",),)),
         BitmapJoinIndex(bitmaps={"x": 1}, n_rows=1),
     ]

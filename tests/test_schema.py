@@ -282,6 +282,9 @@ def test_bundled_catalog_shapes():
 
 BUNDLED = {name: load_catalog_file(data_path(name + ".json"))
            for name in ("example_star", "ssb", "tpch")}
+# each bundled catalog's document, whose joins the join-path oracle reads
+DOCS = {name: json.loads(data_path(name + ".json").read_text())
+        for name in BUNDLED}
 
 
 def scan_attributes(s, name):
@@ -293,9 +296,10 @@ def scan_table(s, name):
     return next((t for t in s.tables if t.lower() == name.lower()), None)
 
 
-def bfs_join_path(s, dim):
-    """Shortest chain of declared joins from the fact table to ``dim``, each
-    join spelt with the declared attribute names."""
+def bfs_join_path(s, doc, dim):
+    """Shortest chain of the joins ``doc``, the catalog document of ``s``,
+    declares from the fact table to ``dim``, each join spelt with the
+    declared attribute names."""
     def declared(q):
         return next(a for a in s.attributes if a.qualified.lower() == q.lower())
 
@@ -303,8 +307,8 @@ def bfs_join_path(s, dim):
     paths = {fact: []}
     queue = [fact]
     for table in queue:
-        for j in s.joins:
-            src, dst = declared(j.fact_attr), declared(j.dim_attr)
+        for j in doc["joins"]:
+            src, dst = declared(j["fact_attr"]), declared(j["dim_attr"])
             if src.table == table and dst.table not in paths:
                 paths[dst.table] = paths[table] + [
                     Join(src.qualified, dst.qualified)]
@@ -321,7 +325,8 @@ def recased(data, text):
 
 @given(data=st.data())
 def test_resolved_lookups_match_linear_scans(data):
-    s = BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]
+    catalog = data.draw(st.sampled_from(sorted(BUNDLED)))
+    s, doc = BUNDLED[catalog], DOCS[catalog]
     a = data.draw(st.sampled_from(s.attributes))
     name, table = recased(data, a.name), recased(data, a.table)
     assert s.attribute(f"{table}.{name}") is a
@@ -331,7 +336,7 @@ def test_resolved_lookups_match_linear_scans(data):
     hits = scan_attributes(s, name)
     assert s.ids_by_name.get(name.lower()) == (i if len(hits) == 1 else None)
     assert s.table_pages(a.table) == pages_of(s.tables[a.table], s.page_size)
-    assert s.join_path(a.table) == bfs_join_path(s, a.table)
+    assert s.join_path(a.table) == bfs_join_path(s, doc, a.table)
 
 
 def test_ambiguous_names_exist_in_example_catalog():
